@@ -20,6 +20,7 @@ from .arith import (
     is_prime,
     mod_pow,
     padic_valuation,
+    stepped_powers,
     unit_circle_point,
     unit_circle_value,
 )
@@ -52,12 +53,9 @@ from .order import (
 from .primes import (
     MangoldtTerm,
     PrimeRange,
-    cached_primes,
     mangoldt_terms,
     pi_of,
     primes_up_to,
-    read_prime_cache,
-    write_prime_cache,
 )
 from .vmvt import VmvtInstance, ford_bound_log, monotonicity_check, vmvt_count
 
@@ -70,6 +68,7 @@ __all__ = [
     "is_prime",
     "mod_pow",
     "padic_valuation",
+    "stepped_powers",
     "unit_circle_point",
     "unit_circle_value",
     "DigitCountReport",
@@ -96,12 +95,9 @@ __all__ = [
     "valuation_difference",
     "MangoldtTerm",
     "PrimeRange",
-    "cached_primes",
     "mangoldt_terms",
     "pi_of",
     "primes_up_to",
-    "read_prime_cache",
-    "write_prime_cache",
     "VmvtInstance",
     "ford_bound_log",
     "monotonicity_check",

@@ -11,11 +11,15 @@ block order.  Any thread count then produces bit-identical output.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
+from .arith import stepped_powers
 from .errors import PreconditionError
 
-__all__ = ["BLOCK_WIDTH", "kahan_complex_sum", "split_blocks", "ordered_block_map"]
+__all__ = [
+    "BLOCK_WIDTH", "kahan_complex_sum", "split_blocks", "stepped_blocks", "ordered_block_map"
+]
 
 BLOCK_WIDTH = 1 << 16  # summation-variable values per block
 
@@ -60,18 +64,34 @@ def split_blocks(
     return blocks
 
 
+def stepped_blocks(
+    items: Sequence[_T], key: Callable[[_T], int], base: int, modulus: int
+) -> Iterator[tuple[Sequence[_T], list[int]]]:
+    """split_blocks(items, key), each block paired with its powers.
+
+    The powers are base**key(item) mod modulus for the block's items, cut
+    from one stepped_powers walk over all the keys.  The walk advances in
+    the thread that iterates this stream, one block at a time, so only the
+    block being handed out holds its powers.  Keys must strictly ascend.
+    """
+    powers = stepped_powers(base, map(key, items), modulus)
+    for block in split_blocks(items, key):
+        yield block, list(islice(powers, len(block)))
+
+
 def ordered_block_map(
-    work: Callable[[_T], _R], blocks: Sequence[_T], threads: int
+    work: Callable[[_T], _R], blocks: Iterable[_T], threads: int
 ) -> list[_R]:
     """Apply work to every block; results come back in block order.
 
-    threads=1 is a plain loop.  With more threads the blocks run on a
-    pool, but results are still collected in submission order, so the
-    caller's reduction sees the same sequence either way.
+    threads=1 is a plain loop that pulls one block at a time.  With more
+    threads the pool takes every block up front (in this thread), runs
+    them concurrently, and still returns results in submission order, so
+    the caller's reduction sees the same sequence either way.
     """
     if threads < 1:
         raise PreconditionError(f"threads must be >= 1, got {threads}")
-    if threads == 1 or len(blocks) <= 1:
+    if threads == 1:
         return [work(b) for b in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(work, blocks))

@@ -1,20 +1,21 @@
 """Command-line surface: reproducible CSV/JSON reports over the library.
 
 Every subcommand echoes its mathematical parameters into the report, so a
-report is self-describing.  Execution knobs (threads, cache directory,
-output path) never appear in report bytes: identical parameters give
-byte-identical reports at any thread count, once the optional timestamp
-is suppressed with --no-timestamp.
+report is self-describing.  Execution knobs (threads, output path) never
+appear in report bytes: identical parameters give byte-identical reports
+at any thread count, once the optional timestamp is suppressed with
+--no-timestamp.
 
-Exit codes: 0 success, 2 precondition violation, 3 resource-guard
-rejection.
+Exit codes: 0 success, 2 precondition violation (also malformed flags),
+3 resource-guard rejection, 4 internal self-check failure (a dual-route
+computation disagreed: a bug, never a user error), 5 the report could not
+be written (an OSError from --output or standard output).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -23,11 +24,10 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .arith import PrimePowerModulus
-from .digits import count_blocks, discrepancy, erdos_turan_bound
+from .digits import count_blocks, discrepancy, erdos_turan_bound, mersenne_residues
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 from .expsum import ExpSumResult, mangoldt_exp_sum, mersenne_prime_sum
 from .order import congruence_criterion, order_structure, valuation_difference
-from .primes import cached_primes
 from .vmvt import vmvt_count
 
 CSV_SCHEMA = "mdl v1"
@@ -43,7 +43,6 @@ class RunConfig:
     parameters: dict
     output_format: str
     output_path: Path | None
-    cache_dir: Path | None
     threads: int
     timestamp: bool
 
@@ -90,10 +89,6 @@ def _render_csv(
     return "\n".join(lines) + "\n"
 
 
-def _primes_for(config: RunConfig, X: int) -> list[int]:
-    return list(cached_primes(X, config.cache_dir))
-
-
 def _expsum_results(result: ExpSumResult) -> dict:
     return {
         "real": result.real,
@@ -107,11 +102,7 @@ def _expsum_results(result: ExpSumResult) -> dict:
 
 def _run_digit_stats(config: RunConfig) -> SubcommandOutput:
     p = config.parameters
-    report = count_blocks(
-        p["q"], p["X"], p["r"], p["s"],
-        threads=config.threads,
-        primes=_primes_for(config, p["X"]),
-    )
+    report = count_blocks(p["q"], p["X"], p["r"], p["s"], threads=config.threads)
     results = {
         "pi_X": report.pi_X,
         "expected": report.expected,
@@ -137,11 +128,7 @@ def _run_expsum(config: RunConfig) -> SubcommandOutput:
 def _run_mersenne_sum(config: RunConfig) -> SubcommandOutput:
     p = config.parameters
     m = PrimePowerModulus(p["q"], p["gamma"])
-    result = mersenne_prime_sum(
-        m, p["a"], p["X"],
-        threads=config.threads,
-        primes=_primes_for(config, p["X"]),
-    )
+    result = mersenne_prime_sum(m, p["a"], p["X"], threads=config.threads)
     results = _expsum_results(result)
     columns = list(results)
     return p, results, columns, [tuple(results.values())]
@@ -166,11 +153,9 @@ def _run_vmvt(config: RunConfig) -> SubcommandOutput:
 
 def _run_discrepancy(config: RunConfig) -> SubcommandOutput:
     p = config.parameters
-    primes = _primes_for(config, p["X"])
-    observed = discrepancy(p["q"], p["gamma"], p["X"], config.threads, primes)
-    bound = erdos_turan_bound(
-        p["q"], p["gamma"], p["X"], p["H"], config.threads, primes
-    )
+    residues = mersenne_residues(p["q"], p["gamma"], p["X"])
+    observed = discrepancy(p["q"], p["gamma"], p["X"], residues=residues)
+    bound = erdos_turan_bound(p["q"], p["gamma"], p["X"], p["H"], residues=residues)
     results = {
         "discrepancy": observed,
         "erdos_turan_bound": bound,
@@ -280,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("csv", "json"), default=_DEFAULT_FORMAT[name]
         )
         sub.add_argument("--output", type=Path, default=None)
-        sub.add_argument("--cache-dir", type=Path, default=None)
         sub.add_argument(
             "--no-timestamp",
             action="store_true",
@@ -291,17 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     ns = build_parser().parse_args(argv)
-    cache_dir = ns.cache_dir
-    env_cache = os.environ.get("MDL_CACHE_DIR")
-    if env_cache:  # environment wins over the flag
-        cache_dir = Path(env_cache)
     parameters = {flag: getattr(ns, flag) for flag in _PARAMS[ns.subcommand]}
     return RunConfig(
         subcommand=ns.subcommand,
         parameters=parameters,
         output_format=ns.format,
         output_path=ns.output,
-        cache_dir=cache_dir,
         threads=ns.threads,
         timestamp=not ns.no_timestamp,
     )
@@ -332,10 +311,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceGuardError as exc:
         print(f"mdl: resource guard: {exc}", file=sys.stderr)
         return 3
-    if config.output_path is not None:
-        config.output_path.write_text(report)
-    else:
-        sys.stdout.write(report)
+    except SelfCheckError as exc:
+        print(f"mdl: internal self-check failed: {exc}", file=sys.stderr)
+        return 4
+    try:
+        if config.output_path is not None:
+            config.output_path.write_text(report)
+        else:
+            sys.stdout.write(report)
+    except OSError as exc:
+        print(f"mdl: cannot write report: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

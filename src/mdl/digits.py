@@ -11,19 +11,20 @@ from exact integer or rational arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._blocks import kahan_complex_sum, ordered_block_map, split_blocks
+from ._blocks import kahan_complex_sum, ordered_block_map, stepped_blocks
 from .arith import (
     _check_odd_prime,
     is_prime,
     padic_valuation,
+    stepped_powers,
     unit_circle_value,
 )
 from .errors import PreconditionError
+from .primes import PrimeRange, primes_up_to
 
 __all__ = [
     "DigitString",
@@ -149,26 +150,25 @@ def count_blocks(
 ) -> DigitCountReport:
     """Count primes p <= X by the value of their digit window (q, r, s).
 
-    One modular exponentiation per prime.  Counting parallelizes over
-    prime blocks; integer counts merge associatively, so the report never
-    depends on the thread count.
+    The residues 2^p mod q^(r+1) come from one walk over the prime gaps
+    (stepped_powers), handed out block by block.  Integer counts merge
+    associatively, so the report never depends on the thread count.  A
+    primes sequence replaces the sieve; it must strictly ascend.
     """
     _window_checks(q, r, s)
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
     if primes is None:
-        primes = _primes_list(X)
+        primes = list(primes_up_to(PrimeRange(X)))
     modulus = q ** (r + 1)
     divisor = q ** (r - s + 1)
     size = q**s
 
-    def work(block: Sequence[int]) -> np.ndarray:
-        values = [
-            ((pow(2, p, modulus) - 1) % modulus) // divisor for p in block
-        ]
+    def work(block: tuple[Sequence[int], list[int]]) -> np.ndarray:
+        values = [((x - 1) % modulus) // divisor for x in block[1]]
         return np.bincount(values, minlength=size)
 
-    partials = ordered_block_map(work, split_blocks(primes, key=int), threads)
+    partials = ordered_block_map(work, stepped_blocks(primes, int, 2, modulus), threads)
     totals = np.sum(partials, axis=0) if partials else np.zeros(size, dtype=np.int64)
     counts = {value: int(totals[value]) for value in range(size)}
     return DigitCountReport(q, r, s, X, counts, len(primes))
@@ -180,10 +180,11 @@ def fractional_part_check(
     """Test one digit window two independent ways; returns both booleans.
 
     Route one reads the window from the residue and compares it to sigma.
-    Route two asks, with exact rational arithmetic, whether the fractional
-    part of (2^p - 1) / q^(r+1) lies in the half-open interval
-    [sigma_value / q^s, (sigma_value + 1) / q^s).  The two answers agree
-    for every input; returning both keeps the equivalence observable.
+    Route two asks whether the fractional part of (2^p - 1) / q^(r+1) lies
+    in the half-open interval [sigma_value / q^s, (sigma_value + 1) / q^s),
+    with both sides of each comparison multiplied out to exact integers.
+    The two answers agree for every input; returning both keeps the
+    equivalence observable.
     """
     if sigma.q != q:
         raise PreconditionError(f"sigma has base {sigma.q}, expected {q}")
@@ -196,17 +197,16 @@ def fractional_part_check(
 
     modulus = q ** (r + 1)
     residue = (pow(2, p, modulus) - 1) % modulus
-    frac = Fraction(residue, modulus)
-    lower = Fraction(target, q**s)
-    upper = Fraction(target + 1, q**s)
-    by_interval = lower <= frac < upper
+    by_interval = target * modulus <= residue * q**s < (target + 1) * modulus
     return by_digits, by_interval
 
 
-def _primes_list(X: int) -> list[int]:
-    from .primes import PrimeRange, primes_up_to
-
-    return list(primes_up_to(PrimeRange(X)))
+def _residue_checks(q: int, gamma: int, X: int) -> None:
+    _check_odd_prime(q)
+    if gamma < 1:
+        raise PreconditionError(f"gamma must be >= 1, got {gamma}")
+    if X < 2:
+        raise PreconditionError(f"X must be >= 2, got {X}")
 
 
 def mersenne_residues(
@@ -214,23 +214,42 @@ def mersenne_residues(
     gamma: int,
     X: int,
     threads: int = 1,
-    primes: Sequence[int] | None = None,
+    primes: Iterable[int] | None = None,
 ) -> list[int]:
-    """Residues of 2^p - 1 mod q^gamma for all primes p <= X, in p order."""
-    _check_odd_prime(q)
-    if gamma < 1:
-        raise PreconditionError(f"gamma must be >= 1, got {gamma}")
-    if X < 2:
-        raise PreconditionError(f"X must be >= 2, got {X}")
+    """Residues of 2^p - 1 mod q^gamma for all primes p <= X, in p order.
+
+    One stepped_powers walk over the prime stream; a primes sequence
+    replaces the sieve and must strictly ascend.  The walk is sequential,
+    so threads is only checked (>= 1); the list is the same for any value.
+    """
+    _residue_checks(q, gamma, X)
+    if threads < 1:
+        raise PreconditionError(f"threads must be >= 1, got {threads}")
     if primes is None:
-        primes = _primes_list(X)
+        primes = primes_up_to(PrimeRange(X))
     modulus = q**gamma
+    return [(x - 1) % modulus for x in stepped_powers(2, primes, modulus)]
 
-    def work(block: Sequence[int]) -> list[int]:
-        return [(pow(2, p, modulus) - 1) % modulus for p in block]
 
-    partials = ordered_block_map(work, split_blocks(primes, key=int), threads)
-    return [r for part in partials for r in part]
+def _residues_for(
+    q: int, gamma: int, X: int, threads: int,
+    primes: Iterable[int] | None, residues: Sequence[int] | None,
+) -> Sequence[int]:
+    """The caller's residues after validation, or mersenne_residues."""
+    if residues is None:
+        return mersenne_residues(q, gamma, X, threads, primes)
+    _residue_checks(q, gamma, X)
+    if primes is not None:
+        raise PreconditionError("pass primes or residues, not both")
+    if not residues:
+        raise PreconditionError("residues must not be empty")
+    modulus = q**gamma
+    for value in residues:
+        if not (isinstance(value, int) and 0 <= value < modulus):
+            raise PreconditionError(
+                f"residue {value!r} is not an integer in [0, {q}^{gamma})"
+            )
+    return residues
 
 
 def discrepancy(
@@ -238,15 +257,19 @@ def discrepancy(
     gamma: int,
     X: int,
     threads: int = 1,
-    primes: Sequence[int] | None = None,
+    primes: Iterable[int] | None = None,
+    *,
+    residues: Sequence[int] | None = None,
 ) -> float:
     """Exact star discrepancy of the points (2^p - 1 mod q^gamma) / q^gamma.
 
     The maximum over sample positions is taken with integer arithmetic on
     the sorted residues; the single division at the end is the only
-    floating-point operation.
+    floating-point operation.  residues, the list mersenne_residues
+    returns, skips computing it again; each value must lie in
+    [0, q^gamma).
     """
-    residues = sorted(mersenne_residues(q, gamma, X, threads, primes))
+    residues = sorted(_residues_for(q, gamma, X, threads, primes, residues))
     n = len(residues)
     modulus = q**gamma
     best = 0
@@ -266,7 +289,9 @@ def erdos_turan_bound(
     X: int,
     H: int,
     threads: int = 1,
-    primes: Sequence[int] | None = None,
+    primes: Iterable[int] | None = None,
+    *,
+    residues: Sequence[int] | None = None,
 ) -> float:
     """Erdos-Turan upper bound for the star discrepancy of the same points.
 
@@ -274,11 +299,11 @@ def erdos_turan_bound(
     sums the phase h * residue / q^gamma over the N primes.  When q
     divides h the phase is reduced: modulus q^(gamma - v) and coefficient
     h / q^v with v the q-adic valuation of h (capped at gamma), keeping
-    numerator and modulus coprime.
+    numerator and modulus coprime.  residues is taken as in discrepancy.
     """
     if H < 1:
         raise PreconditionError(f"H must be >= 1, got {H}")
-    residues = mersenne_residues(q, gamma, X, threads, primes)
+    residues = _residues_for(q, gamma, X, threads, primes, residues)
     n = len(residues)
     # integer multiplicities keep the per-h pass cheap and deterministic
     multiplicity: dict[int, int] = {}

@@ -1,8 +1,8 @@
 """Exception types shared across the library.
 
 The CLI maps these onto exit codes (precondition violations -> 2,
-resource-guard rejections -> 3), so library code should raise the most
-specific class that applies.
+resource-guard rejections -> 3, self-check failures -> 4), so library
+code should raise the most specific class that applies.
 """
 
 

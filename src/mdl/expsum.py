@@ -4,8 +4,10 @@ Two sums are provided: one over prime powers n <= X weighted by log p
 (von Mangoldt weights), with phase a*g^n, and one over primes p <= X with
 phase a*(2^p - 1).  Phases are exact residues; only the final
 residue/modulus ratio is rounded to double, so the modulus may far exceed
-2^53 without loss.  Evaluation is blocked and reduced in a fixed order,
-making results bit-identical for every thread count.
+2^53 without loss.  The powers g^n and 2^p come from one walk across the
+gaps between consecutive exponents (stepped_powers), consumed block by
+block; evaluation is blocked and reduced in a fixed order, making results
+bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._blocks import kahan_complex_sum, ordered_block_map, split_blocks
+from ._blocks import kahan_complex_sum, ordered_block_map, stepped_blocks
 from .arith import PrimePowerModulus, unit_circle_value
 from .errors import PreconditionError, SelfCheckError
 from .primes import MangoldtTerm, PrimeRange, mangoldt_terms, primes_up_to
@@ -128,12 +130,12 @@ def mangoldt_exp_sum(
     if X == 1:
         return ExpSumResult(0.0, 0.0, 0, 0.0, m, 0.0)
     terms = list(mangoldt_terms(PrimeRange(X)))
-    blocks = split_blocks(terms, key=lambda t: t.n)
 
-    def work(block: Sequence[MangoldtTerm]) -> tuple[complex, float]:
-        pairs = [((a * pow(g, t.n, Q)) % Q, t.weight) for t in block]
+    def work(block: tuple[Sequence[MangoldtTerm], list[int]]) -> tuple[complex, float]:
+        pairs = [((a * x) % Q, t.weight) for t, x in zip(*block)]
         return _phase_block_sum(pairs, Q)
 
+    blocks = stepped_blocks(terms, lambda t: t.n, g, Q)
     partials = ordered_block_map(work, blocks, threads)
     total = kahan_complex_sum(p[0] for p in partials)
     normalizer = kahan_complex_sum(complex(p[1], 0.0) for p in partials).real
@@ -153,7 +155,7 @@ def mersenne_prime_sum(
 
     normalizer is the prime count up to X.  A precomputed, strictly
     increasing sequence of exactly the primes <= X may be passed to skip
-    the sieve (the cache layer uses this).
+    the sieve.
     """
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
@@ -161,13 +163,12 @@ def mersenne_prime_sum(
     Q = m.modulus
     if primes is None:
         primes = list(primes_up_to(PrimeRange(X)))
-    blocks = split_blocks(primes, key=int)
 
-    def work(block: Sequence[int]) -> tuple[complex, float]:
-        pairs = [((a * (pow(2, p, Q) - 1)) % Q, 1.0) for p in block]
+    def work(block: tuple[Sequence[int], list[int]]) -> tuple[complex, float]:
+        pairs = [((a * (x - 1)) % Q, 1.0) for x in block[1]]
         return _phase_block_sum(pairs, Q)
 
-    partials = ordered_block_map(work, blocks, threads)
+    partials = ordered_block_map(work, stepped_blocks(primes, int, 2, Q), threads)
     total = kahan_complex_sum(p[0] for p in partials)
     count = len(primes)
     return ExpSumResult(

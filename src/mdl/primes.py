@@ -1,4 +1,4 @@
-"""Segmented prime generation, von Mangoldt weights, and the prime cache.
+"""Segmented prime generation and von Mangoldt weights.
 
 The sieve is a classical odd-only segmented sieve of Eratosthenes backed
 by numpy boolean segments, so memory stays bounded by the segment size
@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -26,17 +24,9 @@ __all__ = [
     "prime_segments",
     "pi_of",
     "mangoldt_terms",
-    "prime_cache_path",
-    "write_prime_cache",
-    "read_prime_cache",
-    "cached_primes",
 ]
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
-
-PRIME_CACHE_MAGIC = b"MDLPRIME"
-PRIME_CACHE_VERSION = 1
-_HEADER = struct.Struct("<8sIQQ")  # magic, version, limit, count
 
 
 @dataclass(frozen=True)
@@ -154,70 +144,3 @@ def mangoldt_terms(prime_range: PrimeRange) -> Iterator[MangoldtTerm]:
         MangoldtTerm(p, p, math.log(p)) for p in primes_up_to(prime_range)
     )
     yield from heapq.merge(primes, _higher_powers(prime_range.limit), key=lambda t: t.n)
-
-
-def prime_cache_path(cache_dir: Path | str, limit: int) -> Path:
-    """Cache file location for a given limit (one file per limit)."""
-    return Path(cache_dir) / f"primes-{limit}.mdlcache"
-
-
-def write_prime_cache(path: Path | str, limit: int, primes: Iterable[int]) -> int:
-    """Write the cache file; returns the number of primes written.
-
-    Layout: magic "MDLPRIME", version u32, limit u64, count u64, then the
-    primes as strictly increasing little-endian u64.  The byte layout is
-    fixed, so identical inputs produce identical files.
-    """
-    body = np.fromiter(primes, dtype="<u8")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_HEADER.pack(PRIME_CACHE_MAGIC, PRIME_CACHE_VERSION, limit, body.size))
-        fh.write(body.tobytes())
-    tmp.replace(path)
-    return int(body.size)
-
-
-def read_prime_cache(path: Path | str) -> tuple[int, np.ndarray]:
-    """Read a cache file back as (limit, primes array).
-
-    Rejects unknown magic/version and truncated bodies.
-    """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated prime cache header")
-    magic, version, limit, count = _HEADER.unpack_from(raw)
-    if magic != PRIME_CACHE_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != PRIME_CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
-    body = raw[_HEADER.size :]
-    if len(body) != 8 * count:
-        raise ValueError(f"{path}: expected {count} primes, got {len(body)} body bytes")
-    return int(limit), np.frombuffer(body, dtype="<u8").astype(np.int64)
-
-
-def cached_primes(
-    limit: int,
-    cache_dir: Path | str | None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> Iterator[int]:
-    """Prime stream with a read-through on-disk cache.
-
-    With no cache_dir this is just the sieve stream.  Otherwise the cache
-    file keyed by limit is read if present, or computed and written first;
-    either way the emitted stream is identical to the sieve's.
-    """
-    prime_range = PrimeRange(limit, segment_size)
-    if cache_dir is None:
-        yield from primes_up_to(prime_range)
-        return
-    path = prime_cache_path(cache_dir, limit)
-    if not path.exists():
-        write_prime_cache(path, limit, primes_up_to(prime_range))
-    cached_limit, primes = read_prime_cache(path)
-    if cached_limit != limit:
-        raise ValueError(f"{path}: cache limit {cached_limit} != requested {limit}")
-    for p in primes.tolist():
-        yield p

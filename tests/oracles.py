@@ -98,6 +98,11 @@ def orders_by_stride_scan(q: int, g: int, n_max: int, table_cap: int = 1 << 16) 
     return orders
 
 
+def powers_by_direct_pow(base: int, exponents: list[int], modulus: int) -> list[int]:
+    """base**e mod modulus by one full modular exponentiation per exponent."""
+    return [pow(base, e, modulus) for e in exponents]
+
+
 def digit_window_by_expansion(p: int, q: int, r: int, s: int) -> int:
     """Digit window read from the full base-q expansion of 2**p - 1."""
     m = 2**p - 1

@@ -1,4 +1,4 @@
-"""Command-line surface: reports, exit codes, reproducibility, cache."""
+"""Command-line surface: reports, exit codes, reproducibility."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import mdl.cli
 from mdl import __version__
 from mdl.cli import main
+from mdl.errors import SelfCheckError
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -137,39 +139,48 @@ def test_output_flag_writes_file(tmp_path: Path, capsys):
     assert json.loads(target.read_text())["results"]["count"] == 3
 
 
-def test_cache_dir_flag_populates_cache(tmp_path: Path, capsys, monkeypatch):
-    monkeypatch.delenv("MDL_CACHE_DIR", raising=False)
-    cache = tmp_path / "cache"
-    code, _, _ = run_cli(
-        capsys, "mersenne-sum", "--q", "3", "--gamma", "1", "--a", "1",
-        "--X", "50", "--cache-dir", str(cache), "--no-timestamp",
+def test_self_check_exit_code(capsys, monkeypatch):
+    def forged(config):
+        raise SelfCheckError("closed form disagrees with the direct scan")
+
+    monkeypatch.setitem(mdl.cli._HANDLERS, "order-structure", forged)
+    code, out, err = run_cli(capsys, "order-structure", "--q", "11", "--g", "3")
+    assert code == 4 and out == ""
+    assert "self-check" in err and "Traceback" not in err
+
+
+def test_unwritable_output_exit_code(tmp_path: Path, capsys):
+    target = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run_cli(
+        capsys, "vmvt", "--r", "1", "--k", "1", "--P", "3", "--output", str(target),
     )
-    assert code == 0
-    assert (cache / "primes-50.mdlcache").exists()
+    assert code == 5 and out == ""
+    assert "cannot write report" in err and "Traceback" not in err
+    assert not target.exists()
 
 
-def test_env_cache_dir_overrides_flag(tmp_path: Path, capsys, monkeypatch):
-    env_cache = tmp_path / "from-env"
-    flag_cache = tmp_path / "from-flag"
-    monkeypatch.setenv("MDL_CACHE_DIR", str(env_cache))
-    code, _, _ = run_cli(
-        capsys, "discrepancy", "--q", "3", "--gamma", "2", "--X", "60",
-        "--cache-dir", str(flag_cache), "--no-timestamp",
+def test_discrepancy_computes_residues_once(capsys, monkeypatch):
+    calls = []
+    original = mdl.cli.mersenne_residues
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mdl.cli, "mersenne_residues", counted)
+    monkeypatch.setattr(mdl.digits, "mersenne_residues", counted)
+    code, out, _ = run_cli(
+        capsys, "discrepancy", "--q", "3", "--gamma", "2", "--X", "60", "--no-timestamp",
     )
-    assert code == 0
-    assert (env_cache / "primes-60.mdlcache").exists()
-    assert not flag_cache.exists()
+    assert code == 0 and json.loads(out)["results"]["certified"] is True
+    assert len(calls) == 1
 
 
-def test_repeated_runs_reuse_cache_bytes(tmp_path: Path, capsys, monkeypatch):
-    monkeypatch.delenv("MDL_CACHE_DIR", raising=False)
-    cache = tmp_path / "cache"
+def test_repeated_runs_are_byte_identical(capsys):
     args = (
         "digit-stats", "--q", "3", "--X", "4000", "--r", "10", "--s", "2",
-        "--cache-dir", str(cache), "--no-timestamp",
+        "--no-timestamp",
     )
     _, first, _ = run_cli(capsys, *args)
-    stamp = (cache / "primes-4000.mdlcache").stat().st_mtime_ns
     _, second, _ = run_cli(capsys, *args)
     assert first == second
-    assert (cache / "primes-4000.mdlcache").stat().st_mtime_ns == stamp

@@ -201,3 +201,25 @@ def test_erdos_turan_thread_invariant():
     a = erdos_turan_bound(3, 20, 10**4, 50, threads=1)
     b = erdos_turan_bound(3, 20, 10**4, 50, threads=8)
     assert a == b
+
+
+def test_residues_keyword_matches_the_computed_route():
+    q, gamma, X = 3, 5, 2000
+    residues = mersenne_residues(q, gamma, X)
+    assert discrepancy(q, gamma, X, residues=residues) == discrepancy(q, gamma, X)
+    assert erdos_turan_bound(q, gamma, X, 10, residues=residues) == erdos_turan_bound(
+        q, gamma, X, 10
+    )
+
+
+@pytest.mark.parametrize("residues", [[0, 243], [5, -1], [], [1.5]])
+def test_residues_keyword_rejects_values_outside_the_modulus(residues):
+    with pytest.raises(PreconditionError):
+        discrepancy(3, 5, 100, residues=residues)
+    with pytest.raises(PreconditionError):
+        erdos_turan_bound(3, 5, 100, 10, residues=residues)
+
+
+def test_residues_keyword_excludes_primes():
+    with pytest.raises(PreconditionError):
+        discrepancy(3, 2, 10, primes=[2, 3, 5, 7], residues=[0, 7, 4, 1])

@@ -1,25 +1,13 @@
-"""Segmented sieve, von Mangoldt stream, and the binary prime cache."""
+"""Segmented sieve and von Mangoldt stream."""
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import pytest
 
 from mdl.errors import PreconditionError
-from mdl.primes import (
-    PRIME_CACHE_MAGIC,
-    MangoldtTerm,
-    PrimeRange,
-    cached_primes,
-    mangoldt_terms,
-    pi_of,
-    prime_cache_path,
-    primes_up_to,
-    read_prime_cache,
-    write_prime_cache,
-)
+from mdl.primes import MangoldtTerm, PrimeRange, mangoldt_terms, pi_of, primes_up_to
 from oracles import mangoldt_by_factoring, primes_by_trial_division
 
 
@@ -70,44 +58,6 @@ def test_mangoldt_sum_equals_log_lcm():
     X = 500
     psi = sum(t.weight for t in mangoldt_terms(PrimeRange(X)))
     assert math.isclose(psi, math.log(math.lcm(*range(1, X + 1))), rel_tol=1e-12)
-
-
-def test_cache_round_trip(tmp_path: Path):
-    primes = list(primes_up_to(PrimeRange(10_000)))
-    path = prime_cache_path(tmp_path, 10_000)
-    assert write_prime_cache(path, 10_000, primes) == 1229
-    limit, back = read_prime_cache(path)
-    assert limit == 10_000
-    assert back.tolist() == primes
-    assert path.read_bytes()[:8] == PRIME_CACHE_MAGIC
-
-
-def test_cache_rejects_corruption(tmp_path: Path):
-    path = prime_cache_path(tmp_path, 100)
-    write_prime_cache(path, 100, primes_up_to(PrimeRange(100)))
-    raw = path.read_bytes()
-    path.write_bytes(b"NOTPRIME" + raw[8:])
-    with pytest.raises(ValueError, match="magic"):
-        read_prime_cache(path)
-    path.write_bytes(raw[:-8])  # truncated body
-    with pytest.raises(ValueError, match="body"):
-        read_prime_cache(path)
-
-
-def test_cached_primes_read_through(tmp_path: Path):
-    first = list(cached_primes(3000, tmp_path))
-    assert prime_cache_path(tmp_path, 3000).exists()
-    second = list(cached_primes(3000, tmp_path))  # served from disk
-    direct = list(cached_primes(3000, None))
-    assert first == second == direct
-
-
-def test_cache_files_are_byte_identical(tmp_path: Path):
-    a = tmp_path / "a.mdlcache"
-    b = tmp_path / "b.mdlcache"
-    write_prime_cache(a, 5000, primes_up_to(PrimeRange(5000)))
-    write_prime_cache(b, 5000, primes_up_to(PrimeRange(5000)))
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_mangoldt_term_is_frozen():
