@@ -10,11 +10,10 @@ Run:  python3 demos/discrepancy_certification.py
 
 from __future__ import annotations
 
-from mdl import PrimeRange, discrepancy, erdos_turan_bound, primes_up_to
+from mdl import discrepancy, erdos_turan_bound, mersenne_residues
 
 
 def main() -> None:
-    primes = list(primes_up_to(PrimeRange(10**5)))
     print(f"{'q':>3} {'gamma':>5} {'X':>7} {'H':>4} "
           f"{'D* (exact)':>12} {'ET bound':>10} {'certified':>9}")
     configs = [
@@ -25,9 +24,9 @@ def main() -> None:
         (7, 1, 10**4, 10),
     ]
     for q, gamma, X, H in configs:
-        subset = [p for p in primes if p <= X]
-        observed = discrepancy(q, gamma, X, primes=subset)
-        bound = erdos_turan_bound(q, gamma, X, H, primes=subset)
+        residues = mersenne_residues(q, gamma, X)
+        observed = discrepancy(q, gamma, X, residues=residues)
+        bound = erdos_turan_bound(q, gamma, X, H, residues=residues)
         print(f"{q:>3} {gamma:>5} {X:>7} {H:>4} "
               f"{observed:>12.6f} {bound:>10.6f} {str(observed <= bound):>9}")
 

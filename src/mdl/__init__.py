@@ -10,8 +10,8 @@ a tolerance would otherwise creep in:
   exact star discrepancy, and an Erdos-Turan upper bound certifying it;
 - exact power-sum collision counts (mean-value counts) over small boxes.
 
-All parallel paths reduce in a fixed order, so results are bit-identical
-for every thread count.
+Every sum is one sequential pass over its stream, Kahan-summed in a fixed
+block order, so results are reproducible bit for bit.
 """
 
 from .arith import (

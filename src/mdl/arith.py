@@ -2,8 +2,7 @@
 
 Everything here works on Python's arbitrary-precision integers; floating
 point enters exactly once, when a canonical residue is mapped to a point
-on the unit circle.  Values are immutable and safe to share across
-threads.
+on the unit circle.  Values are immutable.
 """
 
 from __future__ import annotations

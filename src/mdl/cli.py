@@ -1,10 +1,9 @@
 """Command-line surface: reproducible CSV/JSON reports over the library.
 
 Every subcommand echoes its mathematical parameters into the report, so a
-report is self-describing.  Execution knobs (threads, output path) never
-appear in report bytes: identical parameters give byte-identical reports
-at any thread count, once the optional timestamp is suppressed with
---no-timestamp.
+report is self-describing.  The output path never appears in report
+bytes: identical parameters give byte-identical reports, once the
+optional timestamp is suppressed with --no-timestamp.
 
 Exit codes: 0 success, 2 precondition violation (also malformed flags),
 3 resource-guard rejection, 4 internal self-check failure (a dual-route
@@ -43,12 +42,9 @@ class RunConfig:
     parameters: dict
     output_format: str
     output_path: Path | None
-    threads: int
     timestamp: bool
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise PreconditionError(f"threads must be >= 1, got {self.threads}")
         if self.output_format not in ("csv", "json"):
             raise PreconditionError(f"unknown output format {self.output_format!r}")
 
@@ -102,7 +98,7 @@ def _expsum_results(result: ExpSumResult) -> dict:
 
 def _run_digit_stats(config: RunConfig) -> SubcommandOutput:
     p = config.parameters
-    report = count_blocks(p["q"], p["X"], p["r"], p["s"], threads=config.threads)
+    report = count_blocks(p["q"], p["X"], p["r"], p["s"])
     results = {
         "pi_X": report.pi_X,
         "expected": report.expected,
@@ -119,7 +115,7 @@ def _run_digit_stats(config: RunConfig) -> SubcommandOutput:
 def _run_expsum(config: RunConfig) -> SubcommandOutput:
     p = config.parameters
     m = PrimePowerModulus(p["q"], p["gamma"])
-    result = mangoldt_exp_sum(m, p["a"], p["g"], p["X"], threads=config.threads)
+    result = mangoldt_exp_sum(m, p["a"], p["g"], p["X"])
     results = _expsum_results(result)
     columns = list(results)
     return p, results, columns, [tuple(results.values())]
@@ -128,7 +124,7 @@ def _run_expsum(config: RunConfig) -> SubcommandOutput:
 def _run_mersenne_sum(config: RunConfig) -> SubcommandOutput:
     p = config.parameters
     m = PrimePowerModulus(p["q"], p["gamma"])
-    result = mersenne_prime_sum(m, p["a"], p["X"], threads=config.threads)
+    result = mersenne_prime_sum(m, p["a"], p["X"])
     results = _expsum_results(result)
     columns = list(results)
     return p, results, columns, [tuple(results.values())]
@@ -147,7 +143,7 @@ def _run_order_structure(config: RunConfig) -> SubcommandOutput:
 
 def _run_vmvt(config: RunConfig) -> SubcommandOutput:
     p = config.parameters
-    instance = vmvt_count(p["r"], p["k"], p["P"], threads=config.threads)
+    instance = vmvt_count(p["r"], p["k"], p["P"])
     return p, {"count": instance.count}, ["count"], [(instance.count,)]
 
 
@@ -260,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(f"--{flag}", type=int, required=flag != "H")
         if "H" in params:
             sub.set_defaults(H=100)
-        sub.add_argument("--threads", type=int, default=1)
         sub.add_argument(
             "--format", choices=("csv", "json"), default=_DEFAULT_FORMAT[name]
         )
@@ -281,7 +276,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         parameters=parameters,
         output_format=ns.format,
         output_path=ns.output,
-        threads=ns.threads,
         timestamp=not ns.no_timestamp,
     )
 

@@ -10,12 +10,10 @@ from exact integer or rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from ._blocks import kahan_complex_sum, ordered_block_map, stepped_blocks
 from .arith import (
     _check_odd_prime,
     is_prime,
@@ -23,8 +21,10 @@ from .arith import (
     stepped_powers,
     unit_circle_value,
 )
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceGuardError
+from .expsum import kahan_sum
 from .primes import PrimeRange, primes_up_to
+from .vmvt import ENUMERATION_GUARD
 
 __all__ = [
     "DigitString",
@@ -36,7 +36,10 @@ __all__ = [
     "discrepancy",
     "erdos_turan_bound",
     "ERDOS_TURAN_CONSTANT",
+    "BIN_GUARD",
 ]
+
+BIN_GUARD = 10**6  # maximum number of digit-window values q^s
 
 # Leading constant of the discrepancy bound; the classical inequality
 # D* <= 1/(H+1) + 3 * sum_{h<=H} (1/h) |S_h| / N holds with this value.
@@ -140,38 +143,27 @@ def digit_block(p: int, q: int, r: int, s: int) -> int:
     return residue // q ** (r - s + 1)
 
 
-def count_blocks(
-    q: int,
-    X: int,
-    r: int,
-    s: int,
-    threads: int = 1,
-    primes: Sequence[int] | None = None,
-) -> DigitCountReport:
+def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
     """Count primes p <= X by the value of their digit window (q, r, s).
 
     The residues 2^p mod q^(r+1) come from one walk over the prime gaps
-    (stepped_powers), handed out block by block.  Integer counts merge
-    associatively, so the report never depends on the thread count.  A
-    primes sequence replaces the sieve; it must strictly ascend.
+    (stepped_powers), each added to one of q^s counters.  Raises
+    ResourceGuardError, before anything is allocated, when q^s exceeds
+    BIN_GUARD.
     """
     _window_checks(q, r, s)
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
-    if primes is None:
-        primes = list(primes_up_to(PrimeRange(X)))
+    if s * math.log(q) > math.log(BIN_GUARD) + 1e-9 or q**s > BIN_GUARD:
+        raise ResourceGuardError(
+            f"q^s = {q}^{s} digit-window values exceed the bin guard {BIN_GUARD}"
+        )
     modulus = q ** (r + 1)
     divisor = q ** (r - s + 1)
-    size = q**s
-
-    def work(block: tuple[Sequence[int], list[int]]) -> np.ndarray:
-        values = [((x - 1) % modulus) // divisor for x in block[1]]
-        return np.bincount(values, minlength=size)
-
-    partials = ordered_block_map(work, stepped_blocks(primes, int, 2, modulus), threads)
-    totals = np.sum(partials, axis=0) if partials else np.zeros(size, dtype=np.int64)
-    counts = {value: int(totals[value]) for value in range(size)}
-    return DigitCountReport(q, r, s, X, counts, len(primes))
+    counts = [0] * q**s
+    for x in stepped_powers(2, primes_up_to(PrimeRange(X)), modulus):
+        counts[((x - 1) % modulus) // divisor] += 1
+    return DigitCountReport(q, r, s, X, dict(enumerate(counts)), sum(counts))
 
 
 def fractional_part_check(
@@ -209,38 +201,24 @@ def _residue_checks(q: int, gamma: int, X: int) -> None:
         raise PreconditionError(f"X must be >= 2, got {X}")
 
 
-def mersenne_residues(
-    q: int,
-    gamma: int,
-    X: int,
-    threads: int = 1,
-    primes: Iterable[int] | None = None,
-) -> list[int]:
+def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
     """Residues of 2^p - 1 mod q^gamma for all primes p <= X, in p order.
 
-    One stepped_powers walk over the prime stream; a primes sequence
-    replaces the sieve and must strictly ascend.  The walk is sequential,
-    so threads is only checked (>= 1); the list is the same for any value.
+    One stepped_powers walk over the prime stream.
     """
     _residue_checks(q, gamma, X)
-    if threads < 1:
-        raise PreconditionError(f"threads must be >= 1, got {threads}")
-    if primes is None:
-        primes = primes_up_to(PrimeRange(X))
     modulus = q**gamma
+    primes = primes_up_to(PrimeRange(X))
     return [(x - 1) % modulus for x in stepped_powers(2, primes, modulus)]
 
 
 def _residues_for(
-    q: int, gamma: int, X: int, threads: int,
-    primes: Iterable[int] | None, residues: Sequence[int] | None,
+    q: int, gamma: int, X: int, residues: Sequence[int] | None
 ) -> Sequence[int]:
     """The caller's residues after validation, or mersenne_residues."""
     if residues is None:
-        return mersenne_residues(q, gamma, X, threads, primes)
+        return mersenne_residues(q, gamma, X)
     _residue_checks(q, gamma, X)
-    if primes is not None:
-        raise PreconditionError("pass primes or residues, not both")
     if not residues:
         raise PreconditionError("residues must not be empty")
     modulus = q**gamma
@@ -253,13 +231,7 @@ def _residues_for(
 
 
 def discrepancy(
-    q: int,
-    gamma: int,
-    X: int,
-    threads: int = 1,
-    primes: Iterable[int] | None = None,
-    *,
-    residues: Sequence[int] | None = None,
+    q: int, gamma: int, X: int, *, residues: Sequence[int] | None = None
 ) -> float:
     """Exact star discrepancy of the points (2^p - 1 mod q^gamma) / q^gamma.
 
@@ -269,7 +241,7 @@ def discrepancy(
     returns, skips computing it again; each value must lie in
     [0, q^gamma).
     """
-    residues = sorted(_residues_for(q, gamma, X, threads, primes, residues))
+    residues = sorted(_residues_for(q, gamma, X, residues))
     n = len(residues)
     modulus = q**gamma
     best = 0
@@ -284,14 +256,7 @@ def discrepancy(
 
 
 def erdos_turan_bound(
-    q: int,
-    gamma: int,
-    X: int,
-    H: int,
-    threads: int = 1,
-    primes: Iterable[int] | None = None,
-    *,
-    residues: Sequence[int] | None = None,
+    q: int, gamma: int, X: int, H: int, *, residues: Sequence[int] | None = None
 ) -> float:
     """Erdos-Turan upper bound for the star discrepancy of the same points.
 
@@ -300,23 +265,30 @@ def erdos_turan_bound(
     divides h the phase is reduced: modulus q^(gamma - v) and coefficient
     h / q^v with v the q-adic valuation of h (capped at gamma), keeping
     numerator and modulus coprime.  residues is taken as in discrepancy.
+    Raises ResourceGuardError, before the first phase, when H times the
+    number of distinct residues exceeds ENUMERATION_GUARD.
     """
     if H < 1:
         raise PreconditionError(f"H must be >= 1, got {H}")
-    residues = _residues_for(q, gamma, X, threads, primes, residues)
+    residues = _residues_for(q, gamma, X, residues)
     n = len(residues)
     # integer multiplicities keep the per-h pass cheap and deterministic
     multiplicity: dict[int, int] = {}
     for residue in residues:
         multiplicity[residue] = multiplicity.get(residue, 0) + 1
     support = sorted(multiplicity.items())
+    if H * len(support) > ENUMERATION_GUARD:
+        raise ResourceGuardError(
+            f"H * distinct residues = {H} * {len(support)} exceeds the "
+            f"enumeration guard {ENUMERATION_GUARD}"
+        )
 
     total = 0.0
     for h in range(1, H + 1):
         v = min(padic_valuation(q, h), gamma)
         reduced_modulus = q ** (gamma - v)
         reduced_h = h // q**v
-        inner = kahan_complex_sum(
+        inner = kahan_sum(
             count * unit_circle_value((reduced_h * residue) % reduced_modulus,
                                       reduced_modulus)
             for residue, count in support

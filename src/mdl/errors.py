@@ -11,7 +11,7 @@ class PreconditionError(ValueError):
 
 
 class ResourceGuardError(RuntimeError):
-    """An enumeration was rejected because it exceeds the configured guard."""
+    """An allocation or enumeration was rejected because it exceeds its guard."""
 
 
 class SelfCheckError(RuntimeError):

@@ -4,30 +4,35 @@ Two sums are provided: one over prime powers n <= X weighted by log p
 (von Mangoldt weights), with phase a*g^n, and one over primes p <= X with
 phase a*(2^p - 1).  Phases are exact residues; only the final
 residue/modulus ratio is rounded to double, so the modulus may far exceed
-2^53 without loss.  The powers g^n and 2^p come from one walk across the
-gaps between consecutive exponents (stepped_powers), consumed block by
-block; evaluation is blocked and reduced in a fixed order, making results
-bit-identical for every thread count.
+2^53 without loss.  Each sum is one sequential pass over its stream: the
+powers g^n and 2^p come from one walk across the gaps between consecutive
+exponents (stepped_powers), and the phases are Kahan-summed in fixed
+blocks of BLOCK_WIDTH consecutive exponents, so results are reproducible
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import groupby, tee
+from typing import Iterable
 
-from ._blocks import kahan_complex_sum, ordered_block_map, stepped_blocks
-from .arith import PrimePowerModulus, unit_circle_value
+from .arith import PrimePowerModulus, stepped_powers, unit_circle_value
 from .errors import PreconditionError, SelfCheckError
-from .primes import MangoldtTerm, PrimeRange, mangoldt_terms, primes_up_to
+from .primes import PrimeRange, mangoldt_terms, primes_up_to
 
 __all__ = [
+    "BLOCK_WIDTH",
     "ExpSumResult",
+    "kahan_sum",
     "mangoldt_exp_sum",
     "mersenne_prime_sum",
     "exp_sum_bound",
     "log_ratio",
 ]
+
+BLOCK_WIDTH = 1 << 16  # consecutive exponents per summation block
 
 
 @dataclass(frozen=True)
@@ -91,30 +96,40 @@ def exp_sum_bound(X: int, m: PrimePowerModulus, delta: float, c: float) -> float
     return c * (main + tail)
 
 
-def _phase_block_sum(
-    residues_weights: Sequence[tuple[int, float]], modulus: int
-) -> tuple[complex, float]:
-    """Kahan-accumulate one block of (residue, weight) phase terms."""
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    wtotal = 0.0
-    wcomp = 0.0
-    for residue, weight in residues_weights:
-        value = weight * unit_circle_value(residue, modulus)
+def kahan_sum(values: Iterable[complex]) -> complex:
+    """Compensated (Kahan) sum, taken in the exact order of the input."""
+    total = comp = 0j
+    for value in values:
         y = value - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        wy = weight - wcomp
-        wt = wtotal + wy
-        wcomp = (wt - wtotal) - wy
-        wtotal = wt
-    return total, wtotal
+    return total
 
 
-def mangoldt_exp_sum(
-    m: PrimePowerModulus, a: int, g: int, X: int, threads: int = 1
-) -> ExpSumResult:
+def _phase_sum(
+    terms: Iterable[tuple[int, float, int]], modulus: int
+) -> tuple[complex, float, int]:
+    """Sum weight * e(residue / modulus) over (n, weight, residue) terms.
+
+    The terms come by strictly ascending n.  Those whose n share
+    n // BLOCK_WIDTH form one block, Kahan-summed from zero; the block
+    totals are then Kahan-summed in block order, and so are the weights.
+    That order is part of every frozen report.  Returns the sum, the
+    weight total and the number of terms.
+    """
+    sums: list[complex] = []
+    weights: list[complex] = []
+    count = 0
+    for _, block in groupby(terms, lambda term: term[0] // BLOCK_WIDTH):
+        block = list(block)
+        sums.append(kahan_sum(w * unit_circle_value(r, modulus) for _, w, r in block))
+        weights.append(kahan_sum(w for _, w, _ in block))
+        count += len(block)
+    return kahan_sum(sums), kahan_sum(weights).real, count
+
+
+def mangoldt_exp_sum(m: PrimePowerModulus, a: int, g: int, X: int) -> ExpSumResult:
     """Sum of log(p) * phase(a * g^n) over prime powers n = p^k <= X.
 
     The phase of t is exp(2*pi*i*t/modulus).  normalizer is the total
@@ -129,48 +144,26 @@ def mangoldt_exp_sum(
     Q = m.modulus
     if X == 1:
         return ExpSumResult(0.0, 0.0, 0, 0.0, m, 0.0)
-    terms = list(mangoldt_terms(PrimeRange(X)))
-
-    def work(block: tuple[Sequence[MangoldtTerm], list[int]]) -> tuple[complex, float]:
-        pairs = [((a * x) % Q, t.weight) for t, x in zip(*block)]
-        return _phase_block_sum(pairs, Q)
-
-    blocks = stepped_blocks(terms, lambda t: t.n, g, Q)
-    partials = ordered_block_map(work, blocks, threads)
-    total = kahan_complex_sum(p[0] for p in partials)
-    normalizer = kahan_complex_sum(complex(p[1], 0.0) for p in partials).real
-    return ExpSumResult(
-        total.real, total.imag, len(terms), normalizer, m, log_ratio(X, m)
+    terms, exponents = tee(mangoldt_terms(PrimeRange(X)))
+    powers = stepped_powers(g, (t.n for t in exponents), Q)
+    total, normalizer, count = _phase_sum(
+        ((t.n, t.weight, (a * x) % Q) for t, x in zip(terms, powers)), Q
     )
+    return ExpSumResult(total.real, total.imag, count, normalizer, m, log_ratio(X, m))
 
 
-def mersenne_prime_sum(
-    m: PrimePowerModulus,
-    a: int,
-    X: int,
-    threads: int = 1,
-    primes: Sequence[int] | None = None,
-) -> ExpSumResult:
+def mersenne_prime_sum(m: PrimePowerModulus, a: int, X: int) -> ExpSumResult:
     """Sum of phase(a * (2^p - 1)) over primes p <= X.
 
-    normalizer is the prime count up to X.  A precomputed, strictly
-    increasing sequence of exactly the primes <= X may be passed to skip
-    the sieve.
+    normalizer is the prime count up to X.
     """
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
     _reject_non_unit(m, "a", a)
     Q = m.modulus
-    if primes is None:
-        primes = list(primes_up_to(PrimeRange(X)))
-
-    def work(block: tuple[Sequence[int], list[int]]) -> tuple[complex, float]:
-        pairs = [((a * (x - 1)) % Q, 1.0) for x in block[1]]
-        return _phase_block_sum(pairs, Q)
-
-    partials = ordered_block_map(work, stepped_blocks(primes, int, 2, Q), threads)
-    total = kahan_complex_sum(p[0] for p in partials)
-    count = len(primes)
-    return ExpSumResult(
-        total.real, total.imag, count, float(count), m, log_ratio(X, m)
+    primes, exponents = tee(primes_up_to(PrimeRange(X)))
+    powers = stepped_powers(2, exponents, Q)
+    total, normalizer, count = _phase_sum(
+        ((p, 1.0, (a * (x - 1)) % Q) for p, x in zip(primes, powers)), Q
     )
+    return ExpSumResult(total.real, total.imag, count, normalizer, m, log_ratio(X, m))

@@ -55,8 +55,7 @@ class OrderStructure:
         g**order_mod_q - 1 == cofactor * q**lift_valuation
 
     with gcd(cofactor, q) = 1 and lift_valuation >= 1.  All fields are
-    re-verified at construction, so instances can be trusted and shared
-    freely across threads.
+    re-verified at construction, so instances can be trusted.
     """
 
     q: int

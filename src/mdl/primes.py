@@ -3,7 +3,7 @@
 The sieve is a classical odd-only segmented sieve of Eratosthenes backed
 by numpy boolean segments, so memory stays bounded by the segment size
 regardless of the limit.  Streams are emitted in strictly increasing
-order; parallel consumers must preserve that order when merging.
+order.
 """
 
 from __future__ import annotations

@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
 
-from ._blocks import ordered_block_map
 from .errors import PreconditionError, ResourceGuardError
 
 __all__ = [
@@ -57,60 +55,35 @@ def _check_guard(r: int, k: int, P: int) -> None:
         )
 
 
-def _power_sum_multiplicities(
-    r: int, k: int, P: int, firsts: Iterable[int]
-) -> dict[tuple[int, ...], int]:
-    """Multiplicity of each power-sum vector over tuples with given first coordinate."""
+def vmvt_count(r: int, k: int, P: int) -> VmvtInstance:
+    """Exact count of power-sum collisions in [1, P]^(2r) for exponents 1..k.
+
+    Enumerates the P^r left tuples, grouping them by power-sum vector, and
+    returns the sum of squared multiplicities.  Raises ResourceGuardError
+    when P^r exceeds the enumeration guard.
+    """
+    _check_guard(r, k, P)
     powers = {n: tuple(n**j for j in range(1, k + 1)) for n in range(1, P + 1)}
     counts: dict[tuple[int, ...], int] = {}
-    for first in firsts:
-        head = powers[first]
+    for head in powers.values():
         for rest in product(range(1, P + 1), repeat=r - 1):
             key = head
             for n in rest:
                 pn = powers[n]
                 key = tuple(key[j] + pn[j] for j in range(k))
             counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def vmvt_count(r: int, k: int, P: int, threads: int = 1) -> VmvtInstance:
-    """Exact count of power-sum collisions in [1, P]^(2r) for exponents 1..k.
-
-    Enumerates the P^r left tuples (parallelizable over the first
-    coordinate; multiplicity maps merge by exact key-wise addition) and
-    returns the sum of squared multiplicities.  Raises ResourceGuardError
-    when P^r exceeds the enumeration guard.
-    """
-    _check_guard(r, k, P)
-    first_blocks: Sequence[range] = [range(1, P + 1)]
-    if threads > 1 and P > 1:
-        step = max(1, P // (4 * threads))
-        first_blocks = [
-            range(lo, min(lo + step, P + 1)) for lo in range(1, P + 1, step)
-        ]
-
-    partials = ordered_block_map(
-        lambda firsts: _power_sum_multiplicities(r, k, P, firsts),
-        first_blocks,
-        threads,
-    )
-    counts: dict[tuple[int, ...], int] = partials[0]
-    for extra in partials[1:]:
-        for key, mult in extra.items():
-            counts[key] = counts.get(key, 0) + mult
     total = sum(mult * mult for mult in counts.values())
     return VmvtInstance(r, k, P, total)
 
 
-def monotonicity_check(r: int, k: int, P: int, threads: int = 1) -> bool:
+def monotonicity_check(r: int, k: int, P: int) -> bool:
     """Whether adding one variable pair grows the count by at most P^2.
 
     Compares the exact counts at r+1 and r via integer arithmetic; both
     instances must pass the enumeration guard.
     """
-    wider = vmvt_count(r + 1, k, P, threads)
-    base = vmvt_count(r, k, P, threads)
+    wider = vmvt_count(r + 1, k, P)
+    base = vmvt_count(r, k, P)
     return wider.count <= P * P * base.count
 
 

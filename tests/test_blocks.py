@@ -1,73 +1,42 @@
-"""Deterministic blocked reduction: partitioning and compensated sums."""
+"""The one compensated sum and the fixed block order of the phase sums."""
 
 from __future__ import annotations
 
 import math
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mdl._blocks import kahan_complex_sum, ordered_block_map, split_blocks
-from mdl.errors import PreconditionError
-
-
-def test_split_blocks_fixed_width_boundaries():
-    items = [1, 5, 9, 10, 11, 25, 99, 100, 101]
-    blocks = split_blocks(items, key=int, width=10)
-    assert [list(b) for b in blocks] == [[1, 5, 9], [10, 11], [25], [99], [100, 101]]
-
-
-def test_split_blocks_never_depends_on_count_of_workers():
-    items = list(range(2, 1000, 3))
-    blocks = split_blocks(items, key=int, width=64)
-    assert [x for b in blocks for x in b] == items
-    for b in blocks:
-        lows = {x // 64 for x in b}
-        assert len(lows) == 1  # one key-space cell per block
-
-
-def test_split_blocks_rejects_bad_width():
-    with pytest.raises(PreconditionError):
-        split_blocks([1], key=int, width=0)
+from mdl.arith import unit_circle_value
+from mdl.expsum import BLOCK_WIDTH, _phase_sum, kahan_sum
 
 
 def test_kahan_beats_naive_on_adversarial_input():
     # classic cancellation pattern: huge value plus many tiny ones
     values = [complex(1e16, 0.0)] + [complex(1.0, 0.0)] * 1000 + [complex(-1e16, 0.0)]
-    assert kahan_complex_sum(values).real == 1000.0
+    assert kahan_sum(values).real == 1000.0
 
 
 @given(st.lists(st.floats(-1e6, 1e6), max_size=50))
 def test_kahan_close_to_fsum(xs: list[float]):
-    got = kahan_complex_sum(complex(x, 0.0) for x in xs)
+    got = kahan_sum(complex(x, 0.0) for x in xs)
     assert math.isclose(got.real, math.fsum(xs), rel_tol=1e-12, abs_tol=1e-9)
     assert got.imag == 0.0
 
 
-@pytest.mark.parametrize("threads", [1, 2, 8])
-def test_ordered_block_map_preserves_block_order(threads: int):
-    blocks = [range(i, i + 50) for i in range(0, 1000, 50)]
-    got = ordered_block_map(lambda b: (b.start, sum(b)), blocks, threads)
-    assert got == [(b.start, sum(b)) for b in blocks]
+def test_phase_sum_restarts_kahan_at_every_block():
+    # keys straddle three blocks; the middle block holds a single term
+    modulus = 3**40
+    keys = [1, 7, BLOCK_WIDTH - 1, BLOCK_WIDTH + 5, 3 * BLOCK_WIDTH, 3 * BLOCK_WIDTH + 2]
+    terms = [(n, math.log(n + 1), pow(5, n, modulus)) for n in keys]
+    blocks = [terms[:3], terms[3:4], terms[4:]]
+    want = kahan_sum(
+        kahan_sum(w * unit_circle_value(r, modulus) for _, w, r in block)
+        for block in blocks
+    )
+    weights = kahan_sum(kahan_sum(w for _, w, _ in block) for block in blocks)
+    assert _phase_sum(terms, modulus) == (want, weights.real, len(terms))
 
 
-def test_ordered_block_map_rejects_zero_threads():
-    with pytest.raises(PreconditionError):
-        ordered_block_map(sum, [range(3)], 0)
-
-
-def test_blocked_kahan_pipeline_is_thread_invariant():
-    import random
-
-    rng = random.Random(7)
-    items = sorted(rng.randrange(0, 10**6) for _ in range(5000))
-    blocks = split_blocks(items, key=int, width=4096)
-
-    def work(block):
-        return kahan_complex_sum(complex(math.sin(x), math.cos(x)) for x in block)
-
-    per_thread = {
-        t: kahan_complex_sum(ordered_block_map(work, blocks, t)) for t in (1, 2, 8)
-    }
-    assert per_thread[1] == per_thread[2] == per_thread[8]  # bitwise
+def test_phase_sum_of_no_terms_is_zero():
+    assert _phase_sum([], 9) == (0j, 0.0, 0)

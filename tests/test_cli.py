@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdl.cli
 from mdl import __version__
@@ -58,19 +62,6 @@ def test_digit_stats_csv_layout(capsys):
     assert sum(counts) == 168  # pi(1000)
 
 
-def test_reports_are_byte_identical_across_threads(capsys):
-    base = None
-    for threads in ("1", "2", "8"):
-        code, out, _ = run_cli(
-            capsys, "mersenne-sum", "--q", "3", "--gamma", "40", "--a", "1",
-            "--X", "20000", "--threads", threads, "--no-timestamp",
-        )
-        assert code == 0
-        if base is None:
-            base = out
-        assert out == base
-
-
 def test_timestamp_present_by_default_and_suppressible(capsys):
     _, out, _ = run_cli(capsys, "order-structure", "--q", "11", "--g", "3")
     assert "timestamp" in json.loads(out)
@@ -121,6 +112,31 @@ def test_resource_guard_exit_code(capsys):
     code, _, err = run_cli(capsys, "vmvt", "--r", "9", "--k", "1", "--P", "10")
     assert code == 3
     assert "guard" in err
+
+
+def test_digit_window_bins_are_guarded(capsys):
+    # 3^40 counters would be asked for; the guard fires before any is allocated
+    code, _, err = run_cli(
+        capsys, "digit-stats", "--q", "3", "--X", "100", "--r", "40", "--s", "40",
+    )
+    assert code == 3
+    assert "bin guard" in err
+
+
+def test_erdos_turan_terms_are_guarded(capsys):
+    # 25 distinct residues times H = 10^7 phase terms exceed the guard
+    code, _, err = run_cli(
+        capsys, "discrepancy", "--q", "3", "--gamma", "30", "--X", "100", "--H", "10000000",
+    )
+    assert code == 3
+    assert "enumeration guard" in err
+
+
+@pytest.mark.parametrize("subcommand", sorted(mdl.cli._PARAMS))
+def test_threads_flag_is_gone(subcommand: str):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_non_integer_parameter_is_rejected(capsys):
@@ -184,3 +200,50 @@ def test_repeated_runs_are_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def _ints(low: int, high: int, *beyond_guard: int) -> st.SearchStrategy[int]:
+    values = st.integers(low, high)
+    return st.one_of(values, st.sampled_from(beyond_guard)) if beyond_guard else values
+
+
+# Flag values per subcommand.  The ranges keep every example well under a
+# second.  The extra values of s, P and H put q^s, P^r or H times the
+# distinct residues far beyond a resource guard, so those runs must stop
+# before any work starts.
+_Q, _G, _A = _ints(-2, 13), _ints(-3, 12), _ints(-3, 12)
+_X, _GAMMA = _ints(-2, 3000), _ints(-2, 12)
+_FUZZ_FLAGS = {
+    "digit-stats": {"q": _Q, "X": _X, "r": _ints(-2, 8), "s": _ints(-2, 4, 20, 40)},
+    "expsum": {"q": _Q, "gamma": _GAMMA, "a": _A, "g": _G, "X": _X},
+    "mersenne-sum": {"q": _Q, "gamma": _GAMMA, "a": _A, "X": _X},
+    "order-structure": {"q": _Q, "g": _G},
+    "vmvt": {"r": _ints(-2, 3), "k": _ints(-2, 4), "P": _ints(-2, 7, 10**5)},
+    "discrepancy": {"q": _Q, "gamma": _GAMMA, "X": _X, "H": _ints(-2, 60, 10**9)},
+    "verify-lemmas": {"q": _Q, "g": _G},
+}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    subcommand = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [subcommand, "--no-timestamp"]
+    for flag, values in _FUZZ_FLAGS[subcommand].items():
+        if draw(st.integers(0, 9)):  # now and then a required flag is missing
+            argv += [f"--{flag}", str(draw(values))]
+    if draw(st.integers(0, 4)) == 0:
+        argv += ["--threads", str(draw(st.integers(-1, 4)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_fuzz_ends_in_a_documented_exit_code(argv: list[str]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed flags with 2
+            code = exc.code
+    assert code in {0, 2, 3, 4, 5}, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdl.arith import PrimePowerModulus, stepped_powers
-from mdl.digits import count_blocks, discrepancy, erdos_turan_bound, mersenne_residues
+from mdl.digits import count_blocks
 from mdl.errors import PreconditionError
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
 from mdl.primes import PrimeRange, mangoldt_terms, primes_up_to
@@ -63,23 +63,6 @@ def test_stepped_powers_rejects_bad_exponents(exponents: list[int]):
 def test_stepped_powers_rejects_bad_modulus():
     with pytest.raises(PreconditionError):
         list(stepped_powers(2, [2, 3], 0))
-
-
-@pytest.mark.parametrize("primes", [[2, 3, 3, 5, 7], [2, 5, 3, 7]])
-def test_unordered_primes_argument_is_rejected(primes: list[int]):
-    m = PrimePowerModulus(3, 4)
-    with pytest.raises(PreconditionError):
-        count_blocks(3, 10, 3, 1, primes=primes)
-    with pytest.raises(PreconditionError):
-        count_blocks(3, 10, 3, 1, threads=2, primes=primes)
-    with pytest.raises(PreconditionError):
-        mersenne_residues(3, 4, 10, primes=primes)
-    with pytest.raises(PreconditionError):
-        mersenne_prime_sum(m, 1, 10, primes=primes)
-    with pytest.raises(PreconditionError):
-        discrepancy(3, 4, 10, primes=primes)
-    with pytest.raises(PreconditionError):
-        erdos_turan_bound(3, 4, 10, 5, primes=primes)
 
 
 @pytest.mark.parametrize("q, r, s", [(5, 20, 2), (7, 12, 1), (11, 30, 2)])

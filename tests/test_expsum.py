@@ -71,13 +71,6 @@ def test_mersenne_sum_frozen_value_q7():
     assert abs(r.value - mersenne_sum_by_direct_powers(7, 1, 100)) < 1e-9
 
 
-def test_mersenne_sum_accepts_precomputed_primes():
-    primes = [2, 3, 5, 7]
-    direct = mersenne_prime_sum(M3, 1, 10)
-    seeded = mersenne_prime_sum(M3, 1, 10, primes=primes)
-    assert (direct.real, direct.imag) == (seeded.real, seeded.imag)
-
-
 @pytest.mark.parametrize("a", [1, 7, 100])
 def test_triangle_inequality(a: int):
     r = mersenne_prime_sum(M340, a, 10**4)
@@ -98,16 +91,6 @@ def test_a_periodicity_is_bitwise():
     base = mersenne_prime_sum(M340, a, 10**4)
     shifted = mersenne_prime_sum(M340, a + M340.modulus, 10**4)
     assert (base.real, base.imag) == (shifted.real, shifted.imag)
-
-
-@pytest.mark.parametrize("threads", [2, 8])
-def test_thread_count_never_changes_bits(threads: int):
-    one = mangoldt_exp_sum(M340, 1, 2, 10**4, threads=1)
-    many = mangoldt_exp_sum(M340, 1, 2, 10**4, threads=threads)
-    assert (one.real, one.imag, one.normalizer) == (many.real, many.imag, many.normalizer)
-    one_m = mersenne_prime_sum(M340, 1, 10**4, threads=1)
-    many_m = mersenne_prime_sum(M340, 1, 10**4, threads=threads)
-    assert (one_m.real, one_m.imag) == (many_m.real, many_m.imag)
 
 
 def test_log_ratio_reference_points():

@@ -52,10 +52,6 @@ def test_vmvt_more_equations_never_add_solutions():
         assert counts == sorted(counts, reverse=True)
 
 
-def test_vmvt_threads_change_nothing():
-    assert vmvt_count(3, 2, 6, threads=8).count == vmvt_count(3, 2, 6).count
-
-
 @pytest.mark.parametrize("r, k, P", [(1, 1, 2), (1, 2, 2), (2, 1, 3), (3, 3, 4)])
 def test_monotonicity_reference_instances(r, k, P):
     assert monotonicity_check(r, k, P) is True
