@@ -25,8 +25,8 @@ def main() -> None:
     ]
     for q, gamma, X, H in configs:
         residues = mersenne_residues(q, gamma, X)
-        observed = discrepancy(q, gamma, X, residues=residues)
-        bound = erdos_turan_bound(q, gamma, X, H, residues=residues)
+        observed = discrepancy(q, gamma, residues)
+        bound = erdos_turan_bound(q, gamma, residues, H)
         print(f"{q:>3} {gamma:>5} {X:>7} {H:>4} "
               f"{observed:>12.6f} {bound:>10.6f} {str(observed <= bound):>9}")
 

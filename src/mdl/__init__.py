@@ -16,12 +16,9 @@ block order, so results are reproducible bit for bit.
 
 from .arith import (
     PrimePowerModulus,
-    Residue,
     is_prime,
-    mod_pow,
     padic_valuation,
     stepped_powers,
-    unit_circle_point,
     unit_circle_value,
 )
 from .digits import (
@@ -51,7 +48,6 @@ from .order import (
     valuation_difference,
 )
 from .primes import (
-    MangoldtTerm,
     PrimeRange,
     mangoldt_terms,
     pi_of,
@@ -64,12 +60,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "PrimePowerModulus",
-    "Residue",
     "is_prime",
-    "mod_pow",
     "padic_valuation",
     "stepped_powers",
-    "unit_circle_point",
     "unit_circle_value",
     "DigitCountReport",
     "DigitString",
@@ -93,7 +86,6 @@ __all__ = [
     "order_mod_power",
     "order_structure",
     "valuation_difference",
-    "MangoldtTerm",
     "PrimeRange",
     "mangoldt_terms",
     "pi_of",

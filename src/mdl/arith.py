@@ -12,18 +12,19 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceGuardError
 
 __all__ = [
+    "MODULUS_BIT_GUARD",
     "PrimePowerModulus",
-    "Residue",
+    "check_modulus_size",
     "is_prime",
     "padic_valuation",
-    "mod_pow",
     "stepped_powers",
-    "unit_circle_point",
     "unit_circle_value",
 ]
+
+MODULUS_BIT_GUARD = 1 << 16  # maximum size, in bits, of a modulus q^e
 
 
 @lru_cache(maxsize=4096)
@@ -52,6 +53,19 @@ def _check_odd_prime(q: int) -> None:
         raise PreconditionError(f"q must be an odd prime >= 3, got {q}")
 
 
+def check_modulus_size(q: int, exponent: int) -> None:
+    """Reject q^exponent, before it is formed, when it exceeds MODULUS_BIT_GUARD bits.
+
+    The size is read from the logarithm, exponent * log2(q), so a huge
+    exponent costs nothing.  Raises ResourceGuardError.
+    """
+    if exponent * math.log2(q) > MODULUS_BIT_GUARD:
+        raise ResourceGuardError(
+            f"modulus {q}^{exponent} exceeds the modulus guard of "
+            f"{MODULUS_BIT_GUARD} bits"
+        )
+
+
 def padic_valuation(q: int, n: int) -> int:
     """Largest k with q**k dividing n; the sign of n is ignored.
 
@@ -75,7 +89,8 @@ class PrimePowerModulus:
 
     The full power is computed once at construction and reused everywhere;
     it routinely exceeds the 53-bit float significand, so all reductions
-    stay in exact integer arithmetic.
+    stay in exact integer arithmetic.  A power beyond MODULUS_BIT_GUARD
+    bits is rejected before it is formed.
     """
 
     q: int
@@ -86,35 +101,11 @@ class PrimePowerModulus:
         _check_odd_prime(self.q)
         if self.gamma < 1:
             raise PreconditionError(f"gamma must be >= 1, got {self.gamma}")
+        check_modulus_size(self.q, self.gamma)
         object.__setattr__(self, "modulus", self.q**self.gamma)
 
     def __str__(self) -> str:
         return f"{self.q}^{self.gamma}"
-
-
-@dataclass(frozen=True)
-class Residue:
-    """Canonical representative in [0, q**gamma) of an element mod q**gamma."""
-
-    value: int
-    modulus: PrimePowerModulus
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.modulus:
-            raise PreconditionError(
-                f"residue {self.value} outside [0, {self.modulus.modulus})"
-            )
-
-
-def mod_pow(base: int, exponent: int, m: PrimePowerModulus) -> Residue:
-    """base**exponent reduced into [0, q**gamma).
-
-    Negative bases are normalized immediately; the base need not be
-    coprime to q.  O(log exponent) big-integer multiplications.
-    """
-    if exponent < 0:
-        raise PreconditionError(f"exponent must be >= 0, got {exponent}")
-    return Residue(pow(base, exponent, m.modulus), m)
 
 
 def stepped_powers(
@@ -163,7 +154,3 @@ def unit_circle_value(value: int, modulus: int) -> complex:
     angle = math.tau * ratio
     return complex(math.cos(angle), math.sin(angle))
 
-
-def unit_circle_point(x: Residue) -> complex:
-    """Map a canonical residue to the unit circle: e(value/modulus)."""
-    return unit_circle_value(x.value, x.modulus.modulus)

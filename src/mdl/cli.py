@@ -25,13 +25,14 @@ from . import __version__
 from .arith import PrimePowerModulus
 from .digits import count_blocks, discrepancy, erdos_turan_bound, mersenne_residues
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
-from .expsum import ExpSumResult, mangoldt_exp_sum, mersenne_prime_sum
+from .expsum import mangoldt_exp_sum, mersenne_prime_sum
 from .order import congruence_criterion, order_structure, valuation_difference
 from .vmvt import vmvt_count
 
 CSV_SCHEMA = "mdl v1"
 
-SubcommandOutput = tuple[dict, dict, list[str], list[tuple]]
+# results (the JSON body), CSV columns, CSV rows
+SubcommandOutput = tuple[dict, list[str], list[tuple]]
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,8 @@ def _render_csv(
     return "\n".join(lines) + "\n"
 
 
-def _expsum_results(result: ExpSumResult) -> dict:
-    return {
-        "real": result.real,
-        "imag": result.imag,
-        "magnitude": result.magnitude,
-        "term_count": result.term_count,
-        "normalizer": result.normalizer,
-        "rho": result.rho,
-    }
+def _one_row(results: dict) -> SubcommandOutput:
+    return results, list(results), [tuple(results.values())]
 
 
 def _run_digit_stats(config: RunConfig) -> SubcommandOutput:
@@ -103,61 +97,55 @@ def _run_digit_stats(config: RunConfig) -> SubcommandOutput:
         "pi_X": report.pi_X,
         "expected": report.expected,
         "max_abs_deviation": report.max_abs_deviation,
-        "counts": {str(v): c for v, c in report.counts.items()},
+        "counts": {str(v): c for v, c in enumerate(report.counts)},
     }
-    rows = [
-        (value, report.counts[value], report.deviation(value))
-        for value in range(p["q"] ** p["s"])
-    ]
-    return p, results, ["block", "count", "deviation"], rows
+    rows = list(zip(range(len(report.counts)), report.counts, report.deviations))
+    return results, ["block", "count", "deviation"], rows
 
 
-def _run_expsum(config: RunConfig) -> SubcommandOutput:
+def _run_exponential_sum(config: RunConfig) -> SubcommandOutput:
     p = config.parameters
     m = PrimePowerModulus(p["q"], p["gamma"])
-    result = mangoldt_exp_sum(m, p["a"], p["g"], p["X"])
-    results = _expsum_results(result)
-    columns = list(results)
-    return p, results, columns, [tuple(results.values())]
-
-
-def _run_mersenne_sum(config: RunConfig) -> SubcommandOutput:
-    p = config.parameters
-    m = PrimePowerModulus(p["q"], p["gamma"])
-    result = mersenne_prime_sum(m, p["a"], p["X"])
-    results = _expsum_results(result)
-    columns = list(results)
-    return p, results, columns, [tuple(results.values())]
+    if config.subcommand == "expsum":
+        result = mangoldt_exp_sum(m, p["a"], p["g"], p["X"])
+    else:
+        result = mersenne_prime_sum(m, p["a"], p["X"])
+    return _one_row({
+        "real": result.real,
+        "imag": result.imag,
+        "magnitude": result.magnitude,
+        "term_count": result.term_count,
+        "normalizer": result.normalizer,
+        "rho": result.rho,
+    })
 
 
 def _run_order_structure(config: RunConfig) -> SubcommandOutput:
     p = config.parameters
     structure = order_structure(p["q"], p["g"])
-    results = {
+    return _one_row({
         "order_mod_q": structure.order_mod_q,
         "lift_valuation": structure.lift_valuation,
         "cofactor": structure.cofactor,
-    }
-    return p, results, list(results), [tuple(results.values())]
+    })
 
 
 def _run_vmvt(config: RunConfig) -> SubcommandOutput:
     p = config.parameters
     instance = vmvt_count(p["r"], p["k"], p["P"])
-    return p, {"count": instance.count}, ["count"], [(instance.count,)]
+    return _one_row({"count": instance.count})
 
 
 def _run_discrepancy(config: RunConfig) -> SubcommandOutput:
     p = config.parameters
     residues = mersenne_residues(p["q"], p["gamma"], p["X"])
-    observed = discrepancy(p["q"], p["gamma"], p["X"], residues=residues)
-    bound = erdos_turan_bound(p["q"], p["gamma"], p["X"], p["H"], residues=residues)
-    results = {
+    observed = discrepancy(p["q"], p["gamma"], residues)
+    bound = erdos_turan_bound(p["q"], p["gamma"], residues, p["H"])
+    return _one_row({
         "discrepancy": observed,
         "erdos_turan_bound": bound,
         "certified": observed <= bound,
-    }
-    return p, results, list(results), [tuple(results.values())]
+    })
 
 
 # fixed desk-scale boxes for the lemma sweep
@@ -206,13 +194,13 @@ def _run_verify_lemmas(config: RunConfig) -> SubcommandOutput:
         ("congruence", congruence_cases, congruence_ok),
         ("valuation", valuation_cases, valuation_ok),
     ]
-    return p, results, columns, rows
+    return results, columns, rows
 
 
 _HANDLERS: dict[str, Callable[[RunConfig], SubcommandOutput]] = {
     "digit-stats": _run_digit_stats,
-    "expsum": _run_expsum,
-    "mersenne-sum": _run_mersenne_sum,
+    "expsum": _run_exponential_sum,
+    "mersenne-sum": _run_exponential_sum,
     "order-structure": _run_order_structure,
     "vmvt": _run_vmvt,
     "discrepancy": _run_discrepancy,
@@ -282,7 +270,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 def run(config: RunConfig) -> str:
     """Execute one configuration and return the rendered report text."""
-    _, results, columns, rows = _HANDLERS[config.subcommand](config)
+    results, columns, rows = _HANDLERS[config.subcommand](config)
     stamp = (
         datetime.now(timezone.utc).isoformat(timespec="seconds")
         if config.timestamp

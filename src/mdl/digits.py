@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .arith import (
+    PrimePowerModulus,
     _check_odd_prime,
+    check_modulus_size,
     is_prime,
     padic_valuation,
     stepped_powers,
@@ -87,38 +89,35 @@ class DigitString:
 class DigitCountReport:
     """Prime counts per digit-window value, with uniformity deviations.
 
-    counts maps every window value in [0, q^s) to the number of primes
-    p <= X whose window equals it; expected and max_abs_deviation measure
-    the distance of the empirical distribution from uniform.
+    counts[v] is the number of primes p <= X whose window equals v, for
+    every window value v in [0, q^s); deviations[v] is the signed gap
+    between that observed frequency and the uniform 1 / q^s.  expected and
+    max_abs_deviation measure the distance from uniform as a whole.
     """
 
     q: int
     r: int
     s: int
     X: int
-    counts: dict[int, int]
+    counts: tuple[int, ...]
     pi_X: int
     expected: float = field(init=False)
+    deviations: tuple[float, ...] = field(init=False)
     max_abs_deviation: float = field(init=False)
 
     def __post_init__(self) -> None:
         size = self.q**self.s
-        if sorted(self.counts) != list(range(size)):
-            raise PreconditionError("counts must cover every window value exactly once")
-        if sum(self.counts.values()) != self.pi_X:
+        if len(self.counts) != size:
+            raise PreconditionError("counts must hold one entry per window value")
+        if sum(self.counts) != self.pi_X:
             raise PreconditionError("counts must add up to the prime count")
         if self.pi_X < 1:
             raise PreconditionError("report requires at least one prime")
+        uniform = 1.0 / size
+        deviations = tuple(count / self.pi_X - uniform for count in self.counts)
         object.__setattr__(self, "expected", self.pi_X / size)
-        object.__setattr__(
-            self,
-            "max_abs_deviation",
-            max(abs(self.deviation(v)) for v in range(size)),
-        )
-
-    def deviation(self, value: int) -> float:
-        """Signed gap between the observed frequency of value and uniform."""
-        return self.counts[value] / self.pi_X - 1.0 / self.q**self.s
+        object.__setattr__(self, "deviations", deviations)
+        object.__setattr__(self, "max_abs_deviation", max(map(abs, deviations)))
 
 
 def _window_checks(q: int, r: int, s: int) -> None:
@@ -127,6 +126,7 @@ def _window_checks(q: int, r: int, s: int) -> None:
         raise PreconditionError(f"r must be >= 0, got {r}")
     if s < 1 or s > r + 1:
         raise PreconditionError(f"need 1 <= s <= r+1, got s={s}, r={r}")
+    check_modulus_size(q, r + 1)
 
 
 def digit_block(p: int, q: int, r: int, s: int) -> int:
@@ -149,7 +149,7 @@ def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
     The residues 2^p mod q^(r+1) come from one walk over the prime gaps
     (stepped_powers), each added to one of q^s counters.  Raises
     ResourceGuardError, before anything is allocated, when q^s exceeds
-    BIN_GUARD.
+    BIN_GUARD or q^(r+1) exceeds MODULUS_BIT_GUARD bits.
     """
     _window_checks(q, r, s)
     if X < 2:
@@ -163,7 +163,7 @@ def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
     counts = [0] * q**s
     for x in stepped_powers(2, primes_up_to(PrimeRange(X)), modulus):
         counts[((x - 1) % modulus) // divisor] += 1
-    return DigitCountReport(q, r, s, X, dict(enumerate(counts)), sum(counts))
+    return DigitCountReport(q, r, s, X, tuple(counts), sum(counts))
 
 
 def fractional_part_check(
@@ -181,11 +181,8 @@ def fractional_part_check(
     if sigma.q != q:
         raise PreconditionError(f"sigma has base {sigma.q}, expected {q}")
     s = sigma.s
-    _window_checks(q, r, s)
-    if not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p}")
     target = sigma.block_value
-    by_digits = digit_block(p, q, r, s) == target
+    by_digits = digit_block(p, q, r, s) == target  # also validates p, q, r, s
 
     modulus = q ** (r + 1)
     residue = (pow(2, p, modulus) - 1) % modulus
@@ -193,57 +190,42 @@ def fractional_part_check(
     return by_digits, by_interval
 
 
-def _residue_checks(q: int, gamma: int, X: int) -> None:
-    _check_odd_prime(q)
-    if gamma < 1:
-        raise PreconditionError(f"gamma must be >= 1, got {gamma}")
-    if X < 2:
-        raise PreconditionError(f"X must be >= 2, got {X}")
-
-
 def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
     """Residues of 2^p - 1 mod q^gamma for all primes p <= X, in p order.
 
     One stepped_powers walk over the prime stream.
     """
-    _residue_checks(q, gamma, X)
-    modulus = q**gamma
+    modulus = PrimePowerModulus(q, gamma).modulus
+    if X < 2:
+        raise PreconditionError(f"X must be >= 2, got {X}")
     primes = primes_up_to(PrimeRange(X))
     return [(x - 1) % modulus for x in stepped_powers(2, primes, modulus)]
 
 
-def _residues_for(
-    q: int, gamma: int, X: int, residues: Sequence[int] | None
-) -> Sequence[int]:
-    """The caller's residues after validation, or mersenne_residues."""
-    if residues is None:
-        return mersenne_residues(q, gamma, X)
-    _residue_checks(q, gamma, X)
+def _checked_modulus(q: int, gamma: int, residues: Sequence[int]) -> int:
+    """q^gamma, once residues is known to be a non-empty list of residues mod it."""
+    modulus = PrimePowerModulus(q, gamma).modulus
     if not residues:
         raise PreconditionError("residues must not be empty")
-    modulus = q**gamma
     for value in residues:
         if not (isinstance(value, int) and 0 <= value < modulus):
             raise PreconditionError(
                 f"residue {value!r} is not an integer in [0, {q}^{gamma})"
             )
-    return residues
+    return modulus
 
 
-def discrepancy(
-    q: int, gamma: int, X: int, *, residues: Sequence[int] | None = None
-) -> float:
-    """Exact star discrepancy of the points (2^p - 1 mod q^gamma) / q^gamma.
+def discrepancy(q: int, gamma: int, residues: Sequence[int]) -> float:
+    """Exact star discrepancy of the points residue / q^gamma.
 
-    The maximum over sample positions is taken with integer arithmetic on
-    the sorted residues; the single division at the end is the only
-    floating-point operation.  residues, the list mersenne_residues
-    returns, skips computing it again; each value must lie in
-    [0, q^gamma).
+    residues is the list mersenne_residues returns, or any non-empty list
+    of integers in [0, q^gamma).  The maximum over sample positions is
+    taken with integer arithmetic on the sorted residues; the single
+    division at the end is the only floating-point operation.
     """
-    residues = sorted(_residues_for(q, gamma, X, residues))
+    modulus = _checked_modulus(q, gamma, residues)
+    residues = sorted(residues)
     n = len(residues)
-    modulus = q**gamma
     best = 0
     for i, residue in enumerate(residues, start=1):
         up = i * modulus - residue * n
@@ -255,13 +237,11 @@ def discrepancy(
     return best / (n * modulus)
 
 
-def erdos_turan_bound(
-    q: int, gamma: int, X: int, H: int, *, residues: Sequence[int] | None = None
-) -> float:
+def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> float:
     """Erdos-Turan upper bound for the star discrepancy of the same points.
 
     Evaluates 1/(H+1) + 3 * sum over h <= H of |S_h| / (h * N), where S_h
-    sums the phase h * residue / q^gamma over the N primes.  When q
+    sums the phase h * residue / q^gamma over the N residues.  When q
     divides h the phase is reduced: modulus q^(gamma - v) and coefficient
     h / q^v with v the q-adic valuation of h (capped at gamma), keeping
     numerator and modulus coprime.  residues is taken as in discrepancy.
@@ -270,7 +250,7 @@ def erdos_turan_bound(
     """
     if H < 1:
         raise PreconditionError(f"H must be >= 1, got {H}")
-    residues = _residues_for(q, gamma, X, residues)
+    _checked_modulus(q, gamma, residues)
     n = len(residues)
     # integer multiplicities keep the per-h pass cheap and deterministic
     multiplicity: dict[int, int] = {}

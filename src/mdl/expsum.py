@@ -145,9 +145,9 @@ def mangoldt_exp_sum(m: PrimePowerModulus, a: int, g: int, X: int) -> ExpSumResu
     if X == 1:
         return ExpSumResult(0.0, 0.0, 0, 0.0, m, 0.0)
     terms, exponents = tee(mangoldt_terms(PrimeRange(X)))
-    powers = stepped_powers(g, (t.n for t in exponents), Q)
+    powers = stepped_powers(g, (n for n, _ in exponents), Q)
     total, normalizer, count = _phase_sum(
-        ((t.n, t.weight, (a * x) % Q) for t, x in zip(terms, powers)), Q
+        ((n, weight, (a * x) % Q) for (n, weight), x in zip(terms, powers)), Q
     )
     return ExpSumResult(total.real, total.imag, count, normalizer, m, log_ratio(X, m))
 

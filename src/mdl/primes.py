@@ -19,7 +19,6 @@ from .errors import PreconditionError
 
 __all__ = [
     "PrimeRange",
-    "MangoldtTerm",
     "primes_up_to",
     "prime_segments",
     "pi_of",
@@ -43,15 +42,6 @@ class PrimeRange:
             raise PreconditionError(
                 f"segment_size must be >= 64, got {self.segment_size}"
             )
-
-
-@dataclass(frozen=True)
-class MangoldtTerm:
-    """A prime power n = p**k with its von Mangoldt weight log(p)."""
-
-    n: int
-    p: int
-    weight: float
 
 
 def _base_primes(limit: int) -> np.ndarray:
@@ -120,27 +110,26 @@ def pi_of(x: int) -> int:
     return sum(seg.size for seg in prime_segments(PrimeRange(x)))
 
 
-def _higher_powers(limit: int) -> list[MangoldtTerm]:
-    """All p**k <= limit with k >= 2, sorted by n; weights reuse log(p)."""
-    out: list[MangoldtTerm] = []
+def _higher_powers(limit: int) -> list[tuple[int, float]]:
+    """All (p**k, log p) with p**k <= limit and k >= 2, sorted by p**k."""
+    out: list[tuple[int, float]] = []
     for p in _base_primes(math.isqrt(limit)).tolist():
         weight = math.log(p)
         n = p * p
         while n <= limit:
-            out.append(MangoldtTerm(n, p, weight))
+            out.append((n, weight))
             n *= p
-    out.sort(key=lambda t: t.n)
+    out.sort()
     return out
 
 
-def mangoldt_terms(prime_range: PrimeRange) -> Iterator[MangoldtTerm]:
+def mangoldt_terms(prime_range: PrimeRange) -> Iterator[tuple[int, float]]:
     """Stream every n <= limit with nonzero von Mangoldt weight, by n.
 
-    Emits (n, p, log p) for each prime power n = p**k.  The prime stream
-    is merged with the (short) sorted list of higher powers, so memory
-    stays bounded by the segment size.
+    Emits the pair (n, log p) for each prime power n = p**k.  The prime
+    stream is merged with the (short) sorted list of higher powers, so
+    memory stays bounded by the segment size; every n occurs once, so the
+    merge never compares weights.
     """
-    primes = (
-        MangoldtTerm(p, p, math.log(p)) for p in primes_up_to(prime_range)
-    )
-    yield from heapq.merge(primes, _higher_powers(prime_range.limit), key=lambda t: t.n)
+    primes = ((p, math.log(p)) for p in primes_up_to(prime_range))
+    yield from heapq.merge(primes, _higher_powers(prime_range.limit))

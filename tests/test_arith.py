@@ -3,22 +3,20 @@
 from __future__ import annotations
 
 import cmath
-import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mdl.arith import (
+    MODULUS_BIT_GUARD,
     PrimePowerModulus,
-    Residue,
+    check_modulus_size,
     is_prime,
-    mod_pow,
     padic_valuation,
-    unit_circle_point,
     unit_circle_value,
 )
-from mdl.errors import PreconditionError
+from mdl.errors import PreconditionError, ResourceGuardError
 
 
 def test_is_prime_small_values():
@@ -61,21 +59,20 @@ def test_prime_power_modulus_construction():
         PrimePowerModulus(3, 0)
 
 
-def test_residue_range_enforced():
-    m = PrimePowerModulus(5, 2)
-    assert Residue(24, m).value == 24
-    with pytest.raises(PreconditionError):
-        Residue(25, m)
-    with pytest.raises(PreconditionError):
-        Residue(-1, m)
+def test_modulus_guard_boundary():
+    # 3^41348 has 65536 bits, 3^41349 has 65537: the guard sits between them
+    assert PrimePowerModulus(3, 41348).modulus.bit_length() == MODULUS_BIT_GUARD
+    with pytest.raises(ResourceGuardError):
+        PrimePowerModulus(3, 41349)
+    check_modulus_size(11, 101)  # the widest modulus the tests and goldens use
 
 
-def test_mod_pow_matches_builtin():
-    m = PrimePowerModulus(7, 3)
-    assert mod_pow(2, 100, m).value == pow(2, 100, 343)
-    assert mod_pow(-3, 5, m).value == pow(-3, 5, 343)
-    with pytest.raises(PreconditionError):
-        mod_pow(2, -1, m)
+def test_modulus_guard_never_forms_the_power():
+    # 3^(10^18) could not be formed at all; the guard reads its logarithm
+    with pytest.raises(ResourceGuardError, match="modulus guard"):
+        check_modulus_size(3, 10**18)
+    with pytest.raises(ResourceGuardError):
+        PrimePowerModulus(3, 10**18)
 
 
 def test_unit_circle_value_against_cmath():
@@ -94,8 +91,3 @@ def test_unit_circle_value_beyond_double_precision():
     assert abs(z - cmath.exp(2j * cmath.pi / modulus)) < 1e-15
     assert abs(abs(z) - 1.0) < 1e-15
 
-
-def test_unit_circle_point_wraps_residue():
-    m = PrimePowerModulus(3, 2)
-    z = unit_circle_point(Residue(3, m))
-    assert abs(z - cmath.exp(2j * math.pi / 3)) < 1e-12

@@ -62,6 +62,24 @@ def test_digit_stats_csv_layout(capsys):
     assert sum(counts) == 168  # pi(1000)
 
 
+def test_digit_stats_deviation_column(capsys):
+    # q^s = 343 window values: one row each, deviation = count / pi_X - 1 / q^s
+    args = ("digit-stats", "--q", "7", "--X", "5000", "--r", "5", "--s", "3", "--no-timestamp")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()[2:]]
+    assert [int(block) for block, _, _ in rows] == list(range(7**3))
+    pi_X = sum(int(count) for _, count, _ in rows)
+    assert pi_X == 669  # pi(5000)
+    for _, count, deviation in rows:
+        assert deviation == repr(int(count) / pi_X - 1.0 / 7**3)
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    results = json.loads(out)["results"]
+    assert results["pi_X"] == pi_X
+    assert results["max_abs_deviation"] == max(abs(float(d)) for _, _, d in rows)
+    assert [results["counts"][str(v)] for v in range(7**3)] == [int(c) for _, c, _ in rows]
+
+
 def test_timestamp_present_by_default_and_suppressible(capsys):
     _, out, _ = run_cli(capsys, "order-structure", "--q", "11", "--g", "3")
     assert "timestamp" in json.loads(out)
@@ -130,6 +148,23 @@ def test_erdos_turan_terms_are_guarded(capsys):
     )
     assert code == 3
     assert "enumeration guard" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["digit-stats", "--q", "3", "--X", "100", "--r", "10000000", "--s", "1"],
+        ["expsum", "--q", "3", "--gamma", "10000000", "--a", "1", "--g", "2", "--X", "100"],
+        ["mersenne-sum", "--q", "3", "--gamma", "10000000", "--a", "1", "--X", "100"],
+        ["discrepancy", "--q", "3", "--gamma", "10000000", "--X", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_modulus_size_is_guarded(capsys, argv: list[str]):
+    # 3^(10^7) has about 1.6 * 10^7 bits; the guard stops it before it is formed
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "modulus guard" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("subcommand", sorted(mdl.cli._PARAMS))
@@ -208,13 +243,13 @@ def _ints(low: int, high: int, *beyond_guard: int) -> st.SearchStrategy[int]:
 
 
 # Flag values per subcommand.  The ranges keep every example well under a
-# second.  The extra values of s, P and H put q^s, P^r or H times the
-# distinct residues far beyond a resource guard, so those runs must stop
-# before any work starts.
+# second.  The extra values of gamma, r, s, P and H put the modulus q^gamma
+# or q^(r+1), q^s, P^r or H times the distinct residues far beyond a
+# resource guard, so those runs must stop before any work starts.
 _Q, _G, _A = _ints(-2, 13), _ints(-3, 12), _ints(-3, 12)
-_X, _GAMMA = _ints(-2, 3000), _ints(-2, 12)
+_X, _GAMMA = _ints(-2, 3000), _ints(-2, 12, 10**7)
 _FUZZ_FLAGS = {
-    "digit-stats": {"q": _Q, "X": _X, "r": _ints(-2, 8), "s": _ints(-2, 4, 20, 40)},
+    "digit-stats": {"q": _Q, "X": _X, "r": _ints(-2, 8, 10**7), "s": _ints(-2, 4, 20, 40)},
     "expsum": {"q": _Q, "gamma": _GAMMA, "a": _A, "g": _G, "X": _X},
     "mersenne-sum": {"q": _Q, "gamma": _GAMMA, "a": _A, "X": _X},
     "order-structure": {"q": _Q, "g": _G},

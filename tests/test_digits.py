@@ -70,36 +70,37 @@ def test_digit_block_rejections():
 
 def test_count_blocks_small_reference():
     rep = count_blocks(3, 7, 0, 1)
-    assert rep.counts == {0: 1, 1: 3, 2: 0}
+    assert rep.counts == (1, 3, 0)
     assert rep.pi_X == 4
     assert rep.expected == pytest.approx(4 / 3)
+    assert rep.deviations == (1 / 4 - 1.0 / 3, 3 / 4 - 1.0 / 3, 0 / 4 - 1.0 / 3)
     assert rep.max_abs_deviation == pytest.approx(3 / 4 - 1 / 3)
 
 
 def test_count_blocks_q7_support():
     rep = count_blocks(7, 100, 0, 1)
-    assert {v for v, c in rep.counts.items() if c} == {0, 1, 3}
+    assert {v for v, c in enumerate(rep.counts) if c} == {0, 1, 3}
 
 
 def test_count_blocks_single_prime():
     rep = count_blocks(3, 2, 0, 1)
-    assert rep.pi_X == 1 and sum(rep.counts.values()) == 1
+    assert rep.pi_X == 1 and sum(rep.counts) == 1
 
 
 def test_count_blocks_matches_expansion_oracle():
     X, q, r, s = 300, 3, 4, 2
     rep = count_blocks(q, X, r, s)
-    manual: dict[int, int] = {v: 0 for v in range(q**s)}
+    manual = [0] * q**s
     for p in primes_by_trial_division(X):
         manual[digit_window_by_expansion(p, q, r, s)] += 1
-    assert rep.counts == manual
+    assert rep.counts == tuple(manual)
 
 
 def test_count_report_validates_totals():
     with pytest.raises(PreconditionError):
-        DigitCountReport(3, 0, 1, 7, {0: 1, 1: 3, 2: 0}, 5)
+        DigitCountReport(3, 0, 1, 7, (1, 3, 0), 5)
     with pytest.raises(PreconditionError):
-        DigitCountReport(3, 0, 1, 7, {0: 1, 1: 3}, 4)
+        DigitCountReport(3, 0, 1, 7, (1, 3), 4)
 
 
 @pytest.mark.parametrize(
@@ -140,42 +141,44 @@ def test_mersenne_residues_prime_order_and_values():
 
 
 def test_discrepancy_trivial_cases():
-    assert discrepancy(3, 1, 2) == 1.0  # single point at zero
-    assert discrepancy(3, 1, 10) == pytest.approx(2 / 3, abs=1e-15)
+    assert discrepancy(3, 1, mersenne_residues(3, 1, 2)) == 1.0  # single point at zero
+    assert discrepancy(3, 1, mersenne_residues(3, 1, 10)) == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_discrepancy_matches_threshold_sweep_oracle():
     for q, gamma, X in [(3, 1, 10), (3, 2, 50), (5, 2, 100), (7, 1, 40), (3, 3, 80)]:
         residues = mersenne_residues(q, gamma, X)
         exact = star_discrepancy_by_threshold_sweep(residues, q**gamma)
-        assert discrepancy(q, gamma, X) == float(exact), (q, gamma, X)
+        assert discrepancy(q, gamma, residues) == float(exact), (q, gamma, X)
 
 
 def test_discrepancy_of_perfectly_uniform_points():
     # injected residue list covering every class once
-    assert discrepancy(3, 2, 10**6) > 0  # smoke: real points exist
+    assert discrepancy(3, 2, mersenne_residues(3, 2, 10**6)) > 0  # smoke: real points exist
     residues = list(range(9))
     exact = star_discrepancy_by_threshold_sweep(residues, 9)
     assert float(exact) == pytest.approx(1 / 9, abs=1e-15)
+    assert discrepancy(3, 2, residues) == float(exact)
 
 
 def test_erdos_turan_matches_unreduced_oracle():
     for q, gamma, X, H in [(3, 2, 200, 12), (5, 2, 150, 10), (7, 1, 300, 15)]:
-        lib = erdos_turan_bound(q, gamma, X, H)
+        lib = erdos_turan_bound(q, gamma, mersenne_residues(q, gamma, X), H)
         oracle = erdos_turan_by_unreduced_phases(q, gamma, X, H)
         assert lib == pytest.approx(oracle, rel=1e-9), (q, gamma, X, H)
 
 
 def test_erdos_turan_frozen_golden_value():
-    got = erdos_turan_bound(3, 20, 10**5, 100)
+    got = erdos_turan_bound(3, 20, mersenne_residues(3, 20, 10**5), 100)
     assert got == pytest.approx(0.14294865179649124, rel=1e-12)
 
 
 def test_erdos_turan_certifies_discrepancy_spot_checks():
     for q, gamma, X, H in [(3, 5, 2000, 10), (7, 1, 2000, 10), (3, 2, 500, 25)]:
-        assert discrepancy(q, gamma, X) <= erdos_turan_bound(q, gamma, X, H) * (
-            1 + 1e-9
-        )
+        residues = mersenne_residues(q, gamma, X)
+        assert discrepancy(q, gamma, residues) <= erdos_turan_bound(
+            q, gamma, residues, H
+        ) * (1 + 1e-9)
 
 
 def test_erdos_turan_h_one_formula():
@@ -186,29 +189,22 @@ def test_erdos_turan_h_one_formula():
 
     inner = sum(cmath.exp(2j * cmath.pi * x / 9) for x in residues)
     want = 0.5 + 3.0 * abs(inner) / len(residues)
-    assert erdos_turan_bound(q, gamma, X, 1) == pytest.approx(want, rel=1e-12)
-
-
-def test_residues_keyword_matches_the_computed_route():
-    q, gamma, X = 3, 5, 2000
-    residues = mersenne_residues(q, gamma, X)
-    assert discrepancy(q, gamma, X, residues=residues) == discrepancy(q, gamma, X)
-    assert erdos_turan_bound(q, gamma, X, 10, residues=residues) == erdos_turan_bound(
-        q, gamma, X, 10
-    )
+    assert erdos_turan_bound(q, gamma, residues, 1) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("residues", [[0, 243], [5, -1], [], [1.5]])
 def test_residues_keyword_rejects_values_outside_the_modulus(residues):
     with pytest.raises(PreconditionError):
-        discrepancy(3, 5, 100, residues=residues)
+        discrepancy(3, 5, residues)
     with pytest.raises(PreconditionError):
-        erdos_turan_bound(3, 5, 100, 10, residues=residues)
+        erdos_turan_bound(3, 5, residues, 10)
 
 
 def test_residues_keyword_excludes_primes():
-    # residues is the only precomputed input; there is no primes keyword
+    # residues is the only input; there is no primes keyword and no X
     with pytest.raises(TypeError):
-        discrepancy(3, 2, 10, primes=[2, 3, 5, 7], residues=[0, 7, 4, 1])
+        discrepancy(3, 2, [0, 7, 4, 1], primes=[2, 3, 5, 7])
     with pytest.raises(TypeError):
-        erdos_turan_bound(3, 2, 10, 5, primes=[2, 3, 5, 7])
+        erdos_turan_bound(3, 2, [0, 7, 4, 1], 5, primes=[2, 3, 5, 7])
+    with pytest.raises(TypeError):
+        discrepancy(3, 2, 10, residues=[0, 7, 4, 1])

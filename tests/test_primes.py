@@ -6,8 +6,9 @@ import math
 
 import pytest
 
+from mdl.arith import is_prime
 from mdl.errors import PreconditionError
-from mdl.primes import MangoldtTerm, PrimeRange, mangoldt_terms, pi_of, primes_up_to
+from mdl.primes import PrimeRange, mangoldt_terms, pi_of, primes_up_to
 from oracles import mangoldt_by_factoring, primes_by_trial_division
 
 
@@ -35,7 +36,7 @@ def test_prime_range_validation():
 
 def test_mangoldt_terms_match_factoring_oracle():
     limit = 300
-    got = {t.n: t.weight for t in mangoldt_terms(PrimeRange(limit))}
+    got = dict(mangoldt_terms(PrimeRange(limit)))
     for n in range(2, limit + 1):
         weight = mangoldt_by_factoring(n)
         if weight:
@@ -47,20 +48,20 @@ def test_mangoldt_terms_match_factoring_oracle():
 
 def test_mangoldt_terms_sorted_and_weighted_by_base_prime():
     terms = list(mangoldt_terms(PrimeRange(64)))
-    assert [t.n for t in terms] == sorted(t.n for t in terms)
-    for t in terms:
-        assert t.n % t.p == 0
-        assert math.isclose(t.weight, math.log(t.p), rel_tol=1e-15)
+    assert all(type(term) is tuple and len(term) == 2 for term in terms)
+    ns = [n for n, _ in terms]
+    assert all(a < b for a, b in zip(ns, ns[1:]))  # strictly ascending
+    for n, weight in terms:
+        p = round(math.exp(weight))
+        assert is_prime(p)
+        assert weight == math.log(p)
+        while n % p == 0:
+            n //= p
+        assert n == 1, (p, weight)
 
 
 def test_mangoldt_sum_equals_log_lcm():
     # Chebyshev psi(X) is exactly log lcm(1..X)
     X = 500
-    psi = sum(t.weight for t in mangoldt_terms(PrimeRange(X)))
+    psi = sum(weight for _, weight in mangoldt_terms(PrimeRange(X)))
     assert math.isclose(psi, math.log(math.lcm(*range(1, X + 1))), rel_tol=1e-12)
-
-
-def test_mangoldt_term_is_frozen():
-    term = MangoldtTerm(9, 3, math.log(3))
-    with pytest.raises(AttributeError):
-        term.n = 10  # type: ignore[misc]
