@@ -15,6 +15,7 @@ from typing import Iterable, Iterator
 from .errors import PreconditionError, ResourceGuardError
 
 __all__ = [
+    "BASE_GUARD",
     "MODULUS_BIT_GUARD",
     "PrimePowerModulus",
     "check_modulus_size",
@@ -25,6 +26,7 @@ __all__ = [
 ]
 
 MODULUS_BIT_GUARD = 1 << 16  # maximum size, in bits, of a modulus q^e
+BASE_GUARD = 1 << 32  # largest prime base q
 
 
 @lru_cache(maxsize=4096)
@@ -49,6 +51,9 @@ def is_prime(n: int) -> bool:
 
 
 def _check_odd_prime(q: int) -> None:
+    """Reject q unless it is an odd prime <= BASE_GUARD; the guard comes first."""
+    if q > BASE_GUARD:
+        raise ResourceGuardError(f"q = {q} exceeds the base guard {BASE_GUARD}")
     if not is_prime(q) or q < 3:
         raise PreconditionError(f"q must be an odd prime >= 3, got {q}")
 

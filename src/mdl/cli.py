@@ -1,9 +1,11 @@
 """Command-line surface: reproducible CSV/JSON reports over the library.
 
-Every subcommand echoes its mathematical parameters into the report, so a
-report is self-describing.  The output path never appears in report
-bytes: identical parameters give byte-identical reports, once the
-optional timestamp is suppressed with --no-timestamp.
+Each subcommand is a handler in _HANDLERS whose signature gives its
+integer flags, their defaults and their echo order in the report; its
+docstring is the --help text.  Echoing the parameters makes every report
+self-describing.  The output path never appears in report bytes:
+identical parameters give byte-identical reports, once the optional
+timestamp is suppressed with --no-timestamp.
 
 Exit codes: 0 success, 2 precondition violation (also malformed flags),
 3 resource-guard rejection, 4 internal self-check failure (a dual-route
@@ -14,6 +16,7 @@ be written (an OSError from --output or standard output).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from . import __version__
 from .arith import PrimePowerModulus
 from .digits import count_blocks, discrepancy, erdos_turan_bound, mersenne_residues
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
-from .expsum import mangoldt_exp_sum, mersenne_prime_sum
+from .expsum import ExpSumResult, mangoldt_exp_sum, mersenne_prime_sum
 from .order import congruence_criterion, order_structure, valuation_difference
 from .vmvt import vmvt_count
 
@@ -53,8 +56,6 @@ class RunConfig:
 def _cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -90,26 +91,20 @@ def _one_row(results: dict) -> SubcommandOutput:
     return results, list(results), [tuple(results.values())]
 
 
-def _run_digit_stats(config: RunConfig) -> SubcommandOutput:
-    p = config.parameters
-    report = count_blocks(p["q"], p["X"], p["r"], p["s"])
+def _run_digit_stats(q: int, X: int, r: int, s: int) -> SubcommandOutput:
+    """count primes p <= X by a base-q digit window of 2^p - 1"""
+    report = count_blocks(q, X, r, s)
     results = {
         "pi_X": report.pi_X,
         "expected": report.expected,
         "max_abs_deviation": report.max_abs_deviation,
-        "counts": {str(v): c for v, c in enumerate(report.counts)},
+        "counts": dict(enumerate(report.counts)),
     }
     rows = list(zip(range(len(report.counts)), report.counts, report.deviations))
     return results, ["block", "count", "deviation"], rows
 
 
-def _run_exponential_sum(config: RunConfig) -> SubcommandOutput:
-    p = config.parameters
-    m = PrimePowerModulus(p["q"], p["gamma"])
-    if config.subcommand == "expsum":
-        result = mangoldt_exp_sum(m, p["a"], p["g"], p["X"])
-    else:
-        result = mersenne_prime_sum(m, p["a"], p["X"])
+def _sum_row(result: ExpSumResult) -> SubcommandOutput:
     return _one_row({
         "real": result.real,
         "imag": result.imag,
@@ -120,9 +115,19 @@ def _run_exponential_sum(config: RunConfig) -> SubcommandOutput:
     })
 
 
-def _run_order_structure(config: RunConfig) -> SubcommandOutput:
-    p = config.parameters
-    structure = order_structure(p["q"], p["g"])
+def _run_expsum(q: int, gamma: int, a: int, g: int, X: int) -> SubcommandOutput:
+    """log-weighted exponential sum of a*g^n over prime powers n <= X"""
+    return _sum_row(mangoldt_exp_sum(PrimePowerModulus(q, gamma), a, g, X))
+
+
+def _run_mersenne_sum(q: int, gamma: int, a: int, X: int) -> SubcommandOutput:
+    """exponential sum of a*(2^p - 1) over primes p <= X"""
+    return _sum_row(mersenne_prime_sum(PrimePowerModulus(q, gamma), a, X))
+
+
+def _run_order_structure(q: int, g: int) -> SubcommandOutput:
+    """multiplicative order of g mod q and its lifting data"""
+    structure = order_structure(q, g)
     return _one_row({
         "order_mod_q": structure.order_mod_q,
         "lift_valuation": structure.lift_valuation,
@@ -130,17 +135,16 @@ def _run_order_structure(config: RunConfig) -> SubcommandOutput:
     })
 
 
-def _run_vmvt(config: RunConfig) -> SubcommandOutput:
-    p = config.parameters
-    instance = vmvt_count(p["r"], p["k"], p["P"])
-    return _one_row({"count": instance.count})
+def _run_vmvt(r: int, k: int, P: int) -> SubcommandOutput:
+    """exact power-sum collision count over [1, P]^(2r)"""
+    return _one_row({"count": vmvt_count(r, k, P).count})
 
 
-def _run_discrepancy(config: RunConfig) -> SubcommandOutput:
-    p = config.parameters
-    residues = mersenne_residues(p["q"], p["gamma"], p["X"])
-    observed = discrepancy(p["q"], p["gamma"], residues)
-    bound = erdos_turan_bound(p["q"], p["gamma"], residues, p["H"])
+def _run_discrepancy(q: int, gamma: int, X: int, H: int = 100) -> SubcommandOutput:
+    """star discrepancy of (2^p - 1)/q^gamma points, with its certified bound"""
+    residues = mersenne_residues(q, gamma, X)
+    observed = discrepancy(q, gamma, residues)
+    bound = erdos_turan_bound(q, gamma, residues, H)
     return _one_row({
         "discrepancy": observed,
         "erdos_turan_bound": bound,
@@ -155,9 +159,9 @@ _LEMMA_M_MAX = 20
 _LEMMA_XY_MAX = 20
 
 
-def _run_verify_lemmas(config: RunConfig) -> SubcommandOutput:
-    p = config.parameters
-    structure = order_structure(p["q"], p["g"])
+def _run_verify_lemmas(q: int, g: int) -> SubcommandOutput:
+    """sweep the order-lifting congruence and valuation identities"""
+    structure = order_structure(q, g)
     G = structure.lift_valuation
 
     congruence_cases = 0
@@ -189,46 +193,21 @@ def _run_verify_lemmas(config: RunConfig) -> SubcommandOutput:
         "valuation_ok": valuation_ok,
         "all_ok": congruence_ok and valuation_ok,
     }
-    columns = ["check", "cases", "ok"]
     rows = [
         ("congruence", congruence_cases, congruence_ok),
         ("valuation", valuation_cases, valuation_ok),
     ]
-    return results, columns, rows
+    return results, ["check", "cases", "ok"], rows
 
 
-_HANDLERS: dict[str, Callable[[RunConfig], SubcommandOutput]] = {
+_HANDLERS: dict[str, Callable[..., SubcommandOutput]] = {
     "digit-stats": _run_digit_stats,
-    "expsum": _run_exponential_sum,
-    "mersenne-sum": _run_exponential_sum,
+    "expsum": _run_expsum,
+    "mersenne-sum": _run_mersenne_sum,
     "order-structure": _run_order_structure,
     "vmvt": _run_vmvt,
     "discrepancy": _run_discrepancy,
     "verify-lemmas": _run_verify_lemmas,
-}
-
-# flag order here fixes the parameter echo order in reports
-_PARAMS: dict[str, list[str]] = {
-    "digit-stats": ["q", "X", "r", "s"],
-    "expsum": ["q", "gamma", "a", "g", "X"],
-    "mersenne-sum": ["q", "gamma", "a", "X"],
-    "order-structure": ["q", "g"],
-    "vmvt": ["r", "k", "P"],
-    "discrepancy": ["q", "gamma", "X", "H"],
-    "verify-lemmas": ["q", "g"],
-}
-
-_DEFAULT_FORMAT = {name: "json" for name in _HANDLERS}
-_DEFAULT_FORMAT["digit-stats"] = "csv"
-
-_HELP = {
-    "digit-stats": "count primes p <= X by a base-q digit window of 2^p - 1",
-    "expsum": "log-weighted exponential sum of a*g^n over prime powers n <= X",
-    "mersenne-sum": "exponential sum of a*(2^p - 1) over primes p <= X",
-    "order-structure": "multiplicative order of g mod q and its lifting data",
-    "vmvt": "exact power-sum collision count over [1, P]^(2r)",
-    "discrepancy": "star discrepancy of (2^p - 1)/q^gamma points, with its certified bound",
-    "verify-lemmas": "sweep the order-lifting congruence and valuation identities",
 }
 
 
@@ -238,15 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact desk-scale statistics of base-q digits of Mersenne numbers.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, params in _PARAMS.items():
-        sub = subparsers.add_parser(name, help=_HELP[name])
-        for flag in params:
-            sub.add_argument(f"--{flag}", type=int, required=flag != "H")
-        if "H" in params:
-            sub.set_defaults(H=100)
-        sub.add_argument(
-            "--format", choices=("csv", "json"), default=_DEFAULT_FORMAT[name]
-        )
+    for name, handler in _HANDLERS.items():
+        sub = subparsers.add_parser(name, help=handler.__doc__)
+        for flag in inspect.signature(handler).parameters.values():
+            sub.add_argument(f"--{flag.name}", type=int, default=flag.default,
+                             required=flag.default is flag.empty)
+        default_format = "csv" if name == "digit-stats" else "json"
+        sub.add_argument("--format", choices=("csv", "json"), default=default_format)
         sub.add_argument("--output", type=Path, default=None)
         sub.add_argument(
             "--no-timestamp",
@@ -258,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     ns = build_parser().parse_args(argv)
-    parameters = {flag: getattr(ns, flag) for flag in _PARAMS[ns.subcommand]}
+    flags = inspect.signature(_HANDLERS[ns.subcommand]).parameters
+    parameters = {flag: getattr(ns, flag) for flag in flags}
     return RunConfig(
         subcommand=ns.subcommand,
         parameters=parameters,
@@ -270,7 +248,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 def run(config: RunConfig) -> str:
     """Execute one configuration and return the rendered report text."""
-    results, columns, rows = _HANDLERS[config.subcommand](config)
+    results, columns, rows = _HANDLERS[config.subcommand](**config.parameters)
     stamp = (
         datetime.now(timezone.utc).isoformat(timespec="seconds")
         if config.timestamp

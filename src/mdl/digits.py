@@ -10,7 +10,6 @@ from exact integer or rational arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,7 +18,6 @@ from .arith import (
     _check_odd_prime,
     check_modulus_size,
     is_prime,
-    padic_valuation,
     stepped_powers,
     unit_circle_value,
 )
@@ -154,7 +152,7 @@ def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
     _window_checks(q, r, s)
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
-    if s * math.log(q) > math.log(BIN_GUARD) + 1e-9 or q**s > BIN_GUARD:
+    if q**s > BIN_GUARD:
         raise ResourceGuardError(
             f"q^s = {q}^{s} digit-window values exceed the bin guard {BIN_GUARD}"
         )
@@ -241,16 +239,17 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     """Erdos-Turan upper bound for the star discrepancy of the same points.
 
     Evaluates 1/(H+1) + 3 * sum over h <= H of |S_h| / (h * N), where S_h
-    sums the phase h * residue / q^gamma over the N residues.  When q
-    divides h the phase is reduced: modulus q^(gamma - v) and coefficient
-    h / q^v with v the q-adic valuation of h (capped at gamma), keeping
-    numerator and modulus coprime.  residues is taken as in discrepancy.
+    sums the phase h * residue / q^gamma over the N residues.  Each phase
+    is the exact residue (h * residue) mod q^gamma over q^gamma, rounded
+    once; reducing that fraction first would give the same double, since
+    the division is correctly rounded.  residues is taken as in
+    discrepancy.
     Raises ResourceGuardError, before the first phase, when H times the
     number of distinct residues exceeds ENUMERATION_GUARD.
     """
     if H < 1:
         raise PreconditionError(f"H must be >= 1, got {H}")
-    _checked_modulus(q, gamma, residues)
+    modulus = _checked_modulus(q, gamma, residues)
     n = len(residues)
     # integer multiplicities keep the per-h pass cheap and deterministic
     multiplicity: dict[int, int] = {}
@@ -265,12 +264,8 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
 
     total = 0.0
     for h in range(1, H + 1):
-        v = min(padic_valuation(q, h), gamma)
-        reduced_modulus = q ** (gamma - v)
-        reduced_h = h // q**v
         inner = kahan_sum(
-            count * unit_circle_value((reduced_h * residue) % reduced_modulus,
-                                      reduced_modulus)
+            count * unit_circle_value(h * residue % modulus, modulus)
             for residue, count in support
         )
         total += abs(inner) / (h * n)

@@ -10,12 +10,13 @@ congruence facts, each evaluated by two independent routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, log2
 
 from .arith import _check_odd_prime, padic_valuation
-from .errors import PreconditionError, SelfCheckError
+from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 
 __all__ = [
+    "POWER_BIT_GUARD",
     "OrderStructure",
     "order_structure",
     "order_mod_power",
@@ -23,6 +24,9 @@ __all__ = [
     "valuation_difference",
     "congruence_criterion",
 ]
+
+
+POWER_BIT_GUARD = 14_284  # bits of g^order: 4,300 digits, the most str(int) prints
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -86,7 +90,9 @@ def order_structure(q: int, g: int) -> OrderStructure:
     """Compute the order structure of g modulo the odd prime q.
 
     The order is found by walking the divisors of q-1 in increasing order;
-    the lifting data comes from the exact integer g**order - 1.
+    the lifting data comes from the exact integer g**order - 1.  Raises
+    ResourceGuardError, before that power is formed, when order * log2|g|
+    exceeds POWER_BIT_GUARD.
     """
     _check_odd_prime(q)
     if g in (-1, 0, 1):
@@ -94,6 +100,10 @@ def order_structure(q: int, g: int) -> OrderStructure:
     if g % q == 0:
         raise PreconditionError(f"g={g} must not be divisible by q={q}")
     tau = next(d for d in _divisors_ascending(q - 1) if pow(g, d, q) == 1)
+    if tau * log2(abs(g)) > POWER_BIT_GUARD:
+        raise ResourceGuardError(
+            f"{g}^{tau} exceeds the power guard of {POWER_BIT_GUARD} bits"
+        )
     diff = g**tau - 1
     lift_valuation = padic_valuation(q, diff)
     cofactor = diff // q**lift_valuation

@@ -15,32 +15,33 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceGuardError
 
 __all__ = [
     "PrimeRange",
+    "SIEVE_GUARD",
     "primes_up_to",
     "prime_segments",
     "pi_of",
     "mangoldt_terms",
 ]
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+SEGMENT_SIZE = 1 << 20  # odd numbers per sieve segment
+SIEVE_GUARD = 10**9  # largest sieve limit
 
 
 @dataclass(frozen=True)
 class PrimeRange:
-    """Enumeration range [2, limit] with a sieve segment size."""
+    """Enumeration range [2, limit]; every sieve is checked against SIEVE_GUARD here."""
 
     limit: int
-    segment_size: int = DEFAULT_SEGMENT_SIZE
 
     def __post_init__(self) -> None:
         if self.limit < 2:
             raise PreconditionError(f"limit must be >= 2, got {self.limit}")
-        if self.segment_size < 64:
-            raise PreconditionError(
-                f"segment_size must be >= 64, got {self.segment_size}"
+        if self.limit > SIEVE_GUARD:
+            raise ResourceGuardError(
+                f"sieve limit {self.limit} exceeds the sieve guard {SIEVE_GUARD}"
             )
 
 
@@ -63,7 +64,6 @@ def prime_segments(prime_range: PrimeRange) -> Iterator[np.ndarray]:
     the primes <= limit.  Only one segment mask is alive at a time.
     """
     limit = prime_range.limit
-    seg = prime_range.segment_size
     base = _base_primes(math.isqrt(limit))
     odd_base = base[base > 2]
 
@@ -72,7 +72,7 @@ def prime_segments(prime_range: PrimeRange) -> Iterator[np.ndarray]:
         yield np.array(head, dtype=np.int64)
 
     low = 5
-    span = 2 * seg  # seg odd numbers per segment
+    span = 2 * SEGMENT_SIZE  # SEGMENT_SIZE odd numbers per segment
     while low <= limit:
         high = min(low + span, limit + 1)
         if high % 2 == 0:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdl.arith import (
+    BASE_GUARD,
     MODULUS_BIT_GUARD,
     PrimePowerModulus,
     check_modulus_size,
@@ -73,6 +74,17 @@ def test_modulus_guard_never_forms_the_power():
         check_modulus_size(3, 10**18)
     with pytest.raises(ResourceGuardError):
         PrimePowerModulus(3, 10**18)
+
+
+def test_base_guard_boundary():
+    # 2^32 - 5 is the largest prime below the guard, 2^32 + 15 the smallest above
+    assert BASE_GUARD == 2**32
+    assert PrimePowerModulus(2**32 - 5, 1).modulus == 2**32 - 5
+    with pytest.raises(ResourceGuardError, match="base guard"):
+        PrimePowerModulus(2**32 + 15, 1)
+    # 2^61 - 1 is prime; the guard answers before any trial division
+    with pytest.raises(ResourceGuardError):
+        PrimePowerModulus(2**61 - 1, 1)
 
 
 def test_unit_circle_value_against_cmath():

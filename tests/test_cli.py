@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,14 @@ def test_discrepancy_report_certifies(capsys):
     assert results["discrepancy"] <= results["erdos_turan_bound"]
 
 
+def test_discrepancy_h_defaults_to_100(capsys):
+    code, out, _ = run_cli(
+        capsys, "discrepancy", "--q", "3", "--gamma", "2", "--X", "60", "--no-timestamp",
+    )
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"q": 3, "gamma": 2, "X": 60, "H": 100}
+
+
 def test_verify_lemmas_report(capsys):
     code, out, _ = run_cli(capsys, "verify-lemmas", "--q", "3", "--g", "2", "--no-timestamp")
     assert code == 0
@@ -167,7 +176,57 @@ def test_modulus_size_is_guarded(capsys, argv: list[str]):
     assert "modulus guard" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("subcommand", sorted(mdl.cli._PARAMS))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(
+            ["mersenne-sum", "--q", "3", "--gamma", "5", "--a", "1", "--X", str(10**20)],
+            id="mersenne-sum-X=10^20",
+        ),
+        pytest.param(
+            ["mersenne-sum", "--q", "3", "--gamma", "5", "--a", "1", "--X", str(10**13)],
+            id="mersenne-sum-X=10^13",
+        ),
+        pytest.param(
+            ["digit-stats", "--q", "3", "--X", str(10**13), "--r", "5", "--s", "1"],
+            id="digit-stats-X=10^13",
+        ),
+        pytest.param(
+            ["discrepancy", "--q", "3", "--gamma", "5", "--X", str(10**13)],
+            id="discrepancy-X=10^13",
+        ),
+        pytest.param(
+            ["order-structure", "--q", str(2**61 - 1), "--g", "2"],
+            id="order-structure-q=2^61-1",
+        ),
+        pytest.param(
+            ["expsum", "--q", str(2**61 - 1), "--gamma", "1", "--a", "1", "--g", "2",
+             "--X", "100"],
+            id="expsum-q=2^61-1",
+        ),
+        pytest.param(["order-structure", "--q", "30011", "--g", "2"], id="order-structure-q=30011"),
+        pytest.param(["order-structure", "--q", "100003", "--g", "2"], id="order-structure-q=100003"),
+        pytest.param(["verify-lemmas", "--q", "30011", "--g", "2"], id="verify-lemmas-q=30011"),
+    ],
+)
+def test_sieve_base_and_power_are_guarded(capsys, argv: list[str]):
+    # X beyond the sieve guard, q beyond the base guard, g^order beyond the power guard
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "guard" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", ["10007", "20011"])
+def test_largest_printed_cofactors_stay_admitted(capsys, q: str):
+    # cofactors of 1,503 and 2,004 decimal digits, below the power guard
+    code, out, _ = run_cli(capsys, "order-structure", "--q", q, "--g", "2", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["results"]["cofactor"] > 10**1500
+
+
+@pytest.mark.parametrize("subcommand", sorted(mdl.cli._HANDLERS))
 def test_threads_flag_is_gone(subcommand: str):
     with pytest.raises(SystemExit) as exc:
         main([subcommand, "--threads", "2"])
@@ -191,7 +250,7 @@ def test_output_flag_writes_file(tmp_path: Path, capsys):
 
 
 def test_self_check_exit_code(capsys, monkeypatch):
-    def forged(config):
+    def forged(q, g):
         raise SelfCheckError("closed form disagrees with the direct scan")
 
     monkeypatch.setitem(mdl.cli._HANDLERS, "order-structure", forged)
@@ -243,11 +302,12 @@ def _ints(low: int, high: int, *beyond_guard: int) -> st.SearchStrategy[int]:
 
 
 # Flag values per subcommand.  The ranges keep every example well under a
-# second.  The extra values of gamma, r, s, P and H put the modulus q^gamma
-# or q^(r+1), q^s, P^r or H times the distinct residues far beyond a
-# resource guard, so those runs must stop before any work starts.
-_Q, _G, _A = _ints(-2, 13), _ints(-3, 12), _ints(-3, 12)
-_X, _GAMMA = _ints(-2, 3000), _ints(-2, 12, 10**7)
+# second.  The extra values of q, X, gamma, r, s, P and H put q, X, the
+# modulus q^gamma or q^(r+1), q^s, g^order, P^r or H times the distinct
+# residues far beyond a resource guard, so those runs must stop before any
+# work starts.
+_Q, _G, _A = _ints(-2, 13, 30011, 2**61 - 1), _ints(-3, 12), _ints(-3, 12)
+_X, _GAMMA = _ints(-2, 3000, 10**20), _ints(-2, 12, 10**7)
 _FUZZ_FLAGS = {
     "digit-stats": {"q": _Q, "X": _X, "r": _ints(-2, 8, 10**7), "s": _ints(-2, 4, 20, 40)},
     "expsum": {"q": _Q, "gamma": _GAMMA, "a": _A, "g": _G, "X": _X},

@@ -6,8 +6,9 @@ import math
 
 import pytest
 
-from mdl.errors import PreconditionError, SelfCheckError
+from mdl.errors import PreconditionError, ResourceGuardError, SelfCheckError
 from mdl.order import (
+    POWER_BIT_GUARD,
     OrderStructure,
     congruence_criterion,
     excess_valuation,
@@ -38,6 +39,16 @@ def test_order_structure_rejections():
         order_structure(3, 6)
     with pytest.raises(PreconditionError):
         order_structure(4, 3)
+
+
+def test_power_guard_boundary():
+    # 16 has order 3571 mod 64279: 16^3571 = 2^14284 sits exactly on the guard
+    s = order_structure(64279, 16)
+    assert s.order_mod_q * 4 == POWER_BIT_GUARD
+    assert len(str(abs(s.cofactor))) <= 4300  # the most digits Python prints
+    # -32 has order 2857 mod 28571: (-32)^2857 has 14285 bits, one too many
+    with pytest.raises(ResourceGuardError, match="power guard"):
+        order_structure(28571, -32)
 
 
 def test_order_structure_negative_generator():

@@ -6,9 +6,10 @@ import math
 
 import pytest
 
+import mdl.primes
 from mdl.arith import is_prime
-from mdl.errors import PreconditionError
-from mdl.primes import PrimeRange, mangoldt_terms, pi_of, primes_up_to
+from mdl.errors import PreconditionError, ResourceGuardError
+from mdl.primes import SIEVE_GUARD, PrimeRange, mangoldt_terms, pi_of, primes_up_to
 from oracles import mangoldt_by_factoring, primes_by_trial_division
 
 
@@ -16,9 +17,10 @@ def test_sieve_matches_trial_division():
     assert list(primes_up_to(PrimeRange(2000))) == primes_by_trial_division(2000)
 
 
-def test_sieve_segmentation_is_invisible():
+def test_sieve_segmentation_is_invisible(monkeypatch):
     wide = list(primes_up_to(PrimeRange(10_000)))
-    narrow = list(primes_up_to(PrimeRange(10_000, segment_size=64)))
+    monkeypatch.setattr(mdl.primes, "SEGMENT_SIZE", 64)  # 79 segments instead of 2
+    narrow = list(primes_up_to(PrimeRange(10_000)))
     assert wide == narrow
 
 
@@ -30,8 +32,15 @@ def test_pi_of_reference_counts(x: int, count: int):
 def test_prime_range_validation():
     with pytest.raises(PreconditionError):
         PrimeRange(1)
-    with pytest.raises(PreconditionError):
-        PrimeRange(100, segment_size=8)
+
+
+def test_sieve_guard_boundary():
+    # the range is checked when it is built, before any segment is sieved
+    assert PrimeRange(SIEVE_GUARD).limit == SIEVE_GUARD
+    with pytest.raises(ResourceGuardError, match="sieve guard"):
+        PrimeRange(SIEVE_GUARD + 1)
+    with pytest.raises(ResourceGuardError):
+        pi_of(10**20)
 
 
 def test_mangoldt_terms_match_factoring_oracle():
