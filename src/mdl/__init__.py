@@ -10,8 +10,9 @@ a tolerance would otherwise creep in:
   exact star discrepancy, and an Erdos-Turan upper bound certifying it;
 - exact power-sum collision counts (mean-value counts) over small boxes.
 
-Every sum is one sequential pass over its stream, Kahan-summed in a fixed
-block order, so results are reproducible bit for bit.
+Every exponential sum is one sequential pass over its stream, Kahan-summed
+in a fixed block order, and the Erdos-Turan inner sums are correctly
+rounded by math.fsum, so results are reproducible bit for bit.
 """
 
 from .arith import (
@@ -53,7 +54,7 @@ from .primes import (
     pi_of,
     primes_up_to,
 )
-from .vmvt import VmvtInstance, ford_bound_log, monotonicity_check, vmvt_count
+from .vmvt import VmvtInstance, monotonicity_check, vmvt_count
 
 __version__ = "0.1.0"
 
@@ -91,7 +92,6 @@ __all__ = [
     "pi_of",
     "primes_up_to",
     "VmvtInstance",
-    "ford_bound_log",
     "monotonicity_check",
     "vmvt_count",
 ]

@@ -53,10 +53,11 @@ class RunConfig:
             raise PreconditionError(f"unknown output format {self.output_format!r}")
 
 
-def _cell(value: object) -> str:
+def _cell(value: object) -> object:
+    """A CSV cell: booleans as true/false, anything else unchanged for str()."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return value
 
 
 def _render_json(config: RunConfig, results: dict, stamp: str | None) -> str:
@@ -83,12 +84,12 @@ def _render_csv(
     if stamp is not None:
         lines.append(f"# generated {stamp}")
     lines.append(",".join(columns))
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _one_row(results: dict) -> SubcommandOutput:
-    return results, list(results), [tuple(results.values())]
+    return results, list(results), [tuple(map(_cell, results.values()))]
 
 
 def _run_digit_stats(q: int, X: int, r: int, s: int) -> SubcommandOutput:
@@ -194,8 +195,8 @@ def _run_verify_lemmas(q: int, g: int) -> SubcommandOutput:
         "all_ok": congruence_ok and valuation_ok,
     }
     rows = [
-        ("congruence", congruence_cases, congruence_ok),
-        ("valuation", valuation_cases, valuation_ok),
+        ("congruence", congruence_cases, _cell(congruence_ok)),
+        ("valuation", valuation_cases, _cell(valuation_ok)),
     ]
     return results, ["check", "cases", "ok"], rows
 

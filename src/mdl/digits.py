@@ -10,8 +10,12 @@ from exact integer or rational arithmetic.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .arith import (
     PrimePowerModulus,
@@ -19,10 +23,8 @@ from .arith import (
     check_modulus_size,
     is_prime,
     stepped_powers,
-    unit_circle_value,
 )
 from .errors import PreconditionError, ResourceGuardError
-from .expsum import kahan_sum
 from .primes import PrimeRange, primes_up_to
 from .vmvt import ENUMERATION_GUARD
 
@@ -127,17 +129,22 @@ def _window_checks(q: int, r: int, s: int) -> None:
     check_modulus_size(q, r + 1)
 
 
+def _mersenne_residue(p: int, q: int, r: int, s: int) -> tuple[int, int]:
+    """(2^p - 1 mod q^(r+1), q^(r+1)), once p, q, r and s are validated."""
+    _window_checks(q, r, s)
+    if not is_prime(p):
+        raise PreconditionError(f"p must be prime, got {p}")
+    modulus = q ** (r + 1)
+    return (pow(2, p, modulus) - 1) % modulus, modulus
+
+
 def digit_block(p: int, q: int, r: int, s: int) -> int:
     """Digits r..r-s+1 of 2^p - 1 in base q, packed into one integer.
 
     The window is read from the exact residue of 2^p - 1 mod q^(r+1); the
     returned value lies in [0, q^s).
     """
-    _window_checks(q, r, s)
-    if not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p}")
-    modulus = q ** (r + 1)
-    residue = (pow(2, p, modulus) - 1) % modulus
+    residue, _ = _mersenne_residue(p, q, r, s)
     return residue // q ** (r - s + 1)
 
 
@@ -169,7 +176,8 @@ def fractional_part_check(
 ) -> tuple[bool, bool]:
     """Test one digit window two independent ways; returns both booleans.
 
-    Route one reads the window from the residue and compares it to sigma.
+    Both routes start from one residue of 2^p - 1 mod q^(r+1).  Route one
+    reads the window from it by integer division and compares it to sigma.
     Route two asks whether the fractional part of (2^p - 1) / q^(r+1) lies
     in the half-open interval [sigma_value / q^s, (sigma_value + 1) / q^s),
     with both sides of each comparison multiplied out to exact integers.
@@ -180,10 +188,8 @@ def fractional_part_check(
         raise PreconditionError(f"sigma has base {sigma.q}, expected {q}")
     s = sigma.s
     target = sigma.block_value
-    by_digits = digit_block(p, q, r, s) == target  # also validates p, q, r, s
-
-    modulus = q ** (r + 1)
-    residue = (pow(2, p, modulus) - 1) % modulus
+    residue, modulus = _mersenne_residue(p, q, r, s)
+    by_digits = residue // q ** (r - s + 1) == target
     by_interval = target * modulus <= residue * q**s < (target + 1) * modulus
     return by_digits, by_interval
 
@@ -240,9 +246,11 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
 
     Evaluates 1/(H+1) + 3 * sum over h <= H of |S_h| / (h * N), where S_h
     sums the phase h * residue / q^gamma over the N residues.  Each phase
-    is the exact residue (h * residue) mod q^gamma over q^gamma, rounded
-    once; reducing that fraction first would give the same double, since
-    the division is correctly rounded.  residues is taken as in
+    ratio is the exact residue (h * residue) mod q^gamma over q^gamma,
+    formed by Python's correctly rounded int / int division for every
+    modulus.  For each h, numpy takes cos and sin of those ratios over the
+    distinct residues, and math.fsum adds the multiplicity-weighted real
+    and imaginary parts, each correctly rounded.  residues is taken as in
     discrepancy.
     Raises ResourceGuardError, before the first phase, when H times the
     number of distinct residues exceeds ENUMERATION_GUARD.
@@ -252,21 +260,20 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     modulus = _checked_modulus(q, gamma, residues)
     n = len(residues)
     # integer multiplicities keep the per-h pass cheap and deterministic
-    multiplicity: dict[int, int] = {}
-    for residue in residues:
-        multiplicity[residue] = multiplicity.get(residue, 0) + 1
-    support = sorted(multiplicity.items())
-    if H * len(support) > ENUMERATION_GUARD:
+    multiplicity = Counter(residues)
+    if H * len(multiplicity) > ENUMERATION_GUARD:
         raise ResourceGuardError(
-            f"H * distinct residues = {H} * {len(support)} exceeds the "
+            f"H * distinct residues = {H} * {len(multiplicity)} exceeds the "
             f"enumeration guard {ENUMERATION_GUARD}"
         )
+    support = list(multiplicity)
+    weights = np.array(list(multiplicity.values()), dtype=float)
 
     total = 0.0
     for h in range(1, H + 1):
-        inner = kahan_sum(
-            count * unit_circle_value(h * residue % modulus, modulus)
-            for residue, count in support
-        )
-        total += abs(inner) / (h * n)
+        ratios = np.array([h * residue % modulus / modulus for residue in support])
+        angles = math.tau * ratios
+        real = math.fsum((weights * np.cos(angles)).tolist())
+        imag = math.fsum((weights * np.sin(angles)).tolist())
+        total += abs(complex(real, imag)) / (h * n)
     return 1.0 / (H + 1) + ERDOS_TURAN_CONSTANT * total

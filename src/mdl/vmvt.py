@@ -2,17 +2,24 @@
 
 The central quantity is the number of 2r-tuples (n_1..n_r, m_1..m_r) in
 [1, P]^(2r) whose first k power sums agree: sum n_i^j = sum m_i^j for
-j = 1..k.  Counting enumerates only the P^r left tuples, groups them by
-their power-sum vector, and sums squared multiplicities; the fully naive
-double loop survives in the test suite as an independent oracle.  All
-power sums are exact big integers.
+j = 1..k.  Counting runs r rounds of a dynamic program over power-sum
+vectors: the state maps each vector reachable with i variables to the
+number of i-tuples that reach it, and one round adds each n in [1, P].
+The count is the sum of the squared multiplicities after round r.  A
+vector is packed into one integer, with its coordinates as digits in a
+radix above any coordinate the rounds can reach, so adding two vectors
+is one integer addition with no carries.  By Newton's identities the
+first r power sums of r numbers determine their multiset, and so do the
+first P - 1 power sums of numbers in [1, P] (a Vandermonde system in the
+multiplicities), so every k above min(r, P - 1) gives the same count as
+that clamp.  The fully naive double loop survives in the test suite as
+an independent oracle.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import PreconditionError, ResourceGuardError
 
@@ -21,10 +28,9 @@ __all__ = [
     "VmvtInstance",
     "vmvt_count",
     "monotonicity_check",
-    "ford_bound_log",
 ]
 
-ENUMERATION_GUARD = 10**8  # maximum number of left tuples P^r
+ENUMERATION_GUARD = 10**8  # maximum number of dictionary updates
 
 
 @dataclass(frozen=True)
@@ -46,61 +52,68 @@ class VmvtInstance:
             )
 
 
-def _check_guard(r: int, k: int, P: int) -> None:
-    if min(r, k, P) < 1:
-        raise PreconditionError(f"r, k, P must all be >= 1, got {r}, {k}, {P}")
-    if r * math.log(P) > math.log(ENUMERATION_GUARD) + 1e-9 or P**r > ENUMERATION_GUARD:
-        raise ResourceGuardError(
-            f"P^r = {P}^{r} exceeds the enumeration guard {ENUMERATION_GUARD}"
-        )
+def _check_guard(rounds: int, k: int, P: int) -> None:
+    """Reject, before any work, when `rounds` rounds may exceed the guard.
+
+    k must already be clamped.  A round updates at most P entries per live
+    vector.  The live vectors never outnumber the multisets
+    C(P+rounds-1, rounds), nor the box of power-sum vectors that `rounds`
+    variables reach, whose coordinate j takes rounds * (P^j - 1) + 1 values.
+    """
+    live = ENUMERATION_GUARD // (rounds * P)  # most live vectors the guard allows
+    if live >= 1 and math.comb(P + rounds - 1, rounds) <= live:
+        return
+    box = 1
+    for j in range(1, k + 1):
+        box *= rounds * (P**j - 1) + 1
+        if box > live:
+            raise ResourceGuardError(
+                f"r * P * live vectors for r={rounds}, k={k}, P={P} exceeds the "
+                f"enumeration guard {ENUMERATION_GUARD} dictionary updates"
+            )
+
+
+def _collision_counts(rounds: int, k: int, P: int) -> tuple[int, int]:
+    """Collision counts with rounds - 1 and with rounds variables per side."""
+    if min(rounds, k, P) < 1:
+        raise PreconditionError(f"r, k, P must all be >= 1, got {rounds}, {k}, {P}")
+    k = min(k, rounds, max(P - 1, 1))  # larger k changes no count
+    _check_guard(rounds, k, P)
+    radix = rounds * P**k + 1  # above every coordinate sum after `rounds` rounds
+    steps = [sum(n**j * radix ** (j - 1) for j in range(1, k + 1)) for n in range(1, P + 1)]
+    state = {0: 1}
+    previous = count = 1  # no variables: the empty tuples collide once
+    for _ in range(rounds):
+        reached: dict[int, int] = {}
+        for key, mult in state.items():
+            for step in steps:
+                vector = key + step
+                reached[vector] = reached.get(vector, 0) + mult
+        state = reached
+        previous, count = count, sum(mult * mult for mult in state.values())
+    return previous, count
 
 
 def vmvt_count(r: int, k: int, P: int) -> VmvtInstance:
     """Exact count of power-sum collisions in [1, P]^(2r) for exponents 1..k.
 
-    Enumerates the P^r left tuples, grouping them by power-sum vector, and
-    returns the sum of squared multiplicities.  Raises ResourceGuardError
-    when P^r exceeds the enumeration guard.
+    Runs r rounds of the power-sum dynamic program with k clamped to
+    min(k, r, P - 1), at least 1.
+    Raises ResourceGuardError, before any round, when r * P times the
+    smaller of the multiset count C(P+r-1, r) and the power-sum box
+    exceeds ENUMERATION_GUARD.
     """
-    _check_guard(r, k, P)
-    powers = {n: tuple(n**j for j in range(1, k + 1)) for n in range(1, P + 1)}
-    counts: dict[tuple[int, ...], int] = {}
-    for head in powers.values():
-        for rest in product(range(1, P + 1), repeat=r - 1):
-            key = head
-            for n in rest:
-                pn = powers[n]
-                key = tuple(key[j] + pn[j] for j in range(k))
-            counts[key] = counts.get(key, 0) + 1
-    total = sum(mult * mult for mult in counts.values())
-    return VmvtInstance(r, k, P, total)
+    _, count = _collision_counts(r, k, P)
+    return VmvtInstance(r, k, P, count)
 
 
 def monotonicity_check(r: int, k: int, P: int) -> bool:
     """Whether adding one variable pair grows the count by at most P^2.
 
-    Compares the exact counts at r+1 and r via integer arithmetic; both
-    instances must pass the enumeration guard.
+    Compares the exact counts at r and r+1, taken from the same r+1
+    rounds, via integer arithmetic; the r+1 rounds must pass the guard.
     """
-    wider = vmvt_count(r + 1, k, P)
-    base = vmvt_count(r, k, P)
-    return wider.count <= P * P * base.count
-
-
-def ford_bound_log(r: int, k: int, P: int) -> float:
-    """Natural log of the reference upper bound k^(3k^3) * P^(2r - k(k+1)/2 + k^2/1000).
-
-    Valid only in the regime k >= 129 and 2k^2 <= r <= 4k^2, far beyond
-    exhaustive counting, so this is a pure formula evaluation and is never
-    compared against an enumerated count.
-    """
-    if k < 129:
-        raise PreconditionError(f"k must be >= 129, got {k}")
-    if not 2 * k * k <= r <= 4 * k * k:
-        raise PreconditionError(
-            f"r must lie in [2k^2, 4k^2] = [{2 * k * k}, {4 * k * k}], got {r}"
-        )
-    if P < 1:
-        raise PreconditionError(f"P must be >= 1, got {P}")
-    exponent = 2 * r - k * (k + 1) // 2 + k * k / 1000.0
-    return 3 * k**3 * math.log(k) + exponent * math.log(P)
+    if r < 1:
+        raise PreconditionError(f"r must be >= 1, got {r}")
+    base, wider = _collision_counts(r + 1, k, P)
+    return wider <= P * P * base

@@ -179,3 +179,15 @@ def vmvt_by_double_loop(r: int, k: int, P: int) -> int:
             if key(right) == lk:
                 count += 1
     return count
+
+
+def vmvt_k1_by_polynomial_coefficients(r: int, P: int) -> int:
+    """k = 1 count as sum_m ([x^m] (x + ... + x^P)^r)^2, by polynomial products."""
+    coefficients = [1]
+    for _ in range(r):
+        product = [0] * (len(coefficients) + P)
+        for m, c in enumerate(coefficients):
+            for n in range(1, P + 1):
+                product[m + n] += c
+        coefficients = product
+    return sum(c * c for c in coefficients)

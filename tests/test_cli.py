@@ -136,9 +136,25 @@ def test_precondition_exit_code(capsys):
 
 
 def test_resource_guard_exit_code(capsys):
-    code, _, err = run_cli(capsys, "vmvt", "--r", "9", "--k", "1", "--P", "10")
-    assert code == 3
-    assert "guard" in err
+    # about 1.7 * 10^8 dictionary updates; (9, 1, 10) needs 7,380 and is admitted
+    code, out, err = run_cli(capsys, "vmvt", "--r", "6", "--k", "2", "--P", "30")
+    assert code == 3 and out == ""
+    assert "guard" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "r, k, P, count",
+    [("4", "3", "30", 17_856_234), ("4", "2", "40", 272_909_400), ("2", "200000", "3", 15)],
+)
+def test_vmvt_boxes_beyond_enumeration_run_fast(capsys, r, k, P, count):
+    # k = 200000 is clamped to r = 2; the report still echoes the given k
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "vmvt", "--r", r, "--k", k, "--P", P, "--no-timestamp")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["parameters"] == {"r": int(r), "k": int(k), "P": int(P)}
+    assert doc["results"] == {"count": count}
 
 
 def test_digit_window_bins_are_guarded(capsys):
@@ -303,9 +319,9 @@ def _ints(low: int, high: int, *beyond_guard: int) -> st.SearchStrategy[int]:
 
 # Flag values per subcommand.  The ranges keep every example well under a
 # second.  The extra values of q, X, gamma, r, s, P and H put q, X, the
-# modulus q^gamma or q^(r+1), q^s, g^order, P^r or H times the distinct
-# residues far beyond a resource guard, so those runs must stop before any
-# work starts.
+# modulus q^gamma or q^(r+1), q^s, g^order, the vmvt dictionary updates or
+# H times the distinct residues far beyond a resource guard, so those runs
+# must stop before any work starts; k = 10^6 is clamped to r.
 _Q, _G, _A = _ints(-2, 13, 30011, 2**61 - 1), _ints(-3, 12), _ints(-3, 12)
 _X, _GAMMA = _ints(-2, 3000, 10**20), _ints(-2, 12, 10**7)
 _FUZZ_FLAGS = {
@@ -313,7 +329,7 @@ _FUZZ_FLAGS = {
     "expsum": {"q": _Q, "gamma": _GAMMA, "a": _A, "g": _G, "X": _X},
     "mersenne-sum": {"q": _Q, "gamma": _GAMMA, "a": _A, "X": _X},
     "order-structure": {"q": _Q, "g": _G},
-    "vmvt": {"r": _ints(-2, 3), "k": _ints(-2, 4), "P": _ints(-2, 7, 10**5)},
+    "vmvt": {"r": _ints(-2, 3), "k": _ints(-2, 4, 10**6), "P": _ints(-2, 7, 10**5)},
     "discrepancy": {"q": _Q, "gamma": _GAMMA, "X": _X, "H": _ints(-2, 60, 10**9)},
     "verify-lemmas": {"q": _Q, "g": _G},
 }

@@ -173,6 +173,21 @@ def test_erdos_turan_frozen_golden_value():
     assert got == 0.14294865179649124
 
 
+# values frozen from the scalar cos/sin loop with Kahan sums that the numpy
+# phases and math.fsum replaced; moduli below 2^53 and above 2^63
+@pytest.mark.parametrize(
+    "q, gamma, X, H, frozen",
+    [
+        (5, 10, 10**5, 50, 0.12613993543911484),
+        (11, 5, 10**5, 100, 0.1454907221620843),
+        (3, 40, 10**5, 100, 0.13420312402117981),
+        (3, 101, 3 * 10**4, 50, 0.3285380685874239),
+    ],
+)
+def test_erdos_turan_frozen_scalar_route_values(q, gamma, X, H, frozen):
+    assert erdos_turan_bound(q, gamma, mersenne_residues(q, gamma, X), H) == frozen
+
+
 def test_erdos_turan_certifies_discrepancy_spot_checks():
     for q, gamma, X, H in [(3, 5, 2000, 10), (7, 1, 2000, 10), (3, 2, 500, 25)]:
         residues = mersenne_residues(q, gamma, X)

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from mdl.errors import PreconditionError, ResourceGuardError
-from mdl.vmvt import VmvtInstance, ford_bound_log, monotonicity_check, vmvt_count
-from oracles import vmvt_by_double_loop
+from mdl.vmvt import VmvtInstance, monotonicity_check, vmvt_count
+from oracles import vmvt_by_double_loop, vmvt_k1_by_polynomial_coefficients
 
 
 @pytest.mark.parametrize(
@@ -39,11 +37,61 @@ def test_vmvt_instance_rejects_impossible_count():
 
 
 def test_vmvt_guard():
+    # 9 * 10 * min(C(18, 9), 82) = 7,380 dictionary updates
+    assert vmvt_count(9, 1, 10).count == vmvt_k1_by_polynomial_coefficients(9, 10)
     with pytest.raises(ResourceGuardError):
-        vmvt_count(9, 1, 10)
+        vmvt_count(6, 2, 30)  # 6 * 30 * min(C(35, 6), 175 * 5395), about 1.7 * 10^8
     with pytest.raises(ResourceGuardError):
-        vmvt_count(1, 1, 10**8 + 1)
+        vmvt_count(1, 1, 10**8 + 1)  # r * P alone exceeds the guard
     assert vmvt_count(1, 1, 2).count == 2  # far inside the guard
+
+
+def test_vmvt_guard_boundary():
+    # r = k = 1 needs P * P updates: exactly 10^8 passes, one more P fails
+    assert vmvt_count(1, 1, 10**4).count == 10**4
+    with pytest.raises(ResourceGuardError):
+        vmvt_count(1, 1, 10**4 + 1)
+
+
+def test_vmvt_guard_rejects_before_any_work():
+    # a huge k is clamped before the guard and r * P is rejected before C(P+r-1, r)
+    with pytest.raises(ResourceGuardError):
+        vmvt_count(10**9, 10**9, 10**9)
+
+
+# counts frozen from the tuple enumeration that the dynamic program replaced
+@pytest.mark.parametrize(
+    "r, k, P, expected",
+    [(4, 3, 24, 7_124_904), (4, 2, 40, 272_909_400), (4, 3, 30, 17_856_234)],
+)
+def test_vmvt_frozen_enumeration_counts(r, k, P, expected):
+    assert vmvt_count(r, k, P).count == expected
+
+
+def test_vmvt_k1_against_polynomial_coefficients():
+    assert vmvt_count(4, 1, 100).count == 47_938_730_314_300
+    assert vmvt_k1_by_polynomial_coefficients(4, 100) == 47_938_730_314_300
+    for r, P in ((1, 7), (3, 9), (5, 6)):
+        assert vmvt_count(r, 1, P).count == vmvt_k1_by_polynomial_coefficients(r, P)
+
+
+def test_vmvt_k_beyond_r_counts_as_k_equals_r():
+    # Newton's identities: r power sums of r numbers fix their multiset
+    for r in (1, 2, 3):
+        for P in (1, 2, 3, 4):
+            want = vmvt_by_double_loop(r, r, P)
+            for k in range(r + 1, r + 3):
+                assert vmvt_by_double_loop(r, k, P) == want
+                assert vmvt_count(r, k, P).count == want
+    inst = vmvt_count(2, 20000, 3)
+    assert (inst.k, inst.count) == (20000, vmvt_count(2, 2, 3).count)
+
+
+def test_vmvt_k_beyond_p_minus_one_counts_as_k_equals_p_minus_one():
+    # P - 1 power sums fix the multiplicity of each value in [1, P]
+    for P in (2, 3):
+        for k in range(P, P + 3):
+            assert vmvt_count(4, k, P).count == vmvt_by_double_loop(4, P - 1, P)
 
 
 def test_vmvt_more_equations_never_add_solutions():
@@ -58,23 +106,12 @@ def test_monotonicity_reference_instances(r, k, P):
 
 
 def test_monotonicity_propagates_guard():
+    assert vmvt_count(5, 2, 30).count > 0  # r itself is inside the guard
     with pytest.raises(ResourceGuardError):
-        monotonicity_check(8, 1, 10)  # r+1 = 9 exceeds the guard at P=10
+        monotonicity_check(5, 2, 30)  # r+1 = 6 rounds exceed the guard at P=30
 
 
-def test_ford_bound_log_reference_values():
-    k = 129
-    assert ford_bound_log(2 * k * k, k, 1) == pytest.approx(
-        3 * k**3 * math.log(k), rel=1e-12
-    )
-    want = 3 * k**3 * math.log(k) + (66564 - 8385 + 16.641) * math.log(10)
-    assert ford_bound_log(33282, k, 10) == pytest.approx(want, rel=1e-9)
-
-
-def test_ford_bound_log_window_rejections():
+def test_monotonicity_rejects_r_below_one():
     with pytest.raises(PreconditionError):
-        ford_bound_log(2 * 128 * 128, 128, 10)  # k below the regime
-    with pytest.raises(PreconditionError):
-        ford_bound_log(129, 129, 10)  # r below 2k^2
-    with pytest.raises(PreconditionError):
-        ford_bound_log(5 * 129 * 129, 129, 10)  # r above 4k^2
+        monotonicity_check(0, 1, 3)
+
