@@ -24,7 +24,6 @@ from .arith import (
 )
 from .digits import (
     DigitCountReport,
-    DigitString,
     count_blocks,
     digit_block,
     discrepancy,
@@ -66,7 +65,6 @@ __all__ = [
     "stepped_powers",
     "unit_circle_value",
     "DigitCountReport",
-    "DigitString",
     "count_blocks",
     "digit_block",
     "discrepancy",

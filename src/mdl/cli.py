@@ -143,6 +143,8 @@ def _run_vmvt(r: int, k: int, P: int) -> SubcommandOutput:
 
 def _run_discrepancy(q: int, gamma: int, X: int, H: int = 100) -> SubcommandOutput:
     """star discrepancy of (2^p - 1)/q^gamma points, with its certified bound"""
+    if H < 1:  # before the residue walk, whose cost grows with X
+        raise PreconditionError(f"H must be >= 1, got {H}")
     residues = mersenne_residues(q, gamma, X)
     observed = discrepancy(q, gamma, residues)
     bound = erdos_turan_bound(q, gamma, residues, H)

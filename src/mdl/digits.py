@@ -1,10 +1,13 @@
 """Base-q digit statistics of Mersenne numbers 2^p - 1 over primes p <= X.
 
 A length-s window of base-q digits at positions r..r-s+1 (position 0 is
-the least significant digit) is read off exactly from 2^p - 1 mod q^(r+1).
-On top of that sit per-window prime counts, an exact star-discrepancy of
-the scaled residues, and an Erdos-Turan upper bound for that discrepancy
-built from exponential sums.  Everything float is a single rounding away
+the least significant digit) is a plain integer in [0, q^s), read off
+exactly from 2^p - 1 mod q^(r+1).  fractional_part_check verifies that
+reading against the fractional part of (2^p - 1) / q^(r+1), the reduction
+that turns digit windows into exponential sums.  On top of that sit
+per-window prime counts, an exact star-discrepancy of the scaled
+residues, and an Erdos-Turan upper bound for that discrepancy built from
+exponential sums.  Everything float is a single rounding away
 from exact integer or rational arithmetic.
 """
 
@@ -29,7 +32,6 @@ from .primes import PrimeRange, primes_up_to
 from .vmvt import ENUMERATION_GUARD
 
 __all__ = [
-    "DigitString",
     "DigitCountReport",
     "digit_block",
     "count_blocks",
@@ -46,43 +48,6 @@ BIN_GUARD = 10**6  # maximum number of digit-window values q^s
 # Leading constant of the discrepancy bound; the classical inequality
 # D* <= 1/(H+1) + 3 * sum_{h<=H} (1/h) |S_h| / N holds with this value.
 ERDOS_TURAN_CONSTANT = 3.0
-
-
-@dataclass(frozen=True)
-class DigitString:
-    """A window of base-q digits, most significant first."""
-
-    q: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_odd_prime(self.q)
-        if len(self.digits) < 1:
-            raise PreconditionError("digit string must have length >= 1")
-        for d in self.digits:
-            if not 0 <= d < self.q:
-                raise PreconditionError(f"digit {d} out of range for base {self.q}")
-
-    @property
-    def s(self) -> int:
-        return len(self.digits)
-
-    @property
-    def block_value(self) -> int:
-        value = 0
-        for d in self.digits:
-            value = value * self.q + d
-        return value
-
-    @classmethod
-    def from_value(cls, q: int, value: int, s: int) -> "DigitString":
-        _check_odd_prime(q)
-        if s < 1:
-            raise PreconditionError(f"s must be >= 1, got {s}")
-        if not 0 <= value < q**s:
-            raise PreconditionError(f"value {value} out of range [0, {q}^{s})")
-        digits = tuple((value // q**i) % q for i in reversed(range(s)))
-        return cls(q, digits)
 
 
 @dataclass(frozen=True)
@@ -138,6 +103,15 @@ def _mersenne_residue(p: int, q: int, r: int, s: int) -> tuple[int, int]:
     return (pow(2, p, modulus) - 1) % modulus, modulus
 
 
+def _window_values(q: int, s: int) -> int:
+    """q^s, the number of window values, once it is within BIN_GUARD."""
+    if q**s > BIN_GUARD:
+        raise ResourceGuardError(
+            f"q^s = {q}^{s} digit-window values exceed the bin guard {BIN_GUARD}"
+        )
+    return q**s
+
+
 def digit_block(p: int, q: int, r: int, s: int) -> int:
     """Digits r..r-s+1 of 2^p - 1 in base q, packed into one integer.
 
@@ -159,39 +133,35 @@ def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
     _window_checks(q, r, s)
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
-    if q**s > BIN_GUARD:
-        raise ResourceGuardError(
-            f"q^s = {q}^{s} digit-window values exceed the bin guard {BIN_GUARD}"
-        )
+    counts = [0] * _window_values(q, s)
     modulus = q ** (r + 1)
     divisor = q ** (r - s + 1)
-    counts = [0] * q**s
     for x in stepped_powers(2, primes_up_to(PrimeRange(X)), modulus):
         counts[((x - 1) % modulus) // divisor] += 1
     return DigitCountReport(q, r, s, X, tuple(counts), sum(counts))
 
 
-def fractional_part_check(
-    p: int, q: int, r: int, sigma: DigitString
-) -> tuple[bool, bool]:
-    """Test one digit window two independent ways; returns both booleans.
+def fractional_part_check(p: int, q: int, r: int, s: int) -> list[tuple[bool, bool]]:
+    """Test every value of one digit window two independent ways.
 
-    Both routes start from one residue of 2^p - 1 mod q^(r+1).  Route one
-    reads the window from it by integer division and compares it to sigma.
-    Route two asks whether the fractional part of (2^p - 1) / q^(r+1) lies
-    in the half-open interval [sigma_value / q^s, (sigma_value + 1) / q^s),
-    with both sides of each comparison multiplied out to exact integers.
-    The two answers agree for every input; returning both keeps the
-    equivalence observable.
+    Entry v holds two booleans for window value v in [0, q^s).  Both
+    routes start from one residue of 2^p - 1 mod q^(r+1).  Route one reads
+    the window from it by integer division and compares it to v.  Route
+    two asks whether the fractional part of (2^p - 1) / q^(r+1) lies in the
+    half-open interval [v / q^s, (v + 1) / q^s), with both sides of each
+    comparison multiplied out to exact integers.  The two answers agree
+    for every entry, and each route is true for exactly one v; returning
+    both keeps the equivalence observable.  Raises ResourceGuardError,
+    before the list is built, when q^s exceeds BIN_GUARD.
     """
-    if sigma.q != q:
-        raise PreconditionError(f"sigma has base {sigma.q}, expected {q}")
-    s = sigma.s
-    target = sigma.block_value
     residue, modulus = _mersenne_residue(p, q, r, s)
-    by_digits = residue // q ** (r - s + 1) == target
-    by_interval = target * modulus <= residue * q**s < (target + 1) * modulus
-    return by_digits, by_interval
+    size = _window_values(q, s)
+    window = residue // q ** (r - s + 1)
+    scaled = residue * size
+    return [
+        (window == v, v * modulus <= scaled < (v + 1) * modulus)
+        for v in range(size)
+    ]
 
 
 def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:

@@ -30,7 +30,7 @@ __all__ = [
     "monotonicity_check",
 ]
 
-ENUMERATION_GUARD = 10**8  # maximum number of dictionary updates
+ENUMERATION_GUARD = 10**8  # vmvt_count dictionary updates, erdos_turan_bound terms
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from itertools import product
 
 from mdl.arith import is_prime, padic_valuation
 from mdl.digits import (
-    DigitString,
     count_blocks,
     digit_block,
     discrepancy,
@@ -131,17 +130,17 @@ def test_criterion_04_fractional_part_equivalence_exhaustive():
     primes = list(primes_up_to(PrimeRange(10**4)))
     checked = 0
     for q in (3, 5, 7, 11):
-        windows = [
-            (r, s, DigitString.from_value(q, value, s))
-            for s in (1, 2)
-            for r in range(s - 1, 31)
-            for value in range(q**s)
-        ]
-        for p in primes:
-            for r, s, sigma in windows:
-                one, two = fractional_part_check(p, q, r, sigma)
-                assert one == two, (p, q, r, s, sigma.digits)
-                checked += 1
+        for s in (1, 2):
+            for r in range(s - 1, 31):
+                for p in primes:
+                    routes = fractional_part_check(p, q, r, s)
+                    # both routes true at one value and false at every other
+                    assert routes.count((True, True)) == 1, (p, q, r, s)
+                    assert routes.count((False, False)) == q**s - 1, (p, q, r, s)
+                    checked += len(routes)
+    elapsed = time.monotonic() - started
+    assert checked == 8512054
+    assert elapsed < 20.0, f"budget 20s exceeded: {elapsed:.1f}s"
     _report(4, f"{checked} digit-window vs interval checks agree", started)
 
 

@@ -302,6 +302,18 @@ def test_discrepancy_computes_residues_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_discrepancy_rejects_h_below_one_before_the_residue_walk(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(mdl.cli, "mersenne_residues", lambda *args: calls.append(args))
+    code, out, err = run_cli(
+        capsys, "discrepancy", "--q", "3", "--gamma", "2", "--X", "10000000", "--H", "0",
+    )
+    assert calls == []
+    assert code == 2 and out == ""
+    assert "H must be >= 1, got 0" in err
+    assert "Traceback" not in err
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     args = (
         "digit-stats", "--q", "3", "--X", "4000", "--r", "10", "--s", "2",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mdl.digits import (
     DigitCountReport,
-    DigitString,
     count_blocks,
     digit_block,
     discrepancy,
@@ -16,29 +15,13 @@ from mdl.digits import (
     fractional_part_check,
     mersenne_residues,
 )
-from mdl.errors import PreconditionError
+from mdl.errors import PreconditionError, ResourceGuardError
 from oracles import (
     digit_window_by_expansion,
     erdos_turan_by_unreduced_phases,
     primes_by_trial_division,
     star_discrepancy_by_threshold_sweep,
 )
-
-
-def test_digit_string_shape_and_value():
-    ds = DigitString(3, (2, 0))
-    assert ds.s == 2 and ds.block_value == 6
-    assert DigitString.from_value(3, 6, 2) == ds
-    assert DigitString.from_value(5, 0, 3).digits == (0, 0, 0)
-
-
-def test_digit_string_rejections():
-    with pytest.raises(PreconditionError):
-        DigitString(3, ())
-    with pytest.raises(PreconditionError):
-        DigitString(3, (3,))
-    with pytest.raises(PreconditionError):
-        DigitString.from_value(3, 9, 2)
 
 
 @pytest.mark.parametrize(
@@ -108,11 +91,13 @@ def test_count_report_validates_totals():
     [(7, 3, 2, (2, 0)), (5, 3, 1, (1, 1))],
 )
 def test_fractional_part_check_reference_true_cases(p, q, r, digits):
-    assert fractional_part_check(p, q, r, DigitString(q, digits)) == (True, True)
+    value = digits[0] * q + digits[1]
+    assert fractional_part_check(p, q, r, len(digits))[value] == (True, True)
 
 
 def test_fractional_part_check_mismatch_is_false_false():
-    assert fractional_part_check(7, 3, 2, DigitString(3, (1, 0))) == (False, False)
+    # value 3 is digits (1, 0); positions 2..1 of 127 = 11201 in base 3 hold (2, 0)
+    assert fractional_part_check(7, 3, 2, 2)[3] == (False, False)
 
 
 @settings(max_examples=200)
@@ -125,13 +110,35 @@ def test_fractional_part_check_mismatch_is_false_false():
 def test_fractional_part_routes_agree_everywhere(p, q, r, data):
     s = data.draw(st.integers(1, min(2, r + 1)))
     value = data.draw(st.integers(0, q**s - 1))
-    got = fractional_part_check(p, q, r, DigitString.from_value(q, value, s))
+    got = fractional_part_check(p, q, r, s)[value]
     assert got[0] == got[1]
 
 
-def test_fractional_part_check_base_mismatch():
+def test_fractional_part_routes_find_the_expanded_window():
+    for p in primes_by_trial_division(200):
+        for q in (3, 5, 7):
+            for r in (0, 1, 5, 12):
+                for s in range(1, min(2, r + 1) + 1):
+                    routes = fractional_part_check(p, q, r, s)
+                    want = [digit_window_by_expansion(p, q, r, s)]
+                    assert [v for v, (one, _) in enumerate(routes) if one] == want
+                    assert [v for v, (_, two) in enumerate(routes) if two] == want
+
+
+def test_fractional_part_check_window_values_are_guarded():
+    # 3^13 = 1,594,323 window values exceed BIN_GUARD
+    with pytest.raises(ResourceGuardError, match="bin guard"):
+        fractional_part_check(7, 3, 20, 13)
+
+
+@pytest.mark.parametrize(
+    "p, q, r, s",
+    [(7, 3, 2, 4), (8, 3, 2, 1), (7, 3, -1, 1), (7, 3, 2, 0)],
+    ids=["s-above-r-plus-1", "composite-p", "negative-r", "s-zero"],
+)
+def test_fractional_part_check_rejections(p, q, r, s):
     with pytest.raises(PreconditionError):
-        fractional_part_check(7, 5, 2, DigitString(3, (1, 0)))
+        fractional_part_check(p, q, r, s)
 
 
 def test_mersenne_residues_prime_order_and_values():
