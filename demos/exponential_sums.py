@@ -1,50 +1,34 @@
 """Exponential sums with Mersenne phases: cancellation against the trivial bound.
 
 The magnitude of each sum is compared with its normalizer (the trivial
-estimate) and with the parameterized analytic bound shape, which takes
-user-chosen constants because no effective ones are available.
+estimate); rho = log X / log q^gamma is the scale of X against the modulus.
 
 Run:  python3 demos/exponential_sums.py
 """
 
 from __future__ import annotations
 
-from mdl import (
-    PrimePowerModulus,
-    exp_sum_bound,
-    log_ratio,
-    mangoldt_exp_sum,
-    mersenne_prime_sum,
-)
+from mdl import mangoldt_exp_sum, mersenne_prime_sum
 
 
 def main() -> None:
-    m = PrimePowerModulus(3, 40)
-    print(f"modulus {m} = {m.modulus}")
+    q, gamma = 3, 40
+    print(f"modulus {q}^{gamma} = {q**gamma}")
     print("note: the modulus exceeds 2^53, phases still come from exact residues\n")
 
     print("log-weighted sum over prime powers n <= X of phase(a * 2^n)")
     print(f"{'X':>9} {'|sum|':>12} {'normalizer':>12} {'ratio':>8} {'rho':>7}")
     for X in (10**3, 10**4, 10**5):
-        r = mangoldt_exp_sum(m, a=1, g=2, X=X)
+        r = mangoldt_exp_sum(q, gamma, a=1, g=2, X=X)
         print(f"{X:>9} {r.magnitude:>12.3f} {r.normalizer:>12.3f} "
               f"{r.magnitude / r.normalizer:>8.4f} {r.rho:>7.4f}")
 
     print("\nsum over primes p <= X of phase(a * (2^p - 1))")
     print(f"{'X':>9} {'|sum|':>12} {'pi(X)':>8} {'ratio':>8}")
     for X in (10**3, 10**4, 10**5):
-        r = mersenne_prime_sum(m, a=1, X=X)
+        r = mersenne_prime_sum(q, gamma, a=1, X=X)
         print(f"{X:>9} {r.magnitude:>12.3f} {r.term_count:>8} "
               f"{r.magnitude / r.normalizer:>8.4f}")
-
-    print("\nbound shape c*(X^(1 - delta*rho^2) log X + X q^(-delta*gamma))")
-    X = 10**5
-    print(f"X = {X}, rho = {log_ratio(X, m):.4f}")
-    for delta in (0.001, 0.01, 0.1, 1.0):
-        print(f"  delta={delta:<6} bound={exp_sum_bound(X, m, delta, 1.0):.4g}")
-    print("the bound only beats the trivial estimate once delta*rho^2 is"
-          " large enough; with ineffective constants that is a qualitative"
-          " statement, so nothing here asserts it")
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ rounded by math.fsum, so results are reproducible bit for bit.
 """
 
 from .arith import (
-    PrimePowerModulus,
     is_prime,
     padic_valuation,
+    prime_power,
     stepped_powers,
     unit_circle_value,
 )
@@ -34,7 +34,6 @@ from .digits import (
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 from .expsum import (
     ExpSumResult,
-    exp_sum_bound,
     log_ratio,
     mangoldt_exp_sum,
     mersenne_prime_sum,
@@ -59,9 +58,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "PrimePowerModulus",
     "is_prime",
     "padic_valuation",
+    "prime_power",
     "stepped_powers",
     "unit_circle_value",
     "DigitCountReport",
@@ -75,7 +74,6 @@ __all__ = [
     "ResourceGuardError",
     "SelfCheckError",
     "ExpSumResult",
-    "exp_sum_bound",
     "log_ratio",
     "mangoldt_exp_sum",
     "mersenne_prime_sum",

@@ -1,14 +1,14 @@
 """Exact arithmetic over prime-power moduli.
 
-Everything here works on Python's arbitrary-precision integers; floating
-point enters exactly once, when a canonical residue is mapped to a point
-on the unit circle.  Values are immutable.
+Every modulus q^e is a plain int formed by prime_power, which checks q and
+e and the size of the power before it is formed.  Everything here works on
+Python's arbitrary-precision integers; floating point enters exactly once,
+when a canonical residue is mapped to a point on the unit circle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -17,10 +17,9 @@ from .errors import PreconditionError, ResourceGuardError
 __all__ = [
     "BASE_GUARD",
     "MODULUS_BIT_GUARD",
-    "PrimePowerModulus",
-    "check_modulus_size",
     "is_prime",
     "padic_valuation",
+    "prime_power",
     "stepped_powers",
     "unit_circle_value",
 ]
@@ -58,17 +57,22 @@ def _check_odd_prime(q: int) -> None:
         raise PreconditionError(f"q must be an odd prime >= 3, got {q}")
 
 
-def check_modulus_size(q: int, exponent: int) -> None:
-    """Reject q^exponent, before it is formed, when it exceeds MODULUS_BIT_GUARD bits.
+def prime_power(q: int, e: int) -> int:
+    """q**e for an odd prime q <= BASE_GUARD and an exponent e >= 1.
 
-    The size is read from the logarithm, exponent * log2(q), so a huge
-    exponent costs nothing.  Raises ResourceGuardError.
+    The power routinely exceeds the 53-bit float significand, so callers
+    reduce by it in exact integer arithmetic.  Its size is read from the
+    logarithm, e * log2(q), so a power beyond MODULUS_BIT_GUARD bits is
+    rejected with ResourceGuardError before it is formed.
     """
-    if exponent * math.log2(q) > MODULUS_BIT_GUARD:
+    _check_odd_prime(q)
+    if e < 1:
+        raise PreconditionError(f"gamma must be >= 1, got {e}")
+    if e * math.log2(q) > MODULUS_BIT_GUARD:
         raise ResourceGuardError(
-            f"modulus {q}^{exponent} exceeds the modulus guard of "
-            f"{MODULUS_BIT_GUARD} bits"
+            f"modulus {q}^{e} exceeds the modulus guard of {MODULUS_BIT_GUARD} bits"
         )
+    return q**e
 
 
 def padic_valuation(q: int, n: int) -> int:
@@ -86,31 +90,6 @@ def padic_valuation(q: int, n: int) -> int:
         n //= q
         k += 1
     return k
-
-
-@dataclass(frozen=True)
-class PrimePowerModulus:
-    """The modulus q**gamma for an odd prime q and a positive exponent.
-
-    The full power is computed once at construction and reused everywhere;
-    it routinely exceeds the 53-bit float significand, so all reductions
-    stay in exact integer arithmetic.  A power beyond MODULUS_BIT_GUARD
-    bits is rejected before it is formed.
-    """
-
-    q: int
-    gamma: int
-    modulus: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        _check_odd_prime(self.q)
-        if self.gamma < 1:
-            raise PreconditionError(f"gamma must be >= 1, got {self.gamma}")
-        check_modulus_size(self.q, self.gamma)
-        object.__setattr__(self, "modulus", self.q**self.gamma)
-
-    def __str__(self) -> str:
-        return f"{self.q}^{self.gamma}"
 
 
 def stepped_powers(

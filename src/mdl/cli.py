@@ -19,13 +19,11 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .arith import PrimePowerModulus
 from .digits import count_blocks, discrepancy, erdos_turan_bound, mersenne_residues
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 from .expsum import ExpSumResult, mangoldt_exp_sum, mersenne_prime_sum
@@ -38,21 +36,6 @@ CSV_SCHEMA = "mdl v1"
 SubcommandOutput = tuple[dict, list[str], list[tuple]]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully parsed invocation."""
-
-    subcommand: str
-    parameters: dict
-    output_format: str
-    output_path: Path | None
-    timestamp: bool
-
-    def __post_init__(self) -> None:
-        if self.output_format not in ("csv", "json"):
-            raise PreconditionError(f"unknown output format {self.output_format!r}")
-
-
 def _cell(value: object) -> object:
     """A CSV cell: booleans as true/false, anything else unchanged for str()."""
     if isinstance(value, bool):
@@ -60,7 +43,7 @@ def _cell(value: object) -> object:
     return value
 
 
-def _render_json(config: RunConfig, results: dict, stamp: str | None) -> str:
+def _render_json(config: argparse.Namespace, results: dict, stamp: str | None) -> str:
     doc = {
         "tool": "mdl",
         "version": __version__,
@@ -74,7 +57,7 @@ def _render_json(config: RunConfig, results: dict, stamp: str | None) -> str:
 
 
 def _render_csv(
-    config: RunConfig,
+    config: argparse.Namespace,
     columns: list[str],
     rows: list[tuple],
     stamp: str | None,
@@ -118,12 +101,12 @@ def _sum_row(result: ExpSumResult) -> SubcommandOutput:
 
 def _run_expsum(q: int, gamma: int, a: int, g: int, X: int) -> SubcommandOutput:
     """log-weighted exponential sum of a*g^n over prime powers n <= X"""
-    return _sum_row(mangoldt_exp_sum(PrimePowerModulus(q, gamma), a, g, X))
+    return _sum_row(mangoldt_exp_sum(q, gamma, a, g, X))
 
 
 def _run_mersenne_sum(q: int, gamma: int, a: int, X: int) -> SubcommandOutput:
     """exponential sum of a*(2^p - 1) over primes p <= X"""
-    return _sum_row(mersenne_prime_sum(PrimePowerModulus(q, gamma), a, X))
+    return _sum_row(mersenne_prime_sum(q, gamma, a, X))
 
 
 def _run_order_structure(q: int, g: int) -> SubcommandOutput:
@@ -236,28 +219,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv: Sequence[str]) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    flags = inspect.signature(_HANDLERS[ns.subcommand]).parameters
-    parameters = {flag: getattr(ns, flag) for flag in flags}
-    return RunConfig(
-        subcommand=ns.subcommand,
-        parameters=parameters,
-        output_format=ns.format,
-        output_path=ns.output,
-        timestamp=not ns.no_timestamp,
-    )
+def parse_config(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv; parameters holds the handler's flags in signature order."""
+    config = build_parser().parse_args(argv)
+    flags = inspect.signature(_HANDLERS[config.subcommand]).parameters
+    config.parameters = {flag: getattr(config, flag) for flag in flags}
+    return config
 
 
-def run(config: RunConfig) -> str:
-    """Execute one configuration and return the rendered report text."""
+def run(config: argparse.Namespace) -> str:
+    """Execute one parsed invocation and return the rendered report text."""
     results, columns, rows = _HANDLERS[config.subcommand](**config.parameters)
     stamp = (
-        datetime.now(timezone.utc).isoformat(timespec="seconds")
-        if config.timestamp
-        else None
+        None
+        if config.no_timestamp
+        else datetime.now(timezone.utc).isoformat(timespec="seconds")
     )
-    if config.output_format == "json":
+    if config.format == "json":
         return _render_json(config, results, stamp)
     return _render_csv(config, columns, rows, stamp)
 
@@ -278,8 +256,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"mdl: internal self-check failed: {exc}", file=sys.stderr)
         return 4
     try:
-        if config.output_path is not None:
-            config.output_path.write_text(report)
+        if config.output is not None:
+            config.output.write_text(report)
         else:
             sys.stdout.write(report)
     except OSError as exc:

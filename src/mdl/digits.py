@@ -20,13 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import (
-    PrimePowerModulus,
-    _check_odd_prime,
-    check_modulus_size,
-    is_prime,
-    stepped_powers,
-)
+from .arith import _check_odd_prime, is_prime, prime_power, stepped_powers
 from .errors import PreconditionError, ResourceGuardError
 from .primes import PrimeRange, primes_up_to
 from .vmvt import ENUMERATION_GUARD
@@ -85,21 +79,21 @@ class DigitCountReport:
         object.__setattr__(self, "max_abs_deviation", max(map(abs, deviations)))
 
 
-def _window_checks(q: int, r: int, s: int) -> None:
-    _check_odd_prime(q)
+def _window_checks(q: int, r: int, s: int) -> int:
+    """q^(r+1), the modulus of window (q, r, s), once q, r and s are valid."""
+    _check_odd_prime(q)  # a bad q is reported before a bad r or s
     if r < 0:
         raise PreconditionError(f"r must be >= 0, got {r}")
     if s < 1 or s > r + 1:
         raise PreconditionError(f"need 1 <= s <= r+1, got s={s}, r={r}")
-    check_modulus_size(q, r + 1)
+    return prime_power(q, r + 1)
 
 
 def _mersenne_residue(p: int, q: int, r: int, s: int) -> tuple[int, int]:
     """(2^p - 1 mod q^(r+1), q^(r+1)), once p, q, r and s are validated."""
-    _window_checks(q, r, s)
+    modulus = _window_checks(q, r, s)
     if not is_prime(p):
         raise PreconditionError(f"p must be prime, got {p}")
-    modulus = q ** (r + 1)
     return (pow(2, p, modulus) - 1) % modulus, modulus
 
 
@@ -130,11 +124,10 @@ def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
     ResourceGuardError, before anything is allocated, when q^s exceeds
     BIN_GUARD or q^(r+1) exceeds MODULUS_BIT_GUARD bits.
     """
-    _window_checks(q, r, s)
+    modulus = _window_checks(q, r, s)
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
     counts = [0] * _window_values(q, s)
-    modulus = q ** (r + 1)
     divisor = q ** (r - s + 1)
     for x in stepped_powers(2, primes_up_to(PrimeRange(X)), modulus):
         counts[((x - 1) % modulus) // divisor] += 1
@@ -169,7 +162,7 @@ def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
 
     One stepped_powers walk over the prime stream.
     """
-    modulus = PrimePowerModulus(q, gamma).modulus
+    modulus = prime_power(q, gamma)
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
     primes = primes_up_to(PrimeRange(X))
@@ -178,7 +171,7 @@ def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
 
 def _checked_modulus(q: int, gamma: int, residues: Sequence[int]) -> int:
     """q^gamma, once residues is known to be a non-empty list of residues mod it."""
-    modulus = PrimePowerModulus(q, gamma).modulus
+    modulus = prime_power(q, gamma)
     if not residues:
         raise PreconditionError("residues must not be empty")
     for value in residues:

@@ -1,4 +1,4 @@
-"""Exponential sums over prime-power moduli, plus their bound expressions.
+"""Exponential sums over prime-power moduli q^gamma.
 
 Two sums are provided: one over prime powers n <= X weighted by log p
 (von Mangoldt weights), with phase a*g^n, and one over primes p <= X with
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import groupby, tee
 from typing import Iterable
 
-from .arith import PrimePowerModulus, stepped_powers, unit_circle_value
+from .arith import prime_power, stepped_powers, unit_circle_value
 from .errors import PreconditionError, SelfCheckError
 from .primes import PrimeRange, mangoldt_terms, primes_up_to
 
@@ -28,7 +28,6 @@ __all__ = [
     "kahan_sum",
     "mangoldt_exp_sum",
     "mersenne_prime_sum",
-    "exp_sum_bound",
     "log_ratio",
 ]
 
@@ -40,7 +39,7 @@ class ExpSumResult:
     """Value and context of one evaluated exponential sum.
 
     normalizer is the sum of the absolute term weights (so the trivial
-    estimate is |sum| <= normalizer); rho is log X over log modulus.  The
+    estimate is |sum| <= normalizer); rho is log X over log q^gamma.  The
     triangle inequality is re-checked at construction.
     """
 
@@ -48,7 +47,6 @@ class ExpSumResult:
     imag: float
     term_count: int
     normalizer: float
-    modulus: PrimePowerModulus
     rho: float
 
     def __post_init__(self) -> None:
@@ -66,34 +64,17 @@ class ExpSumResult:
         return math.hypot(self.real, self.imag)
 
 
-def _reject_non_unit(m: PrimePowerModulus, name: str, value: int) -> None:
-    if value % m.q == 0:
-        raise PreconditionError(
-            f"{name}={value} must be coprime to q={m.q}"
-        )
+def _reject_non_unit(q: int, name: str, value: int) -> None:
+    if value % q == 0:
+        raise PreconditionError(f"{name}={value} must be coprime to q={q}")
 
 
-def log_ratio(X: int, m: PrimePowerModulus) -> float:
-    """log(X) / log(modulus), the scale of X against the modulus."""
+def log_ratio(X: int, q: int, gamma: int) -> float:
+    """log(X) / log(q^gamma), the scale of X against the modulus."""
+    prime_power(q, gamma)
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
-    return math.log(X) / (m.gamma * math.log(m.q))
-
-
-def exp_sum_bound(X: int, m: PrimePowerModulus, delta: float, c: float) -> float:
-    """Evaluate c * (X^(1 - delta*rho^2) * log X + X * q^(-delta*gamma)).
-
-    delta and c are free user-supplied parameters; nothing here asserts
-    that any particular sum obeys this expression.
-    """
-    if X < 2:
-        raise PreconditionError(f"X must be >= 2, got {X}")
-    if delta <= 0 or c <= 0:
-        raise PreconditionError(f"delta and c must be > 0, got {delta}, {c}")
-    rho = log_ratio(X, m)
-    main = math.exp((1.0 - delta * rho * rho) * math.log(X)) * math.log(X)
-    tail = X * math.exp(-delta * m.gamma * math.log(m.q))
-    return c * (main + tail)
+    return math.log(X) / (gamma * math.log(q))
 
 
 def kahan_sum(values: Iterable[complex]) -> complex:
@@ -129,41 +110,41 @@ def _phase_sum(
     return kahan_sum(sums), kahan_sum(weights).real, count
 
 
-def mangoldt_exp_sum(m: PrimePowerModulus, a: int, g: int, X: int) -> ExpSumResult:
+def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult:
     """Sum of log(p) * phase(a * g^n) over prime powers n = p^k <= X.
 
-    The phase of t is exp(2*pi*i*t/modulus).  normalizer is the total
+    The phase of t is exp(2*pi*i*t/q^gamma).  normalizer is the total
     weight sum over the same n.  X=1 gives the empty sum.
     """
+    Q = prime_power(q, gamma)
     if X < 1:
         raise PreconditionError(f"X must be >= 1, got {X}")
-    _reject_non_unit(m, "a", a)
-    _reject_non_unit(m, "g", g)
+    _reject_non_unit(q, "a", a)
+    _reject_non_unit(q, "g", g)
     if g in (-1, 0, 1):
         raise PreconditionError(f"g must be an integer with |g| >= 2, got {g}")
-    Q = m.modulus
     if X == 1:
-        return ExpSumResult(0.0, 0.0, 0, 0.0, m, 0.0)
+        return ExpSumResult(0.0, 0.0, 0, 0.0, 0.0)
     terms, exponents = tee(mangoldt_terms(PrimeRange(X)))
     powers = stepped_powers(g, (n for n, _ in exponents), Q)
     total, normalizer, count = _phase_sum(
         ((n, weight, (a * x) % Q) for (n, weight), x in zip(terms, powers)), Q
     )
-    return ExpSumResult(total.real, total.imag, count, normalizer, m, log_ratio(X, m))
+    return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))
 
 
-def mersenne_prime_sum(m: PrimePowerModulus, a: int, X: int) -> ExpSumResult:
+def mersenne_prime_sum(q: int, gamma: int, a: int, X: int) -> ExpSumResult:
     """Sum of phase(a * (2^p - 1)) over primes p <= X.
 
     normalizer is the prime count up to X.
     """
+    Q = prime_power(q, gamma)
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
-    _reject_non_unit(m, "a", a)
-    Q = m.modulus
+    _reject_non_unit(q, "a", a)
     primes, exponents = tee(primes_up_to(PrimeRange(X)))
     powers = stepped_powers(2, exponents, Q)
     total, normalizer, count = _phase_sum(
         ((p, 1.0, (a * (x - 1)) % Q) for p, x in zip(primes, powers)), Q
     )
-    return ExpSumResult(total.real, total.imag, count, normalizer, m, log_ratio(X, m))
+    return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))

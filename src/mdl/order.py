@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, log2
 
-from .arith import _check_odd_prime, padic_valuation
+from .arith import _check_odd_prime, padic_valuation, prime_power
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 
 __all__ = [
@@ -114,13 +114,15 @@ def order_mod_power(structure: OrderStructure, n: int) -> int:
     """Multiplicative order of g modulo q**n.
 
     Equals order_mod_q while n <= lift_valuation, then grows by a factor
-    of q per extra power.
+    of q per extra power.  Raises ResourceGuardError, before q**n is
+    formed, when it exceeds MODULUS_BIT_GUARD bits.
     """
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     if n <= structure.lift_valuation:
         return structure.order_mod_q
-    return structure.q ** (n - structure.lift_valuation) * structure.order_mod_q
+    q, G = structure.q, structure.lift_valuation
+    return prime_power(q, n) // q**G * structure.order_mod_q
 
 
 def excess_valuation(structure: OrderStructure, n: int) -> int:
@@ -178,7 +180,9 @@ def congruence_criterion(
     With t the order of g mod q**s and r >= s >= lift_valuation, the claim
     is that g**(n1*t) and g**(n2*t) agree mod q**r exactly when q**(r-s)
     divides n1 - n2.  Returns (left, right), each side computed on its own:
-    the left by modular exponentiation, the right by divisibility.
+    the left by modular exponentiation, the right by divisibility.  Raises
+    ResourceGuardError, before it is formed, when q**r exceeds
+    MODULUS_BIT_GUARD bits.
     """
     if n1 < 0 or n2 < 0:
         raise PreconditionError(f"n1, n2 must be >= 0, got {n1}, {n2}")
@@ -188,7 +192,7 @@ def congruence_criterion(
             f"lift_valuation={structure.lift_valuation}"
         )
     q = structure.q
-    modulus = q**r
+    modulus = prime_power(q, r)
     t = order_mod_power(structure, s)
     lhs = pow(structure.g, n1 * t, modulus) == pow(structure.g, n2 * t, modulus)
     rhs = (n1 - n2) % q ** (r - s) == 0

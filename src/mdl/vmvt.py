@@ -77,7 +77,9 @@ def _collision_counts(rounds: int, k: int, P: int) -> tuple[int, int]:
     """Collision counts with rounds - 1 and with rounds variables per side."""
     if min(rounds, k, P) < 1:
         raise PreconditionError(f"r, k, P must all be >= 1, got {rounds}, {k}, {P}")
-    k = min(k, rounds, max(P - 1, 1))  # larger k changes no count
+    if P == 1:  # the box [1, 1]^(2r) holds one tuple, for every r
+        return 1, 1
+    k = min(k, rounds, P - 1)  # larger k changes no count
     _check_guard(rounds, k, P)
     radix = rounds * P**k + 1  # above every coordinate sum after `rounds` rounds
     steps = [sum(n**j * radix ** (j - 1) for j in range(1, k + 1)) for n in range(1, P + 1)]
@@ -98,7 +100,7 @@ def vmvt_count(r: int, k: int, P: int) -> VmvtInstance:
     """Exact count of power-sum collisions in [1, P]^(2r) for exponents 1..k.
 
     Runs r rounds of the power-sum dynamic program with k clamped to
-    min(k, r, P - 1), at least 1.
+    min(k, r, P - 1); P = 1 gives a count of 1 with no round.
     Raises ResourceGuardError, before any round, when r * P times the
     smaller of the multiset count C(P+r-1, r) and the power-sum box
     exceeds ENUMERATION_GUARD.

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from mdl.arith import (
     BASE_GUARD,
     MODULUS_BIT_GUARD,
-    PrimePowerModulus,
-    check_modulus_size,
     is_prime,
     padic_valuation,
+    prime_power,
     unit_circle_value,
 )
+from mdl.digits import discrepancy, erdos_turan_bound, mersenne_residues
 from mdl.errors import PreconditionError, ResourceGuardError
+from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
 
 
 def test_is_prime_small_values():
@@ -49,42 +50,66 @@ def test_padic_valuation_definition(q: int, e: int, cofactor: int):
 
 
 def test_prime_power_modulus_construction():
-    m = PrimePowerModulus(3, 40)
-    assert m.modulus == 3**40
-    assert str(m) == "3^40"
+    assert prime_power(3, 40) == 3**40
     with pytest.raises(PreconditionError):
-        PrimePowerModulus(2, 5)  # only odd primes carry a digit statistic here
+        prime_power(2, 5)  # only odd primes carry a digit statistic here
     with pytest.raises(PreconditionError):
-        PrimePowerModulus(9, 2)
+        prime_power(9, 2)
     with pytest.raises(PreconditionError):
-        PrimePowerModulus(3, 0)
+        prime_power(3, 0)
 
 
 def test_modulus_guard_boundary():
     # 3^41348 has 65536 bits, 3^41349 has 65537: the guard sits between them
-    assert PrimePowerModulus(3, 41348).modulus.bit_length() == MODULUS_BIT_GUARD
+    assert prime_power(3, 41348).bit_length() == MODULUS_BIT_GUARD
     with pytest.raises(ResourceGuardError):
-        PrimePowerModulus(3, 41349)
-    check_modulus_size(11, 101)  # the widest modulus the tests and goldens use
+        prime_power(3, 41349)
+    prime_power(11, 101)  # the widest modulus the tests and goldens use
 
 
 def test_modulus_guard_never_forms_the_power():
     # 3^(10^18) could not be formed at all; the guard reads its logarithm
     with pytest.raises(ResourceGuardError, match="modulus guard"):
-        check_modulus_size(3, 10**18)
-    with pytest.raises(ResourceGuardError):
-        PrimePowerModulus(3, 10**18)
+        prime_power(3, 10**18)
 
 
 def test_base_guard_boundary():
     # 2^32 - 5 is the largest prime below the guard, 2^32 + 15 the smallest above
     assert BASE_GUARD == 2**32
-    assert PrimePowerModulus(2**32 - 5, 1).modulus == 2**32 - 5
+    assert prime_power(2**32 - 5, 1) == 2**32 - 5
     with pytest.raises(ResourceGuardError, match="base guard"):
-        PrimePowerModulus(2**32 + 15, 1)
+        prime_power(2**32 + 15, 1)
     # 2^61 - 1 is prime; the guard answers before any trial division
     with pytest.raises(ResourceGuardError):
-        PrimePowerModulus(2**61 - 1, 1)
+        prime_power(2**61 - 1, 1)
+
+
+@pytest.mark.parametrize(
+    "q, gamma, error",
+    [
+        (9, 2, PreconditionError),
+        (3, 0, PreconditionError),
+        (2**32 + 15, 1, ResourceGuardError),
+        (3, 41349, ResourceGuardError),
+    ],
+    ids=["q=9", "gamma=0", "q=2^32+15", "3^41349"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q, gamma: mersenne_residues(q, gamma, 100),
+        lambda q, gamma: discrepancy(q, gamma, [0]),
+        lambda q, gamma: erdos_turan_bound(q, gamma, [0], 1),
+        lambda q, gamma: mangoldt_exp_sum(q, gamma, 1, 2, 100),
+        lambda q, gamma: mersenne_prime_sum(q, gamma, 1, 100),
+    ],
+    ids=["residues", "discrepancy", "erdos_turan", "mangoldt", "mersenne"],
+)
+def test_every_modulus_taker_rejects_like_prime_power(call, q, gamma, error):
+    with pytest.raises(error):
+        prime_power(q, gamma)
+    with pytest.raises(error):
+        call(q, gamma)
 
 
 def test_unit_circle_value_against_cmath():

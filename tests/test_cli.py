@@ -144,7 +144,12 @@ def test_resource_guard_exit_code(capsys):
 
 @pytest.mark.parametrize(
     "r, k, P, count",
-    [("4", "3", "30", 17_856_234), ("4", "2", "40", 272_909_400), ("2", "200000", "3", 15)],
+    [
+        ("4", "3", "30", 17_856_234),
+        ("4", "2", "40", 272_909_400),
+        ("2", "200000", "3", 15),
+        ("100000000", "1", "1", 1),  # [1, 1]^(2r) holds one tuple, with no round run
+    ],
 )
 def test_vmvt_boxes_beyond_enumeration_run_fast(capsys, r, k, P, count):
     # k = 200000 is clamped to r = 2; the report still echoes the given k

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
@@ -71,6 +72,25 @@ def test_constructor_rejects_forged_fields():
 )
 def test_order_mod_power_reference_values(q: int, g: int, n: int, expected: int):
     assert order_mod_power(order_structure(q, g), n) == expected
+
+
+def test_order_mod_power_modulus_guard_boundary():
+    # 3^41348 has 65536 bits, 3^41349 has 65537: the modulus guard sits between them
+    s = order_structure(3, 2)  # order 2, lift valuation 1
+    assert order_mod_power(s, 41348) == 2 * 3**41347
+    with pytest.raises(ResourceGuardError, match="modulus guard"):
+        order_mod_power(s, 41349)
+
+
+def test_order_powers_are_guarded_before_they_are_formed():
+    # 11^(10^9) has about 3.5 * 10^9 bits; the guard reads its logarithm
+    s = order_structure(11, 3)
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="modulus guard"):
+        order_mod_power(s, 10**9)
+    with pytest.raises(ResourceGuardError, match="modulus guard"):
+        congruence_criterion(s, 10**9, 2, 0, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_order_mod_power_matches_full_scan_small_box():

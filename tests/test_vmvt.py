@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from mdl.errors import PreconditionError, ResourceGuardError
@@ -51,6 +53,14 @@ def test_vmvt_guard_boundary():
     assert vmvt_count(1, 1, 10**4).count == 10**4
     with pytest.raises(ResourceGuardError):
         vmvt_count(1, 1, 10**4 + 1)
+
+
+def test_vmvt_p_one_counts_one_without_rounds():
+    # [1, 1]^(2r) holds one tuple; r = 10^8 rounds would take minutes
+    start = time.perf_counter()
+    assert vmvt_count(10**8, 1, 1).count == 1
+    assert monotonicity_check(10**8, 1, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_vmvt_guard_rejects_before_any_work():
