@@ -49,7 +49,6 @@ from .order import (
 from .primes import (
     PrimeRange,
     mangoldt_terms,
-    pi_of,
     primes_up_to,
 )
 from .vmvt import VmvtInstance, monotonicity_check, vmvt_count
@@ -85,7 +84,6 @@ __all__ = [
     "valuation_difference",
     "PrimeRange",
     "mangoldt_terms",
-    "pi_of",
     "primes_up_to",
     "VmvtInstance",
     "monotonicity_check",

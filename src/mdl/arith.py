@@ -25,28 +25,32 @@ __all__ = [
 ]
 
 MODULUS_BIT_GUARD = 1 << 16  # maximum size, in bits, of a modulus q^e
-BASE_GUARD = 1 << 32  # largest prime base q
+BASE_GUARD = 1 << 32  # largest prime base q, and largest n tested by trial division
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factors of n <= BASE_GUARD with multiplicities, by trial division.
+
+    A larger n raises ResourceGuardError before any division.
+    """
+    if n > BASE_GUARD:
+        raise ResourceGuardError(f"n = {n} exceeds the base guard {BASE_GUARD}")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test.
-
-    Intended for the small fixed moduli this library works with; cached
-    because the same handful of primes is re-checked in hot loops.
-    """
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Primality by _factorize; cached, as hot loops re-check the same primes."""
+    return n >= 2 and _factorize(n) == {n: 1}
 
 
 def _check_odd_prime(q: int) -> None:
@@ -55,6 +59,15 @@ def _check_odd_prime(q: int) -> None:
         raise ResourceGuardError(f"q = {q} exceeds the base guard {BASE_GUARD}")
     if not is_prime(q) or q < 3:
         raise PreconditionError(f"q must be an odd prime >= 3, got {q}")
+
+
+def _check_unit_base(q: int, g: int) -> None:
+    """Reject q as _check_odd_prime does, then g if |g| < 2 or q divides g."""
+    _check_odd_prime(q)
+    if g in (-1, 0, 1):
+        raise PreconditionError(f"g must be an integer with |g| >= 2, got {g}")
+    if g % q == 0:
+        raise PreconditionError(f"g={g} must not be divisible by q={q}")
 
 
 def prime_power(q: int, e: int) -> int:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import tee
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -106,6 +107,23 @@ def _window_values(q: int, s: int) -> int:
     return q**s
 
 
+def _mersenne_walk(modulus: int, X: int) -> Iterator[tuple[int, int]]:
+    """(p, 2^p - 1 mod modulus) for each prime p <= X, streamed in p order.
+
+    One stepped_powers pass.  X is checked at once, the sieve guard when
+    the first pair is drawn, so callers can finish their own checks first.
+    """
+    if X < 2:
+        raise PreconditionError(f"X must be >= 2, got {X}")
+
+    def walk() -> Iterator[tuple[int, int]]:
+        primes, exponents = tee(primes_up_to(PrimeRange(X)))
+        for p, x in zip(primes, stepped_powers(2, exponents, modulus)):
+            yield p, (x - 1) % modulus
+
+    return walk()
+
+
 def digit_block(p: int, q: int, r: int, s: int) -> int:
     """Digits r..r-s+1 of 2^p - 1 in base q, packed into one integer.
 
@@ -119,18 +137,16 @@ def digit_block(p: int, q: int, r: int, s: int) -> int:
 def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
     """Count primes p <= X by the value of their digit window (q, r, s).
 
-    The residues 2^p mod q^(r+1) come from one walk over the prime gaps
-    (stepped_powers), each added to one of q^s counters.  Raises
-    ResourceGuardError, before anything is allocated, when q^s exceeds
-    BIN_GUARD or q^(r+1) exceeds MODULUS_BIT_GUARD bits.
+    The residues 2^p - 1 mod q^(r+1) stream from the Mersenne walk, each
+    added to one of q^s counters.  Raises ResourceGuardError, before
+    anything is allocated, when q^s exceeds BIN_GUARD or q^(r+1) exceeds
+    MODULUS_BIT_GUARD bits.
     """
-    modulus = _window_checks(q, r, s)
-    if X < 2:
-        raise PreconditionError(f"X must be >= 2, got {X}")
+    walk = _mersenne_walk(_window_checks(q, r, s), X)
     counts = [0] * _window_values(q, s)
     divisor = q ** (r - s + 1)
-    for x in stepped_powers(2, primes_up_to(PrimeRange(X)), modulus):
-        counts[((x - 1) % modulus) // divisor] += 1
+    for _, residue in walk:
+        counts[residue // divisor] += 1
     return DigitCountReport(q, r, s, X, tuple(counts), sum(counts))
 
 
@@ -160,13 +176,9 @@ def fractional_part_check(p: int, q: int, r: int, s: int) -> list[tuple[bool, bo
 def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
     """Residues of 2^p - 1 mod q^gamma for all primes p <= X, in p order.
 
-    One stepped_powers walk over the prime stream.
+    The Mersenne walk, collected into a list.
     """
-    modulus = prime_power(q, gamma)
-    if X < 2:
-        raise PreconditionError(f"X must be >= 2, got {X}")
-    primes = primes_up_to(PrimeRange(X))
-    return [(x - 1) % modulus for x in stepped_powers(2, primes, modulus)]
+    return [residue for _, residue in _mersenne_walk(prime_power(q, gamma), X)]
 
 
 def _checked_modulus(q: int, gamma: int, residues: Sequence[int]) -> int:

@@ -5,10 +5,11 @@ Two sums are provided: one over prime powers n <= X weighted by log p
 phase a*(2^p - 1).  Phases are exact residues; only the final
 residue/modulus ratio is rounded to double, so the modulus may far exceed
 2^53 without loss.  Each sum is one sequential pass over its stream: the
-powers g^n and 2^p come from one walk across the gaps between consecutive
-exponents (stepped_powers), and the phases are Kahan-summed in fixed
-blocks of BLOCK_WIDTH consecutive exponents, so results are reproducible
-bit for bit.
+powers g^n come from one walk across the gaps between consecutive
+exponents (stepped_powers), the residues of 2^p - 1 from the Mersenne
+walk of mdl.digits, and the phases are Kahan-summed in fixed blocks of
+BLOCK_WIDTH consecutive exponents, so results are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 from itertools import groupby, tee
 from typing import Iterable
 
-from .arith import prime_power, stepped_powers, unit_circle_value
+from .arith import _check_unit_base, prime_power, stepped_powers, unit_circle_value
+from .digits import _mersenne_walk
 from .errors import PreconditionError, SelfCheckError
-from .primes import PrimeRange, mangoldt_terms, primes_up_to
+from .primes import PrimeRange, mangoldt_terms
 
 __all__ = [
     "BLOCK_WIDTH",
@@ -120,9 +122,7 @@ def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult
     if X < 1:
         raise PreconditionError(f"X must be >= 1, got {X}")
     _reject_non_unit(q, "a", a)
-    _reject_non_unit(q, "g", g)
-    if g in (-1, 0, 1):
-        raise PreconditionError(f"g must be an integer with |g| >= 2, got {g}")
+    _check_unit_base(q, g)
     if X == 1:
         return ExpSumResult(0.0, 0.0, 0, 0.0, 0.0)
     terms, exponents = tee(mangoldt_terms(PrimeRange(X)))
@@ -139,12 +139,9 @@ def mersenne_prime_sum(q: int, gamma: int, a: int, X: int) -> ExpSumResult:
     normalizer is the prime count up to X.
     """
     Q = prime_power(q, gamma)
-    if X < 2:
-        raise PreconditionError(f"X must be >= 2, got {X}")
+    walk = _mersenne_walk(Q, X)
     _reject_non_unit(q, "a", a)
-    primes, exponents = tee(primes_up_to(PrimeRange(X)))
-    powers = stepped_powers(2, exponents, Q)
     total, normalizer, count = _phase_sum(
-        ((p, 1.0, (a * (x - 1)) % Q) for p, x in zip(primes, powers)), Q
+        ((p, 1.0, a * residue % Q) for p, residue in walk), Q
     )
     return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, log2
 
-from .arith import _check_odd_prime, padic_valuation, prime_power
+from .arith import _check_unit_base, _factorize, padic_valuation, prime_power
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 
 __all__ = [
@@ -27,27 +27,6 @@ __all__ = [
 
 
 POWER_BIT_GUARD = 14_284  # bits of g^order: 4,300 digits, the most str(int) prints
-
-
-def _factorize(n: int) -> dict[int, int]:
-    # trial division; moduli here stay in the thousands
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _divisors_ascending(n: int) -> list[int]:
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 @dataclass(frozen=True)
@@ -69,11 +48,7 @@ class OrderStructure:
     cofactor: int
 
     def __post_init__(self) -> None:
-        _check_odd_prime(self.q)
-        if self.g in (-1, 0, 1):
-            raise PreconditionError(f"g must be an integer with |g| >= 2, got {self.g}")
-        if self.g % self.q == 0:
-            raise PreconditionError(f"g={self.g} must not be divisible by q={self.q}")
+        _check_unit_base(self.q, self.g)
         tau, q = self.order_mod_q, self.q
         if tau < 1 or pow(self.g, tau, q) != 1:
             raise PreconditionError(f"{tau} is not the order of {self.g} mod {q}")
@@ -89,17 +64,17 @@ class OrderStructure:
 def order_structure(q: int, g: int) -> OrderStructure:
     """Compute the order structure of g modulo the odd prime q.
 
-    The order is found by walking the divisors of q-1 in increasing order;
-    the lifting data comes from the exact integer g**order - 1.  Raises
+    The order is found by descent from q-1: each prime factor p of q-1 is
+    divided out while g**(order/p) is still 1 mod q.  The lifting data
+    comes from the exact integer g**order - 1.  Raises
     ResourceGuardError, before that power is formed, when order * log2|g|
     exceeds POWER_BIT_GUARD.
     """
-    _check_odd_prime(q)
-    if g in (-1, 0, 1):
-        raise PreconditionError(f"g must be an integer with |g| >= 2, got {g}")
-    if g % q == 0:
-        raise PreconditionError(f"g={g} must not be divisible by q={q}")
-    tau = next(d for d in _divisors_ascending(q - 1) if pow(g, d, q) == 1)
+    _check_unit_base(q, g)
+    tau = q - 1
+    for p in _factorize(q - 1):
+        while tau % p == 0 and pow(g, tau // p, q) == 1:
+            tau //= p
     if tau * log2(abs(g)) > POWER_BIT_GUARD:
         raise ResourceGuardError(
             f"{g}^{tau} exceeds the power guard of {POWER_BIT_GUARD} bits"

@@ -21,8 +21,6 @@ __all__ = [
     "PrimeRange",
     "SIEVE_GUARD",
     "primes_up_to",
-    "prime_segments",
-    "pi_of",
     "mangoldt_terms",
 ]
 
@@ -57,19 +55,16 @@ def _base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def prime_segments(prime_range: PrimeRange) -> Iterator[np.ndarray]:
-    """Yield numpy arrays of primes, segment by segment, in increasing order.
+def primes_up_to(prime_range: PrimeRange) -> Iterator[int]:
+    """Stream every prime <= limit exactly once, in increasing order.
 
-    Each array is sorted and the concatenation over all segments is exactly
-    the primes <= limit.  Only one segment mask is alive at a time.
+    The sieve runs segment by segment; only one segment mask is alive at
+    a time.
     """
     limit = prime_range.limit
     base = _base_primes(math.isqrt(limit))
     odd_base = base[base > 2]
-
-    head = [p for p in (2, 3) if p <= limit]
-    if head:
-        yield np.array(head, dtype=np.int64)
+    yield from (p for p in (2, 3) if p <= limit)
 
     low = 5
     span = 2 * SEGMENT_SIZE  # SEGMENT_SIZE odd numbers per segment
@@ -88,26 +83,9 @@ def prime_segments(prime_range: PrimeRange) -> Iterator[np.ndarray]:
                 continue
             mask[(start - low) // 2 :: p] = False
         primes = low + 2 * np.flatnonzero(mask).astype(np.int64)
-        primes = primes[primes <= limit]
-        if primes.size:
-            yield primes
+        primes = primes[primes <= limit]  # rebinding frees the unfiltered array
+        yield from primes.tolist()
         low += span
-
-
-def primes_up_to(prime_range: PrimeRange) -> Iterator[int]:
-    """Stream every prime <= limit exactly once, in increasing order."""
-    for segment in prime_segments(prime_range):
-        for p in segment.tolist():
-            yield p
-
-
-def pi_of(x: int) -> int:
-    """Number of primes <= x."""
-    if x < 0:
-        raise PreconditionError(f"x must be >= 0, got {x}")
-    if x < 2:
-        return 0
-    return sum(seg.size for seg in prime_segments(PrimeRange(x)))
 
 
 def _higher_powers(limit: int) -> list[tuple[int, float]]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import math
+import time
 
 import pytest
 from hypothesis import given
@@ -11,20 +13,84 @@ from hypothesis import strategies as st
 from mdl.arith import (
     BASE_GUARD,
     MODULUS_BIT_GUARD,
+    _factorize,
     is_prime,
     padic_valuation,
     prime_power,
     unit_circle_value,
 )
-from mdl.digits import discrepancy, erdos_turan_bound, mersenne_residues
+from mdl.digits import (
+    digit_block,
+    discrepancy,
+    erdos_turan_bound,
+    fractional_part_check,
+    mersenne_residues,
+)
 from mdl.errors import PreconditionError, ResourceGuardError
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
+from mdl.order import OrderStructure, order_structure
+from mdl.primes import PrimeRange, primes_up_to
 
 
 def test_is_prime_small_values():
     primes_below_50 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(-3, 50):
         assert is_prime(n) == (n in primes_below_50)
+
+
+def test_factorize_multiplies_back_to_n():
+    primes = set(primes_up_to(PrimeRange(10**4)))
+    for n in range(1, 10**4 + 1):
+        factors = _factorize(n)
+        assert set(factors) <= primes, n
+        assert math.prod(p**e for p, e in factors.items()) == n
+
+
+def test_is_prime_agrees_with_the_sieve():
+    sieve = set(primes_up_to(PrimeRange(10**5 - 1)))
+    assert {n for n in range(10**5) if is_prime(n)} == sieve
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_prime(2**61 - 1),
+        lambda: digit_block(2**61 - 1, 3, 5, 1),
+        lambda: fractional_part_check(2**61 - 1, 3, 5, 1),
+        lambda: padic_valuation(2**61 - 1, 5),
+        lambda: OrderStructure(3, 2, 2 * (2**61 - 1), 1, 1),  # factors the order
+    ],
+    ids=["is_prime", "digit_block", "fractional_part_check", "padic_valuation", "order"],
+)
+def test_trial_division_is_guarded_before_it_starts(call):
+    # 2^61 - 1 is prime: unguarded, each call divides up to about 1.5 * 10^9
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="base guard"):
+        call()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_trial_division_guard_boundary():
+    # every known Mersenne exponent is below 2^32; 2^32 - 5 is the largest prime there
+    assert is_prime(2**32 - 5)
+    assert 0 <= digit_block(2**32 - 5, 3, 5, 1) < 3
+    with pytest.raises(ResourceGuardError, match="base guard"):
+        is_prime(2**32 + 15)
+
+
+@pytest.mark.parametrize("g", [-1, 0, 1, 7, 14], ids=["-1", "0", "1", "q", "2q"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: mangoldt_exp_sum(7, 2, 1, g, 100),
+        lambda g: order_structure(7, g),
+        lambda g: OrderStructure(7, g, 1, 1, 1),
+    ],
+    ids=["mangoldt", "order_structure", "OrderStructure"],
+)
+def test_every_base_taker_rejects_the_same_g(call, g):
+    with pytest.raises(PreconditionError, match=r"\|g\| >= 2|must not be divisible by q"):
+        call(g)
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,12 @@ def test_count_blocks_single_prime():
     assert rep.pi_X == 1 and sum(rep.counts) == 1
 
 
+def test_count_blocks_checks_x_before_the_bin_guard():
+    # 3^13 window values exceed BIN_GUARD, but the bad X is reported first
+    with pytest.raises(PreconditionError, match="X must be >= 2"):
+        count_blocks(3, 1, 20, 13)
+
+
 def test_count_blocks_matches_expansion_oracle():
     X, q, r, s = 300, 3, 4, 2
     rep = count_blocks(q, X, r, s)

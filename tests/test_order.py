@@ -42,6 +42,21 @@ def test_order_structure_rejections():
         order_structure(4, 3)
 
 
+@pytest.mark.parametrize("q", [241, 2521, 65537])
+def test_order_by_descent_matches_brute_force(q: int):
+    # q - 1 has 20, 48 and 17 divisors; the descent must stop on the least order
+    for g in range(2, 21):
+        d, x = 1, g % q
+        while x != 1:
+            d, x = d + 1, x * g % q
+        if d * math.log2(g) > POWER_BIT_GUARD:
+            # the guard message names g^order, so the descent is still checked
+            with pytest.raises(ResourceGuardError, match=rf"^{g}\^{d} exceeds"):
+                order_structure(q, g)
+        else:
+            assert order_structure(q, g).order_mod_q == d, (q, g)
+
+
 def test_power_guard_boundary():
     # 16 has order 3571 mod 64279: 16^3571 = 2^14284 sits exactly on the guard
     s = order_structure(64279, 16)

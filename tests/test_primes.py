@@ -9,7 +9,7 @@ import pytest
 import mdl.primes
 from mdl.arith import is_prime
 from mdl.errors import PreconditionError, ResourceGuardError
-from mdl.primes import SIEVE_GUARD, PrimeRange, mangoldt_terms, pi_of, primes_up_to
+from mdl.primes import SIEVE_GUARD, PrimeRange, mangoldt_terms, primes_up_to
 from oracles import mangoldt_by_factoring, primes_by_trial_division
 
 
@@ -25,8 +25,8 @@ def test_sieve_segmentation_is_invisible(monkeypatch):
 
 
 @pytest.mark.parametrize("x, count", [(2, 1), (10, 4), (100, 25), (10**6, 78498)])
-def test_pi_of_reference_counts(x: int, count: int):
-    assert pi_of(x) == count
+def test_prime_count_reference_values(x: int, count: int):
+    assert sum(1 for _ in primes_up_to(PrimeRange(x))) == count
 
 
 def test_prime_range_validation():
@@ -39,8 +39,6 @@ def test_sieve_guard_boundary():
     assert PrimeRange(SIEVE_GUARD).limit == SIEVE_GUARD
     with pytest.raises(ResourceGuardError, match="sieve guard"):
         PrimeRange(SIEVE_GUARD + 1)
-    with pytest.raises(ResourceGuardError):
-        pi_of(10**20)
 
 
 def test_mangoldt_terms_match_factoring_oracle():
