@@ -1,9 +1,11 @@
 """Exact arithmetic over prime-power moduli.
 
 Every modulus q^e is a plain int formed by prime_power, which checks q and
-e and the size of the power before it is formed.  Everything here works on
-Python's arbitrary-precision integers; floating point enters exactly once,
-when a canonical residue is mapped to a point on the unit circle.
+e and the size of the power before it is formed; code that holds an
+already validated q checks only the size, with _check_power_size.
+Everything here works on Python's arbitrary-precision integers; floating
+point enters exactly once, when a canonical residue is mapped to a point
+on the unit circle.
 """
 
 from __future__ import annotations
@@ -28,29 +30,40 @@ MODULUS_BIT_GUARD = 1 << 16  # maximum size, in bits, of a modulus q^e
 BASE_GUARD = 1 << 32  # largest prime base q, and largest n tested by trial division
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factors of n <= BASE_GUARD with multiplicities, by trial division.
+def _prime_factors(n: int) -> Iterator[int]:
+    """Prime factors of n <= BASE_GUARD, ascending and with repetition.
 
-    A larger n raises ResourceGuardError before any division.
+    Trial division, one factor at a time, so a caller that needs only the
+    smallest factor stops after it.  A larger n raises ResourceGuardError
+    before any division.
     """
     if n > BASE_GUARD:
         raise ResourceGuardError(f"n = {n} exceeds the base guard {BASE_GUARD}")
-    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
         while n % d == 0:
-            out[d] = out.get(d, 0) + 1
+            yield d
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        yield n
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factors of n <= BASE_GUARD with multiplicities (_prime_factors)."""
+    out: dict[int, int] = {}
+    for p in _prime_factors(n):
+        out[p] = out.get(p, 0) + 1
     return out
 
 
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Primality by _factorize; cached, as hot loops re-check the same primes."""
-    return n >= 2 and _factorize(n) == {n: 1}
+    """Whether n is prime: its smallest prime factor is n itself.
+
+    Cached, as hot loops re-check the same primes.
+    """
+    return n >= 2 and next(_prime_factors(n)) == n
 
 
 def _check_odd_prime(q: int) -> None:
@@ -70,21 +83,29 @@ def _check_unit_base(q: int, g: int) -> None:
         raise PreconditionError(f"g={g} must not be divisible by q={q}")
 
 
-def prime_power(q: int, e: int) -> int:
-    """q**e for an odd prime q <= BASE_GUARD and an exponent e >= 1.
+def _check_power_size(q: int, e: int) -> None:
+    """Reject q^e, before it is formed, when it exceeds MODULUS_BIT_GUARD bits.
 
-    The power routinely exceeds the 53-bit float significand, so callers
-    reduce by it in exact integer arithmetic.  Its size is read from the
-    logarithm, e * log2(q), so a power beyond MODULUS_BIT_GUARD bits is
-    rejected with ResourceGuardError before it is formed.
+    The size is read from the logarithm, e * log2(q); q is not validated.
     """
-    _check_odd_prime(q)
-    if e < 1:
-        raise PreconditionError(f"gamma must be >= 1, got {e}")
     if e * math.log2(q) > MODULUS_BIT_GUARD:
         raise ResourceGuardError(
             f"modulus {q}^{e} exceeds the modulus guard of {MODULUS_BIT_GUARD} bits"
         )
+
+
+def prime_power(q: int, e: int) -> int:
+    """q**e for an odd prime q <= BASE_GUARD and an exponent e >= 1.
+
+    The power routinely exceeds the 53-bit float significand, so callers
+    reduce by it in exact integer arithmetic.  A power beyond
+    MODULUS_BIT_GUARD bits is rejected with ResourceGuardError before it
+    is formed (_check_power_size).
+    """
+    _check_odd_prime(q)
+    if e < 1:
+        raise PreconditionError(f"gamma must be >= 1, got {e}")
+    _check_power_size(q, e)
     return q**e
 
 

@@ -21,7 +21,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .digits import count_blocks, discrepancy, erdos_turan_bound, mersenne_residues
@@ -32,8 +32,9 @@ from .vmvt import vmvt_count
 
 CSV_SCHEMA = "mdl v1"
 
-# results (the JSON body), CSV columns, CSV rows
-SubcommandOutput = tuple[dict, list[str], list[tuple]]
+# results (the JSON body, or a function that builds it), CSV columns, CSV
+# rows; a report in one format never builds the other format's body
+SubcommandOutput = tuple[dict | Callable[[], dict], list[str], Iterable[tuple]]
 
 
 def _cell(value: object) -> object:
@@ -43,13 +44,15 @@ def _cell(value: object) -> object:
     return value
 
 
-def _render_json(config: argparse.Namespace, results: dict, stamp: str | None) -> str:
+def _render_json(
+    config: argparse.Namespace, results: dict | Callable[[], dict], stamp: str | None
+) -> str:
     doc = {
         "tool": "mdl",
         "version": __version__,
         "subcommand": config.subcommand,
         "parameters": config.parameters,
-        "results": results,
+        "results": results() if callable(results) else results,
     }
     if stamp is not None:
         doc["timestamp"] = stamp
@@ -59,7 +62,7 @@ def _render_json(config: argparse.Namespace, results: dict, stamp: str | None) -
 def _render_csv(
     config: argparse.Namespace,
     columns: list[str],
-    rows: list[tuple],
+    rows: Iterable[tuple],
     stamp: str | None,
 ) -> str:
     params = "".join(f" {k}={v}" for k, v in config.parameters.items())
@@ -78,13 +81,16 @@ def _one_row(results: dict) -> SubcommandOutput:
 def _run_digit_stats(q: int, X: int, r: int, s: int) -> SubcommandOutput:
     """count primes p <= X by a base-q digit window of 2^p - 1"""
     report = count_blocks(q, X, r, s)
-    results = {
-        "pi_X": report.pi_X,
-        "expected": report.expected,
-        "max_abs_deviation": report.max_abs_deviation,
-        "counts": dict(enumerate(report.counts)),
-    }
-    rows = list(zip(range(len(report.counts)), report.counts, report.deviations))
+
+    def results() -> dict:
+        return {
+            "pi_X": report.pi_X,
+            "expected": report.expected,
+            "max_abs_deviation": report.max_abs_deviation,
+            "counts": dict(enumerate(report.counts)),
+        }
+
+    rows = zip(range(len(report.counts)), report.counts, report.deviations)
     return results, ["block", "count", "deviation"], rows
 
 

@@ -8,7 +8,8 @@ that turns digit windows into exponential sums.  On top of that sit
 per-window prime counts, an exact star-discrepancy of the scaled
 residues, and an Erdos-Turan upper bound for that discrepancy built from
 exponential sums.  Everything float is a single rounding away
-from exact integer or rational arithmetic.
+from exact integer or rational arithmetic.  numpy is imported by the
+Erdos-Turan bound when it runs, not with this module.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import tee
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .arith import _check_odd_prime, is_prime, prime_power, stepped_powers
 from .errors import PreconditionError, ResourceGuardError
 from .primes import PrimeRange, primes_up_to
 from .vmvt import ENUMERATION_GUARD
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DigitCountReport",
@@ -216,20 +218,45 @@ def discrepancy(q: int, gamma: int, residues: Sequence[int]) -> float:
     return best / (n * modulus)
 
 
+def _phase_ratios(support: list[int], modulus: int, H: int) -> Iterator[np.ndarray]:
+    """(h * x mod modulus) / modulus for every x in support, for h = 1, ..., H.
+
+    Yields one float array per h, each ratio correctly rounded from the
+    exact rational.  When modulus < 2^53 and H * modulus < 2^63, numerator
+    and denominator are exact doubles and no product overflows, so one
+    int64 array built here serves every h and numpy's division rounds once.
+    Otherwise each ratio is Python's correctly rounded int / int.  Both
+    branches give the same bits wherever the first one applies.
+    """
+    import numpy as np
+
+    if modulus < 2**53 and H * modulus < 2**63:
+        values = np.array(support, dtype=np.int64)
+        denominator = float(modulus)
+        for h in range(1, H + 1):
+            yield h * values % modulus / denominator
+    else:
+        for h in range(1, H + 1):
+            yield np.array([h * x % modulus / modulus for x in support])
+
+
 def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> float:
     """Erdos-Turan upper bound for the star discrepancy of the same points.
 
     Evaluates 1/(H+1) + 3 * sum over h <= H of |S_h| / (h * N), where S_h
     sums the phase h * residue / q^gamma over the N residues.  Each phase
     ratio is the exact residue (h * residue) mod q^gamma over q^gamma,
-    formed by Python's correctly rounded int / int division for every
-    modulus.  For each h, numpy takes cos and sin of those ratios over the
-    distinct residues, and math.fsum adds the multiplicity-weighted real
-    and imaginary parts, each correctly rounded.  residues is taken as in
+    correctly rounded: by int64 numpy arrays when q^gamma < 2^53 and
+    H * q^gamma < 2^63, by Python's int / int otherwise (_phase_ratios).
+    For each h, numpy takes cos and sin of those ratios over the distinct
+    residues, and math.fsum adds the multiplicity-weighted real and
+    imaginary parts, each correctly rounded.  residues is taken as in
     discrepancy.
     Raises ResourceGuardError, before the first phase, when H times the
     number of distinct residues exceeds ENUMERATION_GUARD.
     """
+    import numpy as np
+
     if H < 1:
         raise PreconditionError(f"H must be >= 1, got {H}")
     modulus = _checked_modulus(q, gamma, residues)
@@ -241,12 +268,10 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
             f"H * distinct residues = {H} * {len(multiplicity)} exceeds the "
             f"enumeration guard {ENUMERATION_GUARD}"
         )
-    support = list(multiplicity)
     weights = np.array(list(multiplicity.values()), dtype=float)
 
     total = 0.0
-    for h in range(1, H + 1):
-        ratios = np.array([h * residue % modulus / modulus for residue in support])
+    for h, ratios in enumerate(_phase_ratios(list(multiplicity), modulus, H), start=1):
         angles = math.tau * ratios
         real = math.fsum((weights * np.cos(angles)).tolist())
         imag = math.fsum((weights * np.sin(angles)).tolist())

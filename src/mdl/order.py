@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, log2
 
-from .arith import _check_unit_base, _factorize, padic_valuation, prime_power
+from .arith import _check_power_size, _check_unit_base, _factorize, padic_valuation
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 
 __all__ = [
@@ -96,8 +96,8 @@ def order_mod_power(structure: OrderStructure, n: int) -> int:
         raise PreconditionError(f"n must be >= 1, got {n}")
     if n <= structure.lift_valuation:
         return structure.order_mod_q
-    q, G = structure.q, structure.lift_valuation
-    return prime_power(q, n) // q**G * structure.order_mod_q
+    _check_power_size(structure.q, n)  # q was validated with the structure
+    return structure.q ** (n - structure.lift_valuation) * structure.order_mod_q
 
 
 def excess_valuation(structure: OrderStructure, n: int) -> int:
@@ -167,7 +167,8 @@ def congruence_criterion(
             f"lift_valuation={structure.lift_valuation}"
         )
     q = structure.q
-    modulus = prime_power(q, r)
+    _check_power_size(q, r)  # q was validated with the structure
+    modulus = q**r
     t = order_mod_power(structure, s)
     lhs = pow(structure.g, n1 * t, modulus) == pow(structure.g, n2 * t, modulus)
     rhs = (n1 - n2) % q ** (r - s) == 0

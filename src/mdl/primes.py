@@ -3,7 +3,8 @@
 The sieve is a classical odd-only segmented sieve of Eratosthenes backed
 by numpy boolean segments, so memory stays bounded by the segment size
 regardless of the limit.  Streams are emitted in strictly increasing
-order.
+order.  numpy is imported by the sieve functions when they run, so
+importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import PreconditionError, ResourceGuardError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PrimeRange",
@@ -45,6 +47,8 @@ class PrimeRange:
 
 def _base_primes(limit: int) -> np.ndarray:
     """Plain sieve up to limit (used for the base primes <= sqrt(X))."""
+    import numpy as np
+
     if limit < 2:
         return np.array([], dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -61,6 +65,8 @@ def primes_up_to(prime_range: PrimeRange) -> Iterator[int]:
     The sieve runs segment by segment; only one segment mask is alive at
     a time.
     """
+    import numpy as np
+
     limit = prime_range.limit
     base = _base_primes(math.isqrt(limit))
     odd_base = base[base > 2]

@@ -46,6 +46,14 @@ def test_factorize_multiplies_back_to_n():
         assert math.prod(p**e for p, e in factors.items()) == n
 
 
+def test_is_prime_stops_at_the_smallest_factor():
+    # each has a prime cofactor near 2^31: factoring it fully takes ~23,000 divisions
+    for n in (2 * (2**31 - 1), 3 * 715827883):
+        start = time.perf_counter()
+        assert not is_prime.__wrapped__(n)  # past the cache
+        assert time.perf_counter() - start < 1e-3
+
+
 def test_is_prime_agrees_with_the_sieve():
     sieve = set(primes_up_to(PrimeRange(10**5 - 1)))
     assert {n for n in range(10**5) if is_prime(n)} == sieve

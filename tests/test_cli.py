@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -79,6 +83,60 @@ def test_digit_stats_deviation_column(capsys):
     assert results["pi_X"] == pi_X
     assert results["max_abs_deviation"] == max(abs(float(d)) for _, _, d in rows)
     assert [results["counts"][str(v)] for v in range(7**3)] == [int(c) for _, c, _ in rows]
+
+
+@pytest.mark.parametrize(
+    "fmt, sha256",
+    [
+        ("csv", "1cb90d4094ac80be475105df64b674e15df2abaeeb0a310607d19d9718e214e1"),
+        ("json", "d52a64d7746b5df9179bf5b177582ee20a56ebfe8ab143df2ccb3c8d54a58f24"),
+    ],
+)
+def test_digit_stats_report_bytes_are_frozen(capsys, fmt, sha256):
+    # each format builds only its own body; both were hashed when both were built
+    code, out, _ = run_cli(
+        capsys, "digit-stats", "--q", "7", "--X", "5000", "--r", "5", "--s", "3",
+        "--format", fmt, "--no-timestamp",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import mdl.cli
+loaded = {"import mdl.cli": "numpy" in sys.modules}
+for argv in (
+    ["vmvt", "--r", "2", "--k", "1", "--P", "3"],
+    ["order-structure", "--q", "11", "--g", "3"],
+    ["verify-lemmas", "--q", "7", "--g", "3"],
+    ["digit-stats", "--q", "3", "--X", "100", "--r", "2", "--s", "1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert mdl.cli.main(argv) == 0
+    loaded[argv[0]] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_is_loaded_only_by_the_commands_that_use_it():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "import mdl.cli": False,
+        "vmvt": False,
+        "order-structure": False,
+        "verify-lemmas": False,
+        "digit-stats": True,  # the sieve: the probe can see numpy arrive
+    }
 
 
 def test_timestamp_present_by_default_and_suppressible(capsys):

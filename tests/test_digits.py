@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import math
+import random
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdl.digits import (
     DigitCountReport,
+    _phase_ratios,
     count_blocks,
     digit_block,
     discrepancy,
@@ -199,6 +205,51 @@ def test_erdos_turan_frozen_golden_value():
 )
 def test_erdos_turan_frozen_scalar_route_values(q, gamma, X, H, frozen):
     assert erdos_turan_bound(q, gamma, mersenne_residues(q, gamma, X), H) == frozen
+
+
+# 3^33 < 2^53 < 3^34: the int64 ratios apply to the first modulus only
+@pytest.mark.parametrize("modulus", [3**33, 3**34], ids=["3^33", "3^34"])
+def test_phase_ratios_equal_int_division_bit_for_bit(modulus):
+    rng = random.Random(modulus)
+    support = [rng.randrange(modulus) for _ in range(500)] + [0, modulus - 1]
+    H = 40
+    for h, ratios in enumerate(_phase_ratios(support, modulus, H), start=1):
+        assert ratios.tolist() == [h * x % modulus / modulus for x in support]
+
+
+def test_int64_ratios_would_round_twice_above_2_53():
+    # why 3^34 takes the int / int branch: its int64 quotients round twice
+    modulus = 3**34
+    rng = random.Random(modulus)
+    support = [rng.randrange(modulus) for _ in range(500)]
+    naive = (np.array(support, dtype=np.int64) / float(modulus)).tolist()
+    assert naive != [x / modulus for x in support]
+
+
+def _bound_by_int_division(residues, modulus, H):
+    """erdos_turan_bound's sum with every phase ratio formed by int / int."""
+    multiplicity = Counter(residues)
+    weights = np.array(list(multiplicity.values()), dtype=float)
+    total = 0.0
+    for h in range(1, H + 1):
+        ratios = np.array([h * x % modulus / modulus for x in multiplicity])
+        angles = math.tau * ratios
+        real = math.fsum((weights * np.cos(angles)).tolist())
+        imag = math.fsum((weights * np.sin(angles)).tolist())
+        total += abs(complex(real, imag)) / (h * len(residues))
+    return 1.0 / (H + 1) + 3.0 * total
+
+
+@pytest.mark.parametrize("H", [1659, 1660])
+def test_erdos_turan_bound_across_the_int64_product_switch(H):
+    # 1659 * 3^33 < 2^63 <= 1660 * 3^33: the last h of H = 1660 would wrap in
+    # int64 for the residue 3^33 - 1, so that H takes the int / int branch
+    modulus = 3**33
+    assert 1659 * modulus < 2**63 <= 1660 * modulus
+    residues = mersenne_residues(3, 33, 2000) + [modulus - 1]
+    assert erdos_turan_bound(3, 33, residues, H) == _bound_by_int_division(
+        residues, modulus, H
+    )
 
 
 def test_erdos_turan_certifies_discrepancy_spot_checks():

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import mdl.arith
 from mdl.errors import PreconditionError, ResourceGuardError, SelfCheckError
 from mdl.order import (
     POWER_BIT_GUARD,
@@ -106,6 +107,25 @@ def test_order_powers_are_guarded_before_they_are_formed():
     with pytest.raises(ResourceGuardError, match="modulus guard"):
         congruence_criterion(s, 10**9, 2, 0, 1)
     assert time.perf_counter() - start < 0.1
+
+
+def test_congruence_criterion_modulus_guard_boundary():
+    s = order_structure(3, 2)  # order 2, lift valuation 1
+    assert congruence_criterion(s, 41348, 1, 0, 1) == (False, False)
+    with pytest.raises(ResourceGuardError, match="modulus guard"):
+        congruence_criterion(s, 41349, 1, 0, 1)
+
+
+def test_congruence_criterion_does_not_revalidate_q(monkeypatch):
+    # q was checked when the structure was built; the sweep only sizes its moduli
+    s = order_structure(11, 3)  # lift valuation 2, so s > 2 lifts the order
+    checked = []
+    monkeypatch.setattr(mdl.arith, "_check_odd_prime", checked.append)
+    for r in range(2, 6):
+        for sv in range(2, r + 1):
+            for n1 in range(4):
+                congruence_criterion(s, r, sv, n1, 0)
+    assert checked == []
 
 
 def test_order_mod_power_matches_full_scan_small_box():
