@@ -4,8 +4,8 @@ Every modulus q^e is a plain int formed by prime_power, which checks q and
 e and the size of the power before it is formed; code that holds an
 already validated q checks only the size, with _check_power_size.
 Everything here works on Python's arbitrary-precision integers; floating
-point enters exactly once, when a canonical residue is mapped to a point
-on the unit circle.
+point enters in two places, where a canonical residue over its modulus
+becomes a double: unit_circle_value and digits._phase_ratios.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ def is_prime(n: int) -> bool:
 
 
 def _check_odd_prime(q: int) -> None:
-    """Reject q unless it is an odd prime <= BASE_GUARD; the guard comes first."""
+    """Reject q unless it is an odd prime int <= BASE_GUARD; the guard comes first."""
     if q > BASE_GUARD:
         raise ResourceGuardError(f"q = {q} exceeds the base guard {BASE_GUARD}")
-    if not is_prime(q) or q < 3:
+    if not isinstance(q, int) or not is_prime(q) or q < 3:
         raise PreconditionError(f"q must be an odd prime >= 3, got {q}")
 
 
@@ -86,8 +86,10 @@ def _check_unit_base(q: int, g: int) -> None:
 def _check_power_size(q: int, e: int) -> None:
     """Reject q^e, before it is formed, when it exceeds MODULUS_BIT_GUARD bits.
 
-    The size is read from the logarithm, e * log2(q); q is not validated.
+    The size is read from e * log2(q); e must be an int, q is not validated.
     """
+    if not isinstance(e, int):
+        raise PreconditionError(f"exponent must be an int, got {e!r}")
     if e * math.log2(q) > MODULUS_BIT_GUARD:
         raise ResourceGuardError(
             f"modulus {q}^{e} exceeds the modulus guard of {MODULUS_BIT_GUARD} bits"

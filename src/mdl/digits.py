@@ -68,7 +68,8 @@ class DigitCountReport:
     max_abs_deviation: float = field(init=False)
 
     def __post_init__(self) -> None:
-        size = self.q**self.s
+        _window_checks(self.q, self.r, self.s)  # before q^s is formed
+        size = _window_values(self.q, self.s)
         if len(self.counts) != size:
             raise PreconditionError("counts must hold one entry per window value")
         if sum(self.counts) != self.pi_X:

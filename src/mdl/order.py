@@ -10,7 +10,7 @@ congruence facts, each evaluated by two independent routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, log2
+from math import log2
 
 from .arith import _check_power_size, _check_unit_base, _factorize, padic_valuation
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
@@ -55,10 +55,23 @@ class OrderStructure:
         for p in _factorize(tau):
             if pow(self.g, tau // p, q) == 1:
                 raise PreconditionError(f"order of {self.g} mod {q} divides {tau // p}")
-        if self.lift_valuation < 1 or gcd(self.cofactor, q) != 1:
-            raise PreconditionError("lifting data out of range")
-        if self.g**tau - 1 != self.cofactor * q**self.lift_valuation:
-            raise PreconditionError("lifting decomposition does not hold exactly")
+        if (self.lift_valuation, self.cofactor) != _lifting_data(q, self.g, tau):
+            raise PreconditionError(f"lifting data does not match {self.g}^{tau} - 1")
+
+
+def _lifting_data(q: int, g: int, tau: int) -> tuple[int, int]:
+    """(lift_valuation, cofactor) of g**tau - 1, for a validated q and g.
+
+    Raises ResourceGuardError, before g**tau is formed, when tau * log2|g|
+    exceeds POWER_BIT_GUARD.  This is the only place that power is formed.
+    """
+    if tau * log2(abs(g)) > POWER_BIT_GUARD:
+        raise ResourceGuardError(
+            f"{g}^{tau} exceeds the power guard of {POWER_BIT_GUARD} bits"
+        )
+    diff = g**tau - 1
+    lift_valuation = padic_valuation(q, diff)
+    return lift_valuation, diff // q**lift_valuation
 
 
 def order_structure(q: int, g: int) -> OrderStructure:
@@ -75,14 +88,7 @@ def order_structure(q: int, g: int) -> OrderStructure:
     for p in _factorize(q - 1):
         while tau % p == 0 and pow(g, tau // p, q) == 1:
             tau //= p
-    if tau * log2(abs(g)) > POWER_BIT_GUARD:
-        raise ResourceGuardError(
-            f"{g}^{tau} exceeds the power guard of {POWER_BIT_GUARD} bits"
-        )
-    diff = g**tau - 1
-    lift_valuation = padic_valuation(q, diff)
-    cofactor = diff // q**lift_valuation
-    return OrderStructure(q, g, tau, lift_valuation, cofactor)
+    return OrderStructure(q, g, tau, *_lifting_data(q, g, tau))
 
 
 def order_mod_power(structure: OrderStructure, n: int) -> int:
@@ -116,10 +122,10 @@ def valuation_difference(
 ) -> int | None:
     """q-adic valuation of g**(m*x) - g**(m*y), or None when it is a unit.
 
-    Two routes are always run: the closed form
-    valuation(x-y) + valuation(m) + lift_valuation, and a definition-level
-    scan testing divisibility by successive powers of q.  Disagreement
-    raises SelfCheckError since it would mean the structure is wrong.
+    Two routes are always run: the closed form F = valuation(x-y) +
+    valuation(m) + lift_valuation, and the valuation, capped at F + 1, of
+    its one residue mod q**(F+1), behind the modulus guard of arith.
+    Disagreement raises SelfCheckError: the structure would be wrong.
     """
     if x == y:
         raise PreconditionError("x and y must differ")
@@ -133,16 +139,13 @@ def valuation_difference(
         + padic_valuation(q, m)
         + structure.lift_valuation
     )
-    direct = 1
-    while True:
-        mod = q ** (direct + 1)
-        if (pow(g, m * x, mod) - pow(g, m * y, mod)) % mod != 0:
-            break
-        direct += 1
+    _check_power_size(q, formula + 1)
+    mod = q ** (formula + 1)
+    direct = padic_valuation(q, (pow(g, m * x, mod) - pow(g, m * y, mod)) % mod or mod)
     if direct != formula:
         raise SelfCheckError(
             f"valuation mismatch for q={q}, g={g}, m={m}, x={x}, y={y}: "
-            f"closed form {formula}, direct scan {direct}"
+            f"closed form {formula}, direct residue {direct}"
         )
     return formula
 

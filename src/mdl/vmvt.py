@@ -43,10 +43,13 @@ class VmvtInstance:
     count: int
 
     def __post_init__(self) -> None:
-        if min(self.r, self.k, self.P) < 1:
-            raise PreconditionError("r, k, P must all be >= 1")
-        # diagonal tuples alone give P^r solutions; P^(2r) is everything
-        if not self.P**self.r <= self.count <= self.P ** (2 * self.r):
+        if min(self.r, self.k, self.P) < 1 or not isinstance(self.count, int):
+            raise PreconditionError("r, k, P must all be >= 1, and count an int")
+        # diagonal tuples alone give P^r solutions; P^(2r) is everything.
+        # Bit lengths are compared first, each with one bit to spare.
+        bits, log_power = self.count.bit_length(), self.r * math.log2(self.P)
+        fits = log_power - 1 <= bits <= 2 * log_power + 2
+        if not (fits and self.P**self.r <= self.count <= self.P ** (2 * self.r)):
             raise PreconditionError(
                 f"count {self.count} outside [P^r, P^(2r)] for r={self.r}, P={self.P}"
             )

@@ -20,6 +20,7 @@ from mdl.arith import (
     unit_circle_value,
 )
 from mdl.digits import (
+    DigitCountReport,
     digit_block,
     discrepancy,
     erdos_turan_bound,
@@ -28,8 +29,15 @@ from mdl.digits import (
 )
 from mdl.errors import PreconditionError, ResourceGuardError
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
-from mdl.order import OrderStructure, order_structure
+from mdl.order import (
+    OrderStructure,
+    congruence_criterion,
+    order_mod_power,
+    order_structure,
+    valuation_difference,
+)
 from mdl.primes import PrimeRange, primes_up_to
+from mdl.vmvt import VmvtInstance
 
 
 def test_is_prime_small_values():
@@ -76,6 +84,30 @@ def test_trial_division_is_guarded_before_it_starts(call):
     with pytest.raises(ResourceGuardError, match="base guard"):
         call()
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "call, error, match, seconds",
+    [
+        # 2 has order 2^32 - 6 mod 2^32 - 5, so g^order would have 4 * 10^9 bits
+        (lambda: OrderStructure(2**32 - 5, 2, 2**32 - 6, 1, 1),
+         ResourceGuardError, "power guard", 0.1),
+        # the closed form is 2201, so the residue's modulus q^2202 has 68,262 bits;
+        # reading the valuation of x (2,200 divisions) comes first
+        (lambda: valuation_difference(order_structure(2**31 - 1, 2), 31, (2**31 - 1) ** 2200, 0),
+         ResourceGuardError, "modulus guard", 0.5),
+        (lambda: DigitCountReport(3, 0, 10**9, 7, (7,), 7),
+         PreconditionError, r"s <= r\+1", 0.1),
+        (lambda: VmvtInstance(10**9, 1, 10**9, 5),
+         PreconditionError, r"outside \[P\^r", 0.1),
+    ],
+    ids=["OrderStructure", "valuation_difference", "DigitCountReport", "VmvtInstance"],
+)
+def test_caller_sized_powers_are_guarded_before_they_are_formed(call, error, match, seconds):
+    start = time.perf_counter()
+    with pytest.raises(error, match=match):
+        call()
+    assert time.perf_counter() - start < seconds
 
 
 def test_trial_division_guard_boundary():
@@ -165,8 +197,10 @@ def test_base_guard_boundary():
         (3, 0, PreconditionError),
         (2**32 + 15, 1, ResourceGuardError),
         (3, 41349, ResourceGuardError),
+        (3, 2.5, PreconditionError),
+        (3.0, 2, PreconditionError),
     ],
-    ids=["q=9", "gamma=0", "q=2^32+15", "3^41349"],
+    ids=["q=9", "gamma=0", "q=2^32+15", "3^41349", "gamma=2.5", "q=3.0"],
 )
 @pytest.mark.parametrize(
     "call",
@@ -176,8 +210,10 @@ def test_base_guard_boundary():
         lambda q, gamma: erdos_turan_bound(q, gamma, [0], 1),
         lambda q, gamma: mangoldt_exp_sum(q, gamma, 1, 2, 100),
         lambda q, gamma: mersenne_prime_sum(q, gamma, 1, 100),
+        lambda q, gamma: order_mod_power(order_structure(q, 2), gamma),
+        lambda q, gamma: congruence_criterion(order_structure(q, 2), gamma, 1, 0, 1),
     ],
-    ids=["residues", "discrepancy", "erdos_turan", "mangoldt", "mersenne"],
+    ids=["residues", "discrepancy", "erdos_turan", "mangoldt", "mersenne", "order", "congruence"],
 )
 def test_every_modulus_taker_rejects_like_prime_power(call, q, gamma, error):
     with pytest.raises(error):

@@ -205,20 +205,43 @@ def test_valuation_difference_symmetry_and_rejection():
         valuation_difference(s, 0, 4, 1)
 
 
-def test_self_check_error_surfaces_on_forged_structure():
+def _forged(lift_valuation: int) -> OrderStructure:
     # a structure with a wrong cofactor cannot be built, so forge the
     # closed form by lying about lift_valuation through subclass bypass
-    s = order_structure(11, 3)
     forged = object.__new__(OrderStructure)
     object.__setattr__(forged, "q", 11)
     object.__setattr__(forged, "g", 3)
     object.__setattr__(forged, "order_mod_q", 5)
-    object.__setattr__(forged, "lift_valuation", 9)  # wrong on purpose
+    object.__setattr__(forged, "lift_valuation", lift_valuation)
     object.__setattr__(forged, "cofactor", 2)
-    # x - y is a multiple of the order, so the difference is divisible by
-    # 11 and the forged closed form disagrees with the direct scan
+    return forged
+
+
+def test_self_check_error_surfaces_on_forged_structure():
+    # the true lift valuation of 3 mod 11 is 2, so 9 is too large and 1 one
+    # too small; x - y is a multiple of the order, so 3^6 - 3 = 6 * 11^2 is
+    # divisible by 11, and with 1 its residue mod 11^2 is 0: the direct
+    # route must read that as the cap 2, not as a match
+    for lift_valuation in (9, 1):
+        with pytest.raises(SelfCheckError):
+            valuation_difference(_forged(lift_valuation), 1, 6, 1)
+
+
+def test_forged_closed_form_is_sized_before_its_modulus_is_formed():
+    # 11^18944 has 65536 bits, 11^18945 has 65537: the modulus guard sits between
     with pytest.raises(SelfCheckError):
-        valuation_difference(forged, 1, 6, 1)
+        valuation_difference(_forged(18943), 1, 6, 1)
+    with pytest.raises(ResourceGuardError, match="modulus guard"):
+        valuation_difference(_forged(18944), 1, 6, 1)
+
+
+@pytest.mark.parametrize("k", [100, 300, 1000])
+def test_valuation_difference_takes_one_residue(k: int):
+    # 2^(2 * 3^k) - 1 has 3-adic valuation k + 1; one residue mod 3^(k+2) shows it
+    s = order_structure(3, 2)
+    start = time.perf_counter()
+    assert valuation_difference(s, 2, 3**k, 0) == k + 1
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,8 @@ def test_vmvt_instance_rejects_impossible_count():
         VmvtInstance(2, 1, 3, 8)  # below the diagonal floor 9
     with pytest.raises(PreconditionError):
         VmvtInstance(1, 1, 3, 10)  # above P^2
+    with pytest.raises(PreconditionError):
+        VmvtInstance(1, 1, 3, 9.0)  # in range, but not an int
 
 
 def test_vmvt_guard():
