@@ -57,30 +57,37 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def is_prime(n: int) -> bool:
-    """Whether n is prime: its smallest prime factor is n itself.
+    """Whether n is a prime int: its smallest prime factor is n itself.
 
-    Cached, as hot loops re-check the same primes.
+    Cached, as hot loops re-check the same primes; typed, so 7.0 is not 7.
     """
-    return n >= 2 and next(_prime_factors(n)) == n
+    return isinstance(n, int) and n >= 2 and next(_prime_factors(n)) == n
 
 
 def _check_odd_prime(q: int) -> None:
     """Reject q unless it is an odd prime int <= BASE_GUARD; the guard comes first."""
     if q > BASE_GUARD:
         raise ResourceGuardError(f"q = {q} exceeds the base guard {BASE_GUARD}")
-    if not isinstance(q, int) or not is_prime(q) or q < 3:
+    if not is_prime(q) or q < 3:
         raise PreconditionError(f"q must be an odd prime >= 3, got {q}")
 
 
+def _check_unit(q: int, name: str, value: int) -> None:
+    """Reject value unless it is an int that q does not divide."""
+    if not isinstance(value, int) or value % q == 0:
+        raise PreconditionError(
+            f"{name}={value!r} must be an int and must not be divisible by q={q}"
+        )
+
+
 def _check_unit_base(q: int, g: int) -> None:
-    """Reject q as _check_odd_prime does, then g if |g| < 2 or q divides g."""
+    """Reject q as _check_odd_prime does, then g if |g| < 2 or _check_unit fails."""
     _check_odd_prime(q)
     if g in (-1, 0, 1):
         raise PreconditionError(f"g must be an integer with |g| >= 2, got {g}")
-    if g % q == 0:
-        raise PreconditionError(f"g={g} must not be divisible by q={q}")
+    _check_unit(q, "g", g)
 
 
 def _check_power_size(q: int, e: int) -> None:
@@ -112,14 +119,14 @@ def prime_power(q: int, e: int) -> int:
 
 
 def padic_valuation(q: int, n: int) -> int:
-    """Largest k with q**k dividing n; the sign of n is ignored.
+    """Largest k with q**k dividing the int n; the sign of n is ignored.
 
     Undefined (and rejected) for n == 0.
     """
     if not is_prime(q):
         raise PreconditionError(f"q must be prime, got {q}")
-    if n == 0:
-        raise PreconditionError("valuation of 0 is undefined")
+    if not isinstance(n, int) or n == 0:
+        raise PreconditionError(f"valuation needs a nonzero int, got {n!r}")
     n = abs(n)
     k = 0
     while n % q == 0:

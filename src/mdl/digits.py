@@ -51,34 +51,38 @@ ERDOS_TURAN_CONSTANT = 3.0
 class DigitCountReport:
     """Prime counts per digit-window value, with uniformity deviations.
 
+    Built from (q, r, s, X) by one Mersenne walk of 2^p - 1 mod q^(r+1).
     counts[v] is the number of primes p <= X whose window equals v, for
-    every window value v in [0, q^s); deviations[v] is the signed gap
-    between that observed frequency and the uniform 1 / q^s.  expected and
-    max_abs_deviation measure the distance from uniform as a whole.
+    every window value v in [0, q^s), and pi_X their total; deviations[v]
+    is the signed gap between that frequency and the uniform 1 / q^s, and
+    expected and max_abs_deviation measure the distance as a whole.
+    Raises ResourceGuardError, before anything is allocated, when q^s
+    exceeds BIN_GUARD or q^(r+1) exceeds MODULUS_BIT_GUARD bits.
     """
 
     q: int
     r: int
     s: int
     X: int
-    counts: tuple[int, ...]
-    pi_X: int
+    counts: tuple[int, ...] = field(init=False)
+    pi_X: int = field(init=False)
     expected: float = field(init=False)
     deviations: tuple[float, ...] = field(init=False)
     max_abs_deviation: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _window_checks(self.q, self.r, self.s)  # before q^s is formed
-        size = _window_values(self.q, self.s)
-        if len(self.counts) != size:
-            raise PreconditionError("counts must hold one entry per window value")
-        if sum(self.counts) != self.pi_X:
-            raise PreconditionError("counts must add up to the prime count")
-        if self.pi_X < 1:
-            raise PreconditionError("report requires at least one prime")
-        uniform = 1.0 / size
-        deviations = tuple(count / self.pi_X - uniform for count in self.counts)
-        object.__setattr__(self, "expected", self.pi_X / size)
+        q, r, s = self.q, self.r, self.s
+        walk = _mersenne_walk(_window_checks(q, r, s), self.X)
+        size = _window_values(q, s)
+        counts = [0] * size
+        divisor = q ** (r - s + 1)
+        for _, residue in walk:
+            counts[residue // divisor] += 1
+        pi_X, uniform = sum(counts), 1.0 / size  # pi_X >= 1: X >= 2 admits p = 2
+        deviations = tuple(count / pi_X - uniform for count in counts)
+        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "pi_X", pi_X)
+        object.__setattr__(self, "expected", pi_X / size)
         object.__setattr__(self, "deviations", deviations)
         object.__setattr__(self, "max_abs_deviation", max(map(abs, deviations)))
 
@@ -140,17 +144,9 @@ def digit_block(p: int, q: int, r: int, s: int) -> int:
 def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
     """Count primes p <= X by the value of their digit window (q, r, s).
 
-    The residues 2^p - 1 mod q^(r+1) stream from the Mersenne walk, each
-    added to one of q^s counters.  Raises ResourceGuardError, before
-    anything is allocated, when q^s exceeds BIN_GUARD or q^(r+1) exceeds
-    MODULUS_BIT_GUARD bits.
+    DigitCountReport(q, r, s, X), which counts along one Mersenne walk.
     """
-    walk = _mersenne_walk(_window_checks(q, r, s), X)
-    counts = [0] * _window_values(q, s)
-    divisor = q ** (r - s + 1)
-    for _, residue in walk:
-        counts[residue // divisor] += 1
-    return DigitCountReport(q, r, s, X, tuple(counts), sum(counts))
+    return DigitCountReport(q, r, s, X)
 
 
 def fractional_part_check(p: int, q: int, r: int, s: int) -> list[tuple[bool, bool]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import groupby, tee
 from typing import Iterable
 
-from .arith import _check_unit_base, prime_power, stepped_powers, unit_circle_value
+from .arith import _check_unit, _check_unit_base, prime_power, stepped_powers, unit_circle_value
 from .digits import _mersenne_walk
 from .errors import PreconditionError, SelfCheckError
 from .primes import PrimeRange, mangoldt_terms
@@ -64,11 +64,6 @@ class ExpSumResult:
     @property
     def magnitude(self) -> float:
         return math.hypot(self.real, self.imag)
-
-
-def _reject_non_unit(q: int, name: str, value: int) -> None:
-    if value % q == 0:
-        raise PreconditionError(f"{name}={value} must be coprime to q={q}")
 
 
 def log_ratio(X: int, q: int, gamma: int) -> float:
@@ -121,7 +116,7 @@ def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult
     Q = prime_power(q, gamma)
     if X < 1:
         raise PreconditionError(f"X must be >= 1, got {X}")
-    _reject_non_unit(q, "a", a)
+    _check_unit(q, "a", a)
     _check_unit_base(q, g)
     if X == 1:
         return ExpSumResult(0.0, 0.0, 0, 0.0, 0.0)
@@ -140,7 +135,7 @@ def mersenne_prime_sum(q: int, gamma: int, a: int, X: int) -> ExpSumResult:
     """
     Q = prime_power(q, gamma)
     walk = _mersenne_walk(Q, X)
-    _reject_non_unit(q, "a", a)
+    _check_unit(q, "a", a)
     total, normalizer, count = _phase_sum(
         ((p, 1.0, a * residue % Q) for p, residue in walk), Q
     )

@@ -9,7 +9,7 @@ congruence facts, each evaluated by two independent routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log2
 
 from .arith import _check_power_size, _check_unit_base, _factorize, padic_valuation
@@ -31,64 +31,47 @@ POWER_BIT_GUARD = 14_284  # bits of g^order: 4,300 digits, the most str(int) pri
 
 @dataclass(frozen=True)
 class OrderStructure:
-    """Order of g mod q together with its exact lifting data.
+    """Order of g mod the odd prime q together with its exact lifting data.
 
-    The defining identity, exact over the integers:
+    Built from q and g alone.  The order is found by descent from q-1: each
+    prime factor p of q-1 is divided out while g**(order/p) is still 1 mod
+    q.  The lifting data comes from the exact integer
 
         g**order_mod_q - 1 == cofactor * q**lift_valuation
 
-    with gcd(cofactor, q) = 1 and lift_valuation >= 1.  All fields are
-    re-verified at construction, so instances can be trusted.
+    with gcd(cofactor, q) = 1 and lift_valuation >= 1.  Raises
+    ResourceGuardError, before that power is formed, when
+    order * log2|g| exceeds POWER_BIT_GUARD.
     """
 
     q: int
     g: int
-    order_mod_q: int
-    lift_valuation: int
-    cofactor: int
+    order_mod_q: int = field(init=False)
+    lift_valuation: int = field(init=False)
+    cofactor: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_unit_base(self.q, self.g)
-        tau, q = self.order_mod_q, self.q
-        if tau < 1 or pow(self.g, tau, q) != 1:
-            raise PreconditionError(f"{tau} is not the order of {self.g} mod {q}")
-        for p in _factorize(tau):
-            if pow(self.g, tau // p, q) == 1:
-                raise PreconditionError(f"order of {self.g} mod {q} divides {tau // p}")
-        if (self.lift_valuation, self.cofactor) != _lifting_data(q, self.g, tau):
-            raise PreconditionError(f"lifting data does not match {self.g}^{tau} - 1")
-
-
-def _lifting_data(q: int, g: int, tau: int) -> tuple[int, int]:
-    """(lift_valuation, cofactor) of g**tau - 1, for a validated q and g.
-
-    Raises ResourceGuardError, before g**tau is formed, when tau * log2|g|
-    exceeds POWER_BIT_GUARD.  This is the only place that power is formed.
-    """
-    if tau * log2(abs(g)) > POWER_BIT_GUARD:
-        raise ResourceGuardError(
-            f"{g}^{tau} exceeds the power guard of {POWER_BIT_GUARD} bits"
-        )
-    diff = g**tau - 1
-    lift_valuation = padic_valuation(q, diff)
-    return lift_valuation, diff // q**lift_valuation
+        q, g = self.q, self.g
+        _check_unit_base(q, g)
+        tau = q - 1
+        for p in _factorize(q - 1):
+            while tau % p == 0 and pow(g, tau // p, q) == 1:
+                tau //= p
+        if tau * log2(abs(g)) > POWER_BIT_GUARD:
+            base = f"({g})" if g < 0 else g
+            raise ResourceGuardError(
+                f"{base}^{tau} exceeds the power guard of {POWER_BIT_GUARD} bits"
+            )
+        diff = g**tau - 1
+        lift_valuation = padic_valuation(q, diff)
+        object.__setattr__(self, "order_mod_q", tau)
+        object.__setattr__(self, "lift_valuation", lift_valuation)
+        object.__setattr__(self, "cofactor", diff // q**lift_valuation)
 
 
 def order_structure(q: int, g: int) -> OrderStructure:
-    """Compute the order structure of g modulo the odd prime q.
-
-    The order is found by descent from q-1: each prime factor p of q-1 is
-    divided out while g**(order/p) is still 1 mod q.  The lifting data
-    comes from the exact integer g**order - 1.  Raises
-    ResourceGuardError, before that power is formed, when order * log2|g|
-    exceeds POWER_BIT_GUARD.
-    """
-    _check_unit_base(q, g)
-    tau = q - 1
-    for p in _factorize(q - 1):
-        while tau % p == 0 and pow(g, tau // p, q) == 1:
-            tau //= p
-    return OrderStructure(q, g, tau, *_lifting_data(q, g, tau))
+    """The order structure of g modulo the odd prime q: OrderStructure(q, g)."""
+    return OrderStructure(q, g)
 
 
 def order_mod_power(structure: OrderStructure, n: int) -> int:

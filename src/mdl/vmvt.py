@@ -19,7 +19,7 @@ an independent oracle.  All arithmetic is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PreconditionError, ResourceGuardError
 
@@ -35,24 +35,19 @@ ENUMERATION_GUARD = 10**8  # vmvt_count dictionary updates, erdos_turan_bound te
 
 @dataclass(frozen=True)
 class VmvtInstance:
-    """One counted instance: box parameters and the exact solution count."""
+    """Box parameters (r, k, P) and the exact collision count they give.
+
+    count is computed at construction by _collision_counts, as vmvt_count
+    describes, so every instance holds a count the dynamic program found.
+    """
 
     r: int
     k: int
     P: int
-    count: int
+    count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if min(self.r, self.k, self.P) < 1 or not isinstance(self.count, int):
-            raise PreconditionError("r, k, P must all be >= 1, and count an int")
-        # diagonal tuples alone give P^r solutions; P^(2r) is everything.
-        # Bit lengths are compared first, each with one bit to spare.
-        bits, log_power = self.count.bit_length(), self.r * math.log2(self.P)
-        fits = log_power - 1 <= bits <= 2 * log_power + 2
-        if not (fits and self.P**self.r <= self.count <= self.P ** (2 * self.r)):
-            raise PreconditionError(
-                f"count {self.count} outside [P^r, P^(2r)] for r={self.r}, P={self.P}"
-            )
+        object.__setattr__(self, "count", _collision_counts(self.r, self.k, self.P)[1])
 
 
 def _check_guard(rounds: int, k: int, P: int) -> None:
@@ -108,8 +103,7 @@ def vmvt_count(r: int, k: int, P: int) -> VmvtInstance:
     smaller of the multiset count C(P+r-1, r) and the power-sum box
     exceeds ENUMERATION_GUARD.
     """
-    _, count = _collision_counts(r, k, P)
-    return VmvtInstance(r, k, P, count)
+    return VmvtInstance(r, k, P)
 
 
 def monotonicity_check(r: int, k: int, P: int) -> bool:

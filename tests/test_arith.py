@@ -46,6 +46,17 @@ def test_is_prime_small_values():
         assert is_prime(n) == (n in primes_below_50)
 
 
+class _Int(int):
+    pass
+
+
+def test_is_prime_is_false_for_non_ints():
+    for n in (7.5, 9.5, 7.0):
+        assert is_prime(n) is False, n
+    # equal to the cached 7.0, and an int: the cache must key it apart
+    assert is_prime(_Int(7)) is True
+
+
 def test_factorize_multiplies_back_to_n():
     primes = set(primes_up_to(PrimeRange(10**4)))
     for n in range(1, 10**4 + 1):
@@ -74,7 +85,7 @@ def test_is_prime_agrees_with_the_sieve():
         lambda: digit_block(2**61 - 1, 3, 5, 1),
         lambda: fractional_part_check(2**61 - 1, 3, 5, 1),
         lambda: padic_valuation(2**61 - 1, 5),
-        lambda: OrderStructure(3, 2, 2 * (2**61 - 1), 1, 1),  # factors the order
+        lambda: OrderStructure(2**61 - 1, 2),
     ],
     ids=["is_prime", "digit_block", "fractional_part_check", "padic_valuation", "order"],
 )
@@ -89,17 +100,17 @@ def test_trial_division_is_guarded_before_it_starts(call):
 @pytest.mark.parametrize(
     "call, error, match, seconds",
     [
-        # 2 has order 2^32 - 6 mod 2^32 - 5, so g^order would have 4 * 10^9 bits
-        (lambda: OrderStructure(2**32 - 5, 2, 2**32 - 6, 1, 1),
+        # the descent finds order 2^32 - 6 mod 2^32 - 5: g^order would have 4 * 10^9 bits
+        (lambda: OrderStructure(2**32 - 5, 2),
          ResourceGuardError, "power guard", 0.1),
         # the closed form is 2201, so the residue's modulus q^2202 has 68,262 bits;
         # reading the valuation of x (2,200 divisions) comes first
         (lambda: valuation_difference(order_structure(2**31 - 1, 2), 31, (2**31 - 1) ** 2200, 0),
          ResourceGuardError, "modulus guard", 0.5),
-        (lambda: DigitCountReport(3, 0, 10**9, 7, (7,), 7),
+        (lambda: DigitCountReport(3, 0, 10**9, 7),
          PreconditionError, r"s <= r\+1", 0.1),
-        (lambda: VmvtInstance(10**9, 1, 10**9, 5),
-         PreconditionError, r"outside \[P\^r", 0.1),
+        (lambda: VmvtInstance(10**9, 1, 10**9),
+         ResourceGuardError, "enumeration guard", 0.1),
     ],
     ids=["OrderStructure", "valuation_difference", "DigitCountReport", "VmvtInstance"],
 )
@@ -110,6 +121,21 @@ def test_caller_sized_powers_are_guarded_before_they_are_formed(call, error, mat
     assert time.perf_counter() - start < seconds
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: OrderStructure(11, 3, order_mod_q=5, lift_valuation=2, cofactor=2),
+        lambda: DigitCountReport(3, 1, 1, 7, counts=(1, 2, 1), pi_X=4),
+        lambda: VmvtInstance(1, 1, 3, count=3),
+    ],
+    ids=["OrderStructure", "DigitCountReport", "VmvtInstance"],
+)
+def test_records_take_only_their_parameters(call):
+    # each call passes the true results, but a record derives them itself
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()
+
+
 def test_trial_division_guard_boundary():
     # every known Mersenne exponent is below 2^32; 2^32 - 5 is the largest prime there
     assert is_prime(2**32 - 5)
@@ -118,19 +144,35 @@ def test_trial_division_guard_boundary():
         is_prime(2**32 + 15)
 
 
-@pytest.mark.parametrize("g", [-1, 0, 1, 7, 14], ids=["-1", "0", "1", "q", "2q"])
+@pytest.mark.parametrize(
+    "g", [-1, 0, 1, 7, 14, 2.5], ids=["-1", "0", "1", "q", "2q", "non-int"]
+)
 @pytest.mark.parametrize(
     "call",
     [
         lambda g: mangoldt_exp_sum(7, 2, 1, g, 100),
         lambda g: order_structure(7, g),
-        lambda g: OrderStructure(7, g, 1, 1, 1),
+        lambda g: OrderStructure(7, g),
     ],
     ids=["mangoldt", "order_structure", "OrderStructure"],
 )
 def test_every_base_taker_rejects_the_same_g(call, g):
     with pytest.raises(PreconditionError, match=r"\|g\| >= 2|must not be divisible by q"):
         call(g)
+
+
+@pytest.mark.parametrize("a", [3, 6, 2.5], ids=["q", "2q", "non-int"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: mangoldt_exp_sum(3, 2, a, 2, 100),
+        lambda a: mersenne_prime_sum(3, 2, a, 100),
+    ],
+    ids=["mangoldt", "mersenne"],
+)
+def test_every_a_taker_rejects_the_same_a(call, a):
+    with pytest.raises(PreconditionError, match="must not be divisible by q"):
+        call(a)
 
 
 @pytest.mark.parametrize(
@@ -146,6 +188,12 @@ def test_padic_valuation_rejects_zero_and_composite_base():
         padic_valuation(3, 0)
     with pytest.raises(PreconditionError):
         padic_valuation(6, 12)
+
+
+@pytest.mark.parametrize("q, n", [(3.0, 9), (3, 9.0)])
+def test_padic_valuation_rejects_non_ints(q, n):
+    with pytest.raises(PreconditionError):
+        padic_valuation(q, n)
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 8), st.integers(1, 500))

@@ -27,6 +27,7 @@ from oracles import order_full_scan, orders_by_stride_scan
 )
 def test_order_structure_reference_values(q: int, g: int, tau: int, G: int):
     s = order_structure(q, g)
+    assert s == OrderStructure(q, g)
     assert (s.order_mod_q, s.lift_valuation) == (tau, G)
     assert g**tau - 1 == s.cofactor * q**G
     assert math.gcd(s.cofactor, q) == 1
@@ -64,7 +65,7 @@ def test_power_guard_boundary():
     assert s.order_mod_q * 4 == POWER_BIT_GUARD
     assert len(str(abs(s.cofactor))) <= 4300  # the most digits Python prints
     # -32 has order 2857 mod 28571: (-32)^2857 has 14285 bits, one too many
-    with pytest.raises(ResourceGuardError, match="power guard"):
+    with pytest.raises(ResourceGuardError, match=r"^\(-32\)\^2857 exceeds the power guard"):
         order_structure(28571, -32)
 
 
@@ -73,13 +74,6 @@ def test_order_structure_negative_generator():
     assert pow(-3, s.order_mod_q, 7) == 1
     assert (-3) ** s.order_mod_q - 1 == s.cofactor * 7**s.lift_valuation
     assert order_mod_power(s, 2) == order_full_scan(-3, 49)
-
-
-def test_constructor_rejects_forged_fields():
-    with pytest.raises(PreconditionError):
-        OrderStructure(q=11, g=3, order_mod_q=10, lift_valuation=2, cofactor=2)
-    with pytest.raises(PreconditionError):
-        OrderStructure(q=11, g=3, order_mod_q=5, lift_valuation=1, cofactor=22)
 
 
 @pytest.mark.parametrize(

@@ -28,16 +28,8 @@ def test_vmvt_agrees_with_double_loop_box():
 
 def test_vmvt_bounds_hold():
     inst = vmvt_count(3, 2, 5)
+    assert inst == VmvtInstance(3, 2, 5)
     assert inst.P**inst.r <= inst.count <= inst.P ** (2 * inst.r)
-
-
-def test_vmvt_instance_rejects_impossible_count():
-    with pytest.raises(PreconditionError):
-        VmvtInstance(2, 1, 3, 8)  # below the diagonal floor 9
-    with pytest.raises(PreconditionError):
-        VmvtInstance(1, 1, 3, 10)  # above P^2
-    with pytest.raises(PreconditionError):
-        VmvtInstance(1, 1, 3, 9.0)  # in range, but not an int
 
 
 def test_vmvt_guard():
