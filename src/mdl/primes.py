@@ -1,10 +1,11 @@
 """Segmented prime generation and von Mangoldt weights.
 
-The sieve is a classical odd-only segmented sieve of Eratosthenes backed
-by numpy boolean segments, so memory stays bounded by the segment size
-regardless of the limit.  Streams are emitted in strictly increasing
-order.  numpy is imported by the sieve functions when they run, so
-importing this module (and the CLI) does not load it.
+The sieve is a classical odd-only segmented sieve of Eratosthenes (Bays
+and Hudson, BIT 17, 1977) on bytearray segments, so memory stays bounded
+by the segment size regardless of the limit.  Composites are cleared by
+slice assignment and primes read out with itertools.compress, so the
+sieve needs no dependency.  Streams are emitted in strictly increasing
+order.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from itertools import compress
+from typing import Iterable, Iterator
 
 from .errors import PreconditionError, ResourceGuardError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "PrimeRange",
@@ -37,6 +36,8 @@ class PrimeRange:
     limit: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.limit, int):
+            raise PreconditionError(f"limit must be an int, got {self.limit!r}")
         if self.limit < 2:
             raise PreconditionError(f"limit must be >= 2, got {self.limit}")
         if self.limit > SIEVE_GUARD:
@@ -45,18 +46,28 @@ class PrimeRange:
             )
 
 
-def _base_primes(limit: int) -> np.ndarray:
-    """Plain sieve up to limit (used for the base primes <= sqrt(X))."""
-    import numpy as np
+def _odd_sieve(low: int, high: int, odd_primes: Iterable[int]) -> Iterator[int]:
+    """The odd primes in [low, high), for odd low >= 3.
 
+    odd_primes must hold every odd prime <= sqrt(high); their odd
+    multiples from p*p on are cleared from a mask of the odd numbers.
+    """
+    count = (high - low + 1) // 2
+    mask = bytearray(b"\x01") * count
+    for p in odd_primes:
+        start = max(p * p, (low + p - 1) // p * p)
+        if start % 2 == 0:
+            start += p
+        i = (start - low) // 2
+        mask[i::p] = bytes(len(range(i, count, p)))
+    return compress(range(low, high, 2), mask)
+
+
+def _base_primes(limit: int) -> list[int]:
+    """Every prime <= limit (the base primes <= sqrt(X)), sieved from its own base."""
     if limit < 2:
-        return np.array([], dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+        return []
+    return [2, *_odd_sieve(3, limit + 1, _base_primes(math.isqrt(limit))[1:])]
 
 
 def primes_up_to(prime_range: PrimeRange) -> Iterator[int]:
@@ -65,39 +76,21 @@ def primes_up_to(prime_range: PrimeRange) -> Iterator[int]:
     The sieve runs segment by segment; only one segment mask is alive at
     a time.
     """
-    import numpy as np
-
     limit = prime_range.limit
-    base = _base_primes(math.isqrt(limit))
-    odd_base = base[base > 2]
+    odd_base = _base_primes(math.isqrt(limit))[1:]
     yield from (p for p in (2, 3) if p <= limit)
 
     low = 5
     span = 2 * SEGMENT_SIZE  # SEGMENT_SIZE odd numbers per segment
     while low <= limit:
-        high = min(low + span, limit + 1)
-        if high % 2 == 0:
-            high += 1  # keep [low, high) aligned on odd numbers
-        count = (high - low + 1) // 2
-        mask = np.ones(count, dtype=bool)
-        for p in odd_base:
-            p = int(p)
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start >= high:
-                continue
-            mask[(start - low) // 2 :: p] = False
-        primes = low + 2 * np.flatnonzero(mask).astype(np.int64)
-        primes = primes[primes <= limit]  # rebinding frees the unfiltered array
-        yield from primes.tolist()
+        yield from _odd_sieve(low, min(low + span, limit + 1), odd_base)
         low += span
 
 
 def _higher_powers(limit: int) -> list[tuple[int, float]]:
     """All (p**k, log p) with p**k <= limit and k >= 2, sorted by p**k."""
     out: list[tuple[int, float]] = []
-    for p in _base_primes(math.isqrt(limit)).tolist():
+    for p in _base_primes(math.isqrt(limit)):
         weight = math.log(p)
         n = p * p
         while n <= limit:

@@ -111,6 +111,9 @@ for argv in (
     ["order-structure", "--q", "11", "--g", "3"],
     ["verify-lemmas", "--q", "7", "--g", "3"],
     ["digit-stats", "--q", "3", "--X", "100", "--r", "2", "--s", "1"],
+    ["expsum", "--q", "3", "--gamma", "5", "--a", "1", "--g", "2", "--X", "100"],
+    ["mersenne-sum", "--q", "3", "--gamma", "5", "--a", "1", "--X", "100"],
+    ["discrepancy", "--q", "3", "--gamma", "2", "--X", "100", "--H", "2"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert mdl.cli.main(argv) == 0
@@ -135,7 +138,10 @@ def test_numpy_is_loaded_only_by_the_commands_that_use_it():
         "vmvt": False,
         "order-structure": False,
         "verify-lemmas": False,
-        "digit-stats": True,  # the sieve: the probe can see numpy arrive
+        "digit-stats": False,  # the sieve needs no numpy
+        "expsum": False,
+        "mersenne-sum": False,
+        "discrepancy": True,  # the Erdos-Turan bound: the probe can see numpy arrive
     }
 
 

@@ -8,8 +8,10 @@ import pytest
 
 import mdl.primes
 from mdl.arith import is_prime
+from mdl.digits import count_blocks, mersenne_residues
 from mdl.errors import PreconditionError, ResourceGuardError
-from mdl.primes import SIEVE_GUARD, PrimeRange, mangoldt_terms, primes_up_to
+from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
+from mdl.primes import SIEVE_GUARD, PrimeRange, _base_primes, mangoldt_terms, primes_up_to
 from oracles import mangoldt_by_factoring, primes_by_trial_division
 
 
@@ -24,7 +26,30 @@ def test_sieve_segmentation_is_invisible(monkeypatch):
     assert wide == narrow
 
 
-@pytest.mark.parametrize("x, count", [(2, 1), (10, 4), (100, 25), (10**6, 78498)])
+def test_base_primes_match_trial_division():
+    # every n up to 3000 passes each p*p at which the odd-only mask clears
+    primes = primes_by_trial_division(3000)
+    for n in range(3001):
+        assert _base_primes(n) == [p for p in primes if p <= n], n
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("d", [-2, -1, 0, 1, 2])
+def test_sieve_matches_trial_division_at_segment_ends(monkeypatch, k: int, d: int):
+    # with 64 odd numbers per segment, the segments start at 5 + 128k
+    monkeypatch.setattr(mdl.primes, "SEGMENT_SIZE", 64)
+    limit = 5 + 128 * k + d
+    assert list(primes_up_to(PrimeRange(limit))) == primes_by_trial_division(limit)
+
+
+def test_sieve_yields_plain_ints():
+    assert all(type(p) is int for p in primes_up_to(PrimeRange(10**5)))
+
+
+@pytest.mark.parametrize(
+    "x, count",
+    [(2, 1), (10, 4), (100, 25), (10**6, 78498), (2 * 10**6, 148_933), (10**7, 664_579)],
+)
 def test_prime_count_reference_values(x: int, count: int):
     assert sum(1 for _ in primes_up_to(PrimeRange(x))) == count
 
@@ -32,6 +57,22 @@ def test_prime_count_reference_values(x: int, count: int):
 def test_prime_range_validation():
     with pytest.raises(PreconditionError):
         PrimeRange(1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PrimeRange(1000.0),
+        lambda: count_blocks(3, 1e4, 2, 1),
+        lambda: mersenne_residues(3, 5, 1e4),
+        lambda: mersenne_prime_sum(3, 5, 1, 1e4),
+        lambda: mangoldt_exp_sum(3, 5, 1, 2, 1e4),
+    ],
+    ids=["PrimeRange", "count_blocks", "mersenne_residues", "mersenne_prime_sum", "mangoldt_exp_sum"],
+)
+def test_every_sieve_caller_rejects_a_non_int_limit(call):
+    with pytest.raises(PreconditionError, match=r"^limit must be an int, got (1000|10000)\.0$"):
+        call()
 
 
 def test_sieve_guard_boundary():
