@@ -11,8 +11,9 @@ a tolerance would otherwise creep in:
 - exact power-sum collision counts (mean-value counts) over small boxes.
 
 Every exponential sum is one sequential pass over its stream, Kahan-summed
-in a fixed block order, and the Erdos-Turan inner sums are correctly
-rounded by math.fsum, so results are reproducible bit for bit.
+in a fixed block order on float pairs (real and imaginary parts), and the
+Erdos-Turan inner sums are correctly rounded by math.fsum, so results are
+reproducible bit for bit.
 """
 
 from .arith import (

@@ -5,7 +5,9 @@ e and the size of the power before it is formed; code that holds an
 already validated q checks only the size, with _check_power_size.
 Everything here works on Python's arbitrary-precision integers; floating
 point enters in two places, where a canonical residue over its modulus
-becomes a double: unit_circle_value and digits._phase_ratios.
+becomes a double: expsum._phase_sum and digits._phase_ratios.
+unit_circle_value defines one such phase as a complex number; the tests'
+blocked-Kahan oracle for expsum._phase_sum is built from it.
 """
 
 from __future__ import annotations
@@ -137,13 +139,14 @@ def padic_valuation(q: int, n: int) -> int:
 
 def stepped_powers(
     base: int, exponents: Iterable[int], modulus: int
-) -> Iterator[int]:
-    """Yield base**e mod modulus for non-negative, strictly ascending e.
+) -> Iterator[tuple[int, int]]:
+    """Yield (e, base**e mod modulus) for non-negative, strictly ascending e.
 
     Only the first power is a full exponentiation; each later one is the
     previous power times base**(e - e_prev), computed once per distinct
     gap (prime gaps below 10^7 take fewer than a hundred values).  The
-    stream is lazy, so consumers never need every power at once.
+    stream is lazy: it draws the next exponent only when the next pair is
+    asked for, so consumers never need every power at once.
     """
     if modulus < 1:
         raise PreconditionError(f"modulus must be >= 1, got {modulus}")
@@ -166,7 +169,7 @@ def stepped_powers(
                 step = steps[gap] = pow(base, gap, modulus)
             value = value * step % modulus
         previous = e
-        yield value
+        yield e, value
 
 
 def unit_circle_value(value: int, modulus: int) -> complex:

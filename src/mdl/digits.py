@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import tee
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .arith import _check_odd_prime, is_prime, prime_power, stepped_powers
@@ -117,16 +116,17 @@ def _window_values(q: int, s: int) -> int:
 def _mersenne_walk(modulus: int, X: int) -> Iterator[tuple[int, int]]:
     """(p, 2^p - 1 mod modulus) for each prime p <= X, streamed in p order.
 
-    One stepped_powers pass.  X is checked at once, the sieve guard when
-    the first pair is drawn, so callers can finish their own checks first.
+    One stepped_powers pass.  The modulus is odd, so 2^p is a unit mod it
+    and x - 1 needs no reduction.  X is checked at once, the sieve guard
+    when the first pair is drawn, so callers can finish their own checks
+    first.
     """
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
 
     def walk() -> Iterator[tuple[int, int]]:
-        primes, exponents = tee(primes_up_to(PrimeRange(X)))
-        for p, x in zip(primes, stepped_powers(2, exponents, modulus)):
-            yield p, (x - 1) % modulus
+        for p, x in stepped_powers(2, primes_up_to(PrimeRange(X)), modulus):
+            yield p, x - 1
 
     return walk()
 

@@ -9,17 +9,17 @@ powers g^n come from one walk across the gaps between consecutive
 exponents (stepped_powers), the residues of 2^p - 1 from the Mersenne
 walk of mdl.digits, and the phases are Kahan-summed in fixed blocks of
 BLOCK_WIDTH consecutive exponents, so results are reproducible bit for
-bit.
+bit.  Each block is one loop over its terms that keeps the real part,
+the imaginary part and the weight as plain float Kahan sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby, tee
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .arith import _check_unit, _check_unit_base, prime_power, stepped_powers, unit_circle_value
+from .arith import _check_unit, _check_unit_base, prime_power, stepped_powers
 from .digits import _mersenne_walk
 from .errors import PreconditionError, SelfCheckError
 from .primes import PrimeRange, mangoldt_terms
@@ -91,19 +91,45 @@ def _phase_sum(
     """Sum weight * e(residue / modulus) over (n, weight, residue) terms.
 
     The terms come by strictly ascending n.  Those whose n share
-    n // BLOCK_WIDTH form one block, Kahan-summed from zero; the block
-    totals are then Kahan-summed in block order, and so are the weights.
-    That order is part of every frozen report.  Returns the sum, the
-    weight total and the number of terms.
+    n // BLOCK_WIDTH form one block, whose real parts, imaginary parts and
+    weights are Kahan-summed from zero as three plain floats; the block
+    totals are then Kahan-summed in block order.  That order is part of
+    every frozen report.  The float pairs give the same bits as complex
+    Kahan sums of weight * unit_circle_value(residue, modulus): complex
+    addition and subtraction act on each part alone, and weight times
+    complex(cos, sin) is (weight * cos, weight * sin), since cos of a
+    finite double is never 0 and the angle is never -0.0.  Returns the
+    sum, the weight total and the number of terms.
     """
+    cos, sin, tau, width = math.cos, math.sin, math.tau, BLOCK_WIDTH
     sums: list[complex] = []
-    weights: list[complex] = []
+    weights: list[float] = []
+    block = None
+    re = im = wt = re_comp = im_comp = wt_comp = 0.0
     count = 0
-    for _, block in groupby(terms, lambda term: term[0] // BLOCK_WIDTH):
-        block = list(block)
-        sums.append(kahan_sum(w * unit_circle_value(r, modulus) for _, w, r in block))
-        weights.append(kahan_sum(w for _, w, _ in block))
-        count += len(block)
+    for count, (n, w, r) in enumerate(terms, start=1):
+        if n // width != block:
+            if block is not None:
+                sums.append(complex(re, im))
+                weights.append(wt)
+            block = n // width
+            re = im = wt = re_comp = im_comp = wt_comp = 0.0
+        angle = tau * (r / modulus)
+        y = w * cos(angle) - re_comp
+        t = re + y
+        re_comp = (t - re) - y
+        re = t
+        y = w * sin(angle) - im_comp
+        t = im + y
+        im_comp = (t - im) - y
+        im = t
+        y = w - wt_comp
+        t = wt + y
+        wt_comp = (t - wt) - y
+        wt = t
+    if count:
+        sums.append(complex(re, im))
+        weights.append(wt)
     return kahan_sum(sums), kahan_sum(weights).real, count
 
 
@@ -120,10 +146,17 @@ def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult
     _check_unit_base(q, g)
     if X == 1:
         return ExpSumResult(0.0, 0.0, 0, 0.0, 0.0)
-    terms, exponents = tee(mangoldt_terms(PrimeRange(X)))
-    powers = stepped_powers(g, (n for n, _ in exponents), Q)
+    weight = 0.0
+
+    def exponents() -> Iterator[int]:
+        # stepped_powers draws one exponent per pair, so weight is the
+        # weight of the pair being read
+        nonlocal weight
+        for n, weight in mangoldt_terms(PrimeRange(X)):
+            yield n
+
     total, normalizer, count = _phase_sum(
-        ((n, weight, (a * x) % Q) for (n, weight), x in zip(terms, powers)), Q
+        ((n, weight, (a * x) % Q) for n, x in stepped_powers(g, exponents(), Q)), Q
     )
     return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))
 

@@ -10,7 +10,6 @@ order.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from itertools import compress
@@ -105,8 +104,17 @@ def mangoldt_terms(prime_range: PrimeRange) -> Iterator[tuple[int, float]]:
 
     Emits the pair (n, log p) for each prime power n = p**k.  The prime
     stream is merged with the (short) sorted list of higher powers, so
-    memory stays bounded by the segment size; every n occurs once, so the
-    merge never compares weights.
+    memory stays bounded by the segment size; the powers left over after
+    the last prime (limit 4 or 64, say) close the stream.
     """
-    primes = ((p, math.log(p)) for p in primes_up_to(prime_range))
-    yield from heapq.merge(primes, _higher_powers(prime_range.limit))
+    log = math.log
+    limit = prime_range.limit
+    powers = [*_higher_powers(limit), (limit + 1, 0.0)]  # the last is a sentinel
+    i, next_power = 0, powers[0][0]
+    for p in primes_up_to(prime_range):
+        while next_power < p:
+            yield powers[i]
+            i += 1
+            next_power = powers[i][0]
+        yield p, log(p)
+    yield from powers[i:-1]

@@ -3,8 +3,9 @@
 Everything here recomputes values from definitions, by a different route
 than the library takes: trial division instead of sieving, full integer
 expansion instead of modular windows, plain sums with cmath instead of
-compensated blocked sums, and exhaustive orbit walks instead of closed
-forms.  Slow on purpose; sized for test boxes only.
+compensated blocked sums, one complex phase per term instead of float
+pairs, and exhaustive orbit walks instead of closed forms.  Slow on
+purpose; sized for test boxes only.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
+
+from mdl.arith import unit_circle_value
+from mdl.expsum import BLOCK_WIDTH, kahan_sum
 
 
 def primes_by_trial_division(limit: int) -> list[int]:
@@ -149,6 +154,23 @@ def mersenne_sum_by_direct_powers(Q: int, a: int, X: int) -> complex:
     for p in primes_by_trial_division(X):
         total += cmath.exp(2j * cmath.pi * ((a * (2**p - 1)) % Q) / Q)
     return total
+
+
+def phase_sum_by_blocked_kahan(
+    terms: list[tuple[int, float, int]], modulus: int
+) -> tuple[complex, float, int]:
+    """The blocked phase sum as complex Kahan sums of one complex phase per term.
+
+    Each block of n // BLOCK_WIDTH sums weight * unit_circle_value(residue)
+    and the weights with kahan_sum; the block totals are Kahan-summed in
+    block order.  This fixes the bits of every frozen exponential sum.
+    """
+    sums, weights = [], []
+    for _, block in groupby(terms, lambda term: term[0] // BLOCK_WIDTH):
+        block = list(block)
+        sums.append(kahan_sum(w * unit_circle_value(r, modulus) for _, w, r in block))
+        weights.append(kahan_sum(w for _, w, _ in block))
+    return kahan_sum(sums), kahan_sum(weights).real, len(terms)
 
 
 def erdos_turan_by_unreduced_phases(

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mdl.arith import unit_circle_value
 from mdl.expsum import BLOCK_WIDTH, _phase_sum, kahan_sum
+from oracles import phase_sum_by_blocked_kahan
+
+MODULI = (3**20, 3**40, 3**101)
+LOG_WEIGHTS = tuple(math.log(p) for p in (2, 3, 5, 7, 97, 65537))
 
 
 def test_kahan_beats_naive_on_adversarial_input():
@@ -40,3 +44,33 @@ def test_phase_sum_restarts_kahan_at_every_block():
 
 def test_phase_sum_of_no_terms_is_zero():
     assert _phase_sum([], 9) == (0j, 0.0, 0)
+
+
+def _bits(total: complex, normalizer: float, count: int) -> tuple[str, str, str, int]:
+    # float.hex tells 0.0 from -0.0, which == does not
+    return total.real.hex(), total.imag.hex(), normalizer.hex(), count
+
+
+@st.composite
+def _blocked_terms(draw) -> tuple[list[tuple[int, float, int]], int]:
+    """Terms over three to five blocks, weighted 1.0 or log p, with residue 0 drawn often."""
+    modulus = draw(st.sampled_from(MODULI))
+    weight = st.sampled_from((1.0, *LOG_WEIGHTS))
+    residue = st.one_of(st.just(0), st.integers(0, modulus - 1))
+    terms = []
+    for block in sorted(draw(st.sets(st.integers(0, 6), min_size=3, max_size=5))):
+        offsets = draw(st.sets(st.integers(0, BLOCK_WIDTH - 1), min_size=1, max_size=8))
+        for offset in sorted(offsets):
+            terms.append((block * BLOCK_WIDTH + offset, draw(weight), draw(residue)))
+    return terms, modulus
+
+
+@given(_blocked_terms())
+@example(([], 3**20))
+@example(([], 3**40))
+@example(([], 3**101))
+def test_phase_sum_matches_blocked_complex_kahan_bit_for_bit(case):
+    terms, modulus = case
+    want = phase_sum_by_blocked_kahan(terms, modulus)
+    assert _bits(*_phase_sum(terms, modulus)) == _bits(*want)
+

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdl.arith import stepped_powers
-from mdl.digits import count_blocks
+from mdl.digits import count_blocks, mersenne_residues
 from mdl.errors import PreconditionError
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
 from mdl.primes import PrimeRange, mangoldt_terms, primes_up_to
@@ -29,7 +29,7 @@ def test_stepped_powers_match_pow_over_primes(q: int, gamma: int, X: int):
     primes = [p for p in PRIMES_TO_1E4 if p <= X]
     modulus = q**gamma
     for base in (2, 5, -7):
-        got = list(stepped_powers(base, primes, modulus))
+        got = [x for _, x in stepped_powers(base, primes, modulus)]
         assert got == powers_by_direct_pow(base, primes, modulus), (base, q, gamma, X)
 
 
@@ -38,7 +38,7 @@ def test_stepped_powers_match_pow_over_prime_powers(X: int):
     exponents = [n for n, _ in mangoldt_terms(PrimeRange(X))]
     for modulus in (3, 3**40, 7**20, 11**101):
         for g in (2, 5, -2, -7):
-            got = list(stepped_powers(g, exponents, modulus))
+            got = [x for _, x in stepped_powers(g, exponents, modulus)]
             assert got == powers_by_direct_pow(g, exponents, modulus), (modulus, g, X)
 
 
@@ -50,8 +50,9 @@ def test_stepped_powers_match_pow_over_prime_powers(X: int):
 )
 def test_stepped_powers_property(exponents: list[int], base: int, modulus: int):
     exponents.sort()
-    got = list(stepped_powers(base, exponents, modulus))
-    assert got == powers_by_direct_pow(base, exponents, modulus)
+    pairs = list(stepped_powers(base, exponents, modulus))
+    assert [e for e, _ in pairs] == exponents
+    assert [x for _, x in pairs] == powers_by_direct_pow(base, exponents, modulus)
 
 
 @pytest.mark.parametrize("exponents", [[3, 2], [2, 3, 3], [2, 5, 3, 7], [-1, 2]])
@@ -63,6 +64,17 @@ def test_stepped_powers_rejects_bad_exponents(exponents: list[int]):
 def test_stepped_powers_rejects_bad_modulus():
     with pytest.raises(PreconditionError):
         list(stepped_powers(2, [2, 3], 0))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_mersenne_walk_matches_reduced_pow(q: int):
+    # the walk takes x - 1 for x = 2^p mod q, unreduced; with q = 3, p = 2
+    # gives the residue 0, the lower end of the range
+    X = 1000
+    want = [(pow(2, p, q) - 1) % q for p in primes_by_trial_division(X)]
+    assert mersenne_residues(q, 1, X) == want
+    assert count_blocks(q, X, 0, 1).counts == tuple(want.count(v) for v in range(q))
+    assert (q != 3) or want[0] == 0
 
 
 @pytest.mark.parametrize("q, r, s", [(5, 20, 2), (7, 12, 1), (11, 30, 2)])

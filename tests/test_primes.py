@@ -94,6 +94,13 @@ def test_mangoldt_terms_match_factoring_oracle():
     assert not got
 
 
+@pytest.mark.parametrize("limit", [2, 3, 4, 8, 9, 64, 1024])
+def test_mangoldt_terms_merge_emits_powers_after_the_last_prime(limit: int):
+    # at 4, 8, 9 and 64 the stream ends with a power above the largest prime
+    want = [(n, mangoldt_by_factoring(n)) for n in range(2, limit + 1)]
+    assert list(mangoldt_terms(PrimeRange(limit))) == [(n, w) for n, w in want if w]
+
+
 def test_mangoldt_terms_sorted_and_weighted_by_base_prime():
     terms = list(mangoldt_terms(PrimeRange(64)))
     assert all(type(term) is tuple and len(term) == 2 for term in terms)
