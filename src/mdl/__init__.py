@@ -14,79 +14,27 @@ Every exponential sum is one sequential pass over its stream, Kahan-summed
 in a fixed block order on float pairs (real and imaginary parts), and the
 Erdos-Turan inner sums are correctly rounded by math.fsum, so results are
 reproducible bit for bit.
+
+Each module's __all__ is the one list of its public names: the package
+re-exports every one of them, and its own __all__ joins those lists.
 """
 
-from .arith import (
-    is_prime,
-    padic_valuation,
-    prime_power,
-    stepped_powers,
-    unit_circle_value,
-)
-from .digits import (
-    DigitCountReport,
-    count_blocks,
-    digit_block,
-    discrepancy,
-    erdos_turan_bound,
-    fractional_part_check,
-    mersenne_residues,
-)
-from .errors import PreconditionError, ResourceGuardError, SelfCheckError
-from .expsum import (
-    ExpSumResult,
-    log_ratio,
-    mangoldt_exp_sum,
-    mersenne_prime_sum,
-)
-from .order import (
-    OrderStructure,
-    congruence_criterion,
-    excess_valuation,
-    order_mod_power,
-    order_structure,
-    valuation_difference,
-)
-from .primes import (
-    PrimeRange,
-    mangoldt_terms,
-    primes_up_to,
-)
-from .vmvt import VmvtInstance, monotonicity_check, vmvt_count
+from .arith import *
+from .digits import *
+from .errors import *
+from .expsum import *
+from .order import *
+from .primes import *
+from .vmvt import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "is_prime",
-    "padic_valuation",
-    "prime_power",
-    "stepped_powers",
-    "unit_circle_value",
-    "DigitCountReport",
-    "count_blocks",
-    "digit_block",
-    "discrepancy",
-    "erdos_turan_bound",
-    "fractional_part_check",
-    "mersenne_residues",
-    "PreconditionError",
-    "ResourceGuardError",
-    "SelfCheckError",
-    "ExpSumResult",
-    "log_ratio",
-    "mangoldt_exp_sum",
-    "mersenne_prime_sum",
-    "OrderStructure",
-    "congruence_criterion",
-    "excess_valuation",
-    "order_mod_power",
-    "order_structure",
-    "valuation_difference",
-    "PrimeRange",
-    "mangoldt_terms",
-    "primes_up_to",
-    "VmvtInstance",
-    "monotonicity_check",
-    "vmvt_count",
-]
+__all__ = (
+    arith.__all__
+    + digits.__all__
+    + errors.__all__
+    + expsum.__all__
+    + order.__all__
+    + primes.__all__
+    + vmvt.__all__
+)

@@ -6,8 +6,6 @@ already validated q checks only the size, with _check_power_size.
 Everything here works on Python's arbitrary-precision integers; floating
 point enters in two places, where a canonical residue over its modulus
 becomes a double: expsum._phase_sum and digits._phase_ratios.
-unit_circle_value defines one such phase as a complex number; the tests'
-blocked-Kahan oracle for expsum._phase_sum is built from it.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ __all__ = [
     "padic_valuation",
     "prime_power",
     "stepped_powers",
-    "unit_circle_value",
 ]
 
 MODULUS_BIT_GUARD = 1 << 16  # maximum size, in bits, of a modulus q^e
@@ -170,17 +167,3 @@ def stepped_powers(
             value = value * step % modulus
         previous = e
         yield e, value
-
-
-def unit_circle_value(value: int, modulus: int) -> complex:
-    """exp(2*pi*i*value/modulus) for exact integers 0 <= value < modulus.
-
-    The ratio value/modulus is formed by one correctly-rounded conversion
-    of the exact rational to binary floating point (CPython's int/int
-    division), so the phase error is at most one ulp of the ratio even
-    when the modulus exceeds 2**53.
-    """
-    ratio = value / modulus
-    angle = math.tau * ratio
-    return complex(math.cos(angle), math.sin(angle))
-

@@ -35,11 +35,13 @@ __all__ = [
     "mersenne_residues",
     "discrepancy",
     "erdos_turan_bound",
-    "ERDOS_TURAN_CONSTANT",
     "BIN_GUARD",
 ]
 
 BIN_GUARD = 10**6  # maximum number of digit-window values q^s
+# Phase terms charged per h of erdos_turan_bound on top of one per distinct
+# residue: each h pays fixed numpy and fsum calls, measured at 40-50 terms.
+_PER_H_TERMS = 64
 
 # Leading constant of the discrepancy bound; the classical inequality
 # D* <= 1/(H+1) + 3 * sum_{h<=H} (1/h) |S_h| / N holds with this value.
@@ -250,7 +252,8 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     imaginary parts, each correctly rounded.  residues is taken as in
     discrepancy.
     Raises ResourceGuardError, before the first phase, when H times the
-    number of distinct residues exceeds ENUMERATION_GUARD.
+    number of distinct residues plus 64 exceeds ENUMERATION_GUARD: each h
+    is charged 64 terms for its fixed numpy and fsum calls.
     """
     import numpy as np
 
@@ -260,9 +263,10 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     n = len(residues)
     # integer multiplicities keep the per-h pass cheap and deterministic
     multiplicity = Counter(residues)
-    if H * len(multiplicity) > ENUMERATION_GUARD:
+    if H * (len(multiplicity) + _PER_H_TERMS) > ENUMERATION_GUARD:
         raise ResourceGuardError(
-            f"H * distinct residues = {H} * {len(multiplicity)} exceeds the "
+            f"H * (distinct residues + {_PER_H_TERMS}) = {H} * "
+            f"({len(multiplicity)} + {_PER_H_TERMS}) exceeds the "
             f"enumeration guard {ENUMERATION_GUARD}"
         )
     weights = np.array(list(multiplicity.values()), dtype=float)

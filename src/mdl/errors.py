@@ -5,6 +5,8 @@ resource-guard rejections -> 3, self-check failures -> 4), so library
 code should raise the most specific class that applies.
 """
 
+__all__ = ["PreconditionError", "ResourceGuardError", "SelfCheckError"]
+
 
 class PreconditionError(ValueError):
     """An operation was invoked with arguments outside its contract."""

@@ -25,9 +25,7 @@ from .errors import PreconditionError, SelfCheckError
 from .primes import PrimeRange, mangoldt_terms
 
 __all__ = [
-    "BLOCK_WIDTH",
     "ExpSumResult",
-    "kahan_sum",
     "mangoldt_exp_sum",
     "mersenne_prime_sum",
     "log_ratio",
@@ -95,7 +93,7 @@ def _phase_sum(
     weights are Kahan-summed from zero as three plain floats; the block
     totals are then Kahan-summed in block order.  That order is part of
     every frozen report.  The float pairs give the same bits as complex
-    Kahan sums of weight * unit_circle_value(residue, modulus): complex
+    Kahan sums of weight * complex(cos(angle), sin(angle)): complex
     addition and subtraction act on each part alone, and weight times
     complex(cos, sin) is (weight * cos, weight * sin), since cos of a
     finite double is never 0 and the angle is never -0.0.  Returns the
@@ -144,7 +142,7 @@ def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult
         raise PreconditionError(f"X must be >= 1, got {X}")
     _check_unit(q, "a", a)
     _check_unit_base(q, g)
-    if X == 1:
+    if X == 1 and isinstance(X, int):  # 1.0 goes on to PrimeRange's int check
         return ExpSumResult(0.0, 0.0, 0, 0.0, 0.0)
     weight = 0.0
 

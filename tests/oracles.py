@@ -17,7 +17,6 @@ from itertools import groupby
 
 import numpy as np
 
-from mdl.arith import unit_circle_value
 from mdl.expsum import BLOCK_WIDTH, kahan_sum
 
 
@@ -154,6 +153,19 @@ def mersenne_sum_by_direct_powers(Q: int, a: int, X: int) -> complex:
     for p in primes_by_trial_division(X):
         total += cmath.exp(2j * cmath.pi * ((a * (2**p - 1)) % Q) / Q)
     return total
+
+
+def unit_circle_value(value: int, modulus: int) -> complex:
+    """exp(2*pi*i*value/modulus) for exact integers 0 <= value < modulus.
+
+    The ratio value/modulus is formed by one correctly-rounded conversion
+    of the exact rational to binary floating point (CPython's int/int
+    division), so the phase error is at most one ulp of the ratio even
+    when the modulus exceeds 2**53.  The angle tau * ratio is the one
+    expsum._phase_sum forms.
+    """
+    angle = math.tau * (value / modulus)
+    return complex(math.cos(angle), math.sin(angle))
 
 
 def phase_sum_by_blocked_kahan(

@@ -1,4 +1,4 @@
-"""Exact modular arithmetic primitives and unit-circle embedding."""
+"""Exact modular arithmetic primitives, and the oracles' unit-circle embedding."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from mdl.arith import (
     is_prime,
     padic_valuation,
     prime_power,
-    unit_circle_value,
 )
 from mdl.digits import (
     DigitCountReport,
@@ -38,6 +37,7 @@ from mdl.order import (
 )
 from mdl.primes import PrimeRange, primes_up_to
 from mdl.vmvt import VmvtInstance
+from oracles import unit_circle_value
 
 
 def test_is_prime_small_values():

@@ -7,9 +7,8 @@ import math
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mdl.arith import unit_circle_value
 from mdl.expsum import BLOCK_WIDTH, _phase_sum, kahan_sum
-from oracles import phase_sum_by_blocked_kahan
+from oracles import phase_sum_by_blocked_kahan, unit_circle_value
 
 MODULI = (3**20, 3**40, 3**101)
 LOG_WEIGHTS = tuple(math.log(p) for p in (2, 3, 5, 7, 97, 65537))

@@ -236,12 +236,16 @@ def test_digit_window_bins_are_guarded(capsys):
 
 
 def test_erdos_turan_terms_are_guarded(capsys):
-    # 25 distinct residues times H = 10^7 phase terms exceed the guard
-    code, _, err = run_cli(
-        capsys, "discrepancy", "--q", "3", "--gamma", "30", "--X", "100", "--H", "10000000",
-    )
-    assert code == 3
-    assert "enumeration guard" in err
+    # 25 distinct residues times H = 10^7 phase terms exceed the guard, and so
+    # does H = 10^8 over one residue, since each h is charged 64 terms more
+    for gamma, X, H in [("30", "100", "10000000"), ("1", "2", "100000000")]:
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "discrepancy", "--q", "3", "--gamma", gamma, "--X", X, "--H", H,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "enumeration guard" in err
 
 
 @pytest.mark.parametrize(

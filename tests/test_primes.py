@@ -67,11 +67,15 @@ def test_prime_range_validation():
         lambda: mersenne_residues(3, 5, 1e4),
         lambda: mersenne_prime_sum(3, 5, 1, 1e4),
         lambda: mangoldt_exp_sum(3, 5, 1, 2, 1e4),
+        lambda: mangoldt_exp_sum(3, 5, 1, 2, 1.0),
     ],
-    ids=["PrimeRange", "count_blocks", "mersenne_residues", "mersenne_prime_sum", "mangoldt_exp_sum"],
+    ids=[
+        "PrimeRange", "count_blocks", "mersenne_residues", "mersenne_prime_sum",
+        "mangoldt_exp_sum", "mangoldt_exp_sum_at_1",
+    ],
 )
 def test_every_sieve_caller_rejects_a_non_int_limit(call):
-    with pytest.raises(PreconditionError, match=r"^limit must be an int, got (1000|10000)\.0$"):
+    with pytest.raises(PreconditionError, match=r"^limit must be an int, got (1|1000|10000)\.0$"):
         call()
 
 
