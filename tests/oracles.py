@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 
@@ -196,6 +197,25 @@ def erdos_turan_by_unreduced_phases(
     for h in range(1, H + 1):
         inner = sum(cmath.exp(2j * cmath.pi * ((h * x) % Q) / Q) for x in residues)
         total += abs(inner) / (h * n)
+    return 1.0 / (H + 1) + 3.0 * total
+
+
+def erdos_turan_by_fsum(residues: list[int], modulus: int, H: int) -> float:
+    """The discrepancy bound with int / int phase ratios and math.fsum sums.
+
+    The same numpy cos and sin of the same correctly rounded ratios as the
+    library, weighted by multiplicity; each weighted real and imaginary
+    part is added by fsum, exact and rounded once.
+    """
+    multiplicity = Counter(residues)
+    weights = np.array(list(multiplicity.values()), dtype=float)
+    total = 0.0
+    for h in range(1, H + 1):
+        ratios = np.array([h * x % modulus / modulus for x in multiplicity])
+        angles = math.tau * ratios
+        real = math.fsum((weights * np.cos(angles)).tolist())
+        imag = math.fsum((weights * np.sin(angles)).tolist())
+        total += abs(complex(real, imag)) / (h * len(residues))
     return 1.0 / (H + 1) + 3.0 * total
 
 

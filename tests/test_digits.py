@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mdl.digits import (
     DigitCountReport,
+    _exact_row_sums,
     _phase_ratios,
     count_blocks,
     digit_block,
@@ -24,6 +25,7 @@ from mdl.digits import (
 from mdl.errors import PreconditionError, ResourceGuardError
 from oracles import (
     digit_window_by_expansion,
+    erdos_turan_by_fsum,
     erdos_turan_by_unreduced_phases,
     primes_by_trial_division,
     star_discrepancy_by_threshold_sweep,
@@ -187,7 +189,8 @@ def test_erdos_turan_frozen_golden_value():
 
 
 # values frozen from the scalar cos/sin loop with Kahan sums that the numpy
-# phases and math.fsum replaced; moduli below 2^53 and above 2^63
+# phases and math.fsum replaced, moduli below 2^53 and above 2^63; the last
+# two from that fsum route, one with weights up to 1,604
 @pytest.mark.parametrize(
     "q, gamma, X, H, frozen",
     [
@@ -195,6 +198,8 @@ def test_erdos_turan_frozen_golden_value():
         (11, 5, 10**5, 100, 0.1454907221620843),
         (3, 40, 10**5, 100, 0.13420312402117981),
         (3, 101, 3 * 10**4, 50, 0.3285380685874239),
+        (3, 20, 10**6, 100, float.fromhex("0x1.c831dd9d9fcadp-5")),
+        (3, 3, 10**5, 40, float.fromhex("0x1.f8aa13f166bacp+0")),
     ],
 )
 def test_erdos_turan_frozen_scalar_route_values(q, gamma, X, H, frozen):
@@ -220,20 +225,6 @@ def test_int64_ratios_would_round_twice_above_2_53():
     assert naive != [x / modulus for x in support]
 
 
-def _bound_by_int_division(residues, modulus, H):
-    """erdos_turan_bound's sum with every phase ratio formed by int / int."""
-    multiplicity = Counter(residues)
-    weights = np.array(list(multiplicity.values()), dtype=float)
-    total = 0.0
-    for h in range(1, H + 1):
-        ratios = np.array([h * x % modulus / modulus for x in multiplicity])
-        angles = math.tau * ratios
-        real = math.fsum((weights * np.cos(angles)).tolist())
-        imag = math.fsum((weights * np.sin(angles)).tolist())
-        total += abs(complex(real, imag)) / (h * len(residues))
-    return 1.0 / (H + 1) + 3.0 * total
-
-
 @pytest.mark.parametrize("H", [1659, 1660])
 def test_erdos_turan_bound_across_the_int64_product_switch(H):
     # 1659 * 3^33 < 2^63 <= 1660 * 3^33: the last h of H = 1660 would wrap in
@@ -241,9 +232,121 @@ def test_erdos_turan_bound_across_the_int64_product_switch(H):
     modulus = 3**33
     assert 1659 * modulus < 2**63 <= 1660 * modulus
     residues = mersenne_residues(3, 33, 2000) + [modulus - 1]
-    assert erdos_turan_bound(3, 33, residues, H) == _bound_by_int_division(
+    assert erdos_turan_bound(3, 33, residues, H) == erdos_turan_by_fsum(
         residues, modulus, H
     )
+
+
+# 3^5 and 3^20 take the int64 ratios, 3^40 the int / int ones, and 3^33
+# switches between H = 1659 and H = 1660
+_DUAL_ROUTE_H = {
+    5: st.integers(1, 40),
+    20: st.integers(1, 40),
+    33: st.sampled_from([1659, 1660]),
+    40: st.integers(1, 40),
+}
+
+
+@settings(deadline=None)
+@given(gamma=st.sampled_from(sorted(_DUAL_ROUTE_H)), data=st.data())
+def test_erdos_turan_bound_equals_fsum_route(gamma, data):
+    modulus = 3**gamma
+    H = data.draw(_DUAL_ROUTE_H[gamma], label="H")
+    support = data.draw(
+        st.lists(
+            st.integers(0, modulus - 1) | st.sampled_from([0, 1, modulus - 1]),
+            min_size=1, max_size=12, unique=True,
+        ),
+        label="support",
+    )
+    counts = data.draw(
+        st.lists(st.integers(1, 2000), min_size=len(support), max_size=len(support)),
+        label="multiplicities",
+    )
+    residues = [x for x, count in zip(support, counts) for _ in range(count)]
+    got = erdos_turan_bound(3, gamma, residues, H)
+    assert got.hex() == erdos_turan_by_fsum(residues, modulus, H).hex()
+
+
+def _abs_sum_ceiling(rows):
+    return max(math.ceil(sum(abs(Fraction(x)) for x in row)) for row in rows)
+
+
+_SUMMANDS = (
+    st.floats(-(2.0**20), 2.0**20)
+    | st.floats(-(2.0**-1000), 2.0**-1000)
+    | st.sampled_from([0.0, -0.0, 2.0**-1074, -(2.0**-1074), 1.0, 2.0**-53, 3.0 * 2**-53])
+)
+
+
+def _row(data, length):
+    # a short drawn row, optionally followed by its negation, repeated to length
+    values = data.draw(st.lists(_SUMMANDS, min_size=1, max_size=16))
+    if data.draw(st.booleans(), label="cancel"):
+        values += [-x for x in values]
+    return (values * length)[:length]
+
+
+@settings(deadline=None)
+@given(
+    length=st.sampled_from([1, 2, 3, 7, 8, 9, 63, 64, 255, 256, 1024, 1025]),
+    slack=st.integers(0, 2**30),
+    data=st.data(),
+)
+def test_exact_row_sums_equal_fsum_row_by_row(length, slack, data):
+    rows = [_row(data, length), _row(data, length)]
+    got = _exact_row_sums(np.array(rows), _abs_sum_ceiling(rows) + slack)
+    # == rather than hex: fsum returns +0.0 for a row of -0.0
+    assert got == [math.fsum(row) for row in rows]
+
+
+@settings(deadline=None)
+@given(
+    bound=st.integers(1, 2**40)
+    | st.sampled_from([2**k + d for k in (10, 20, 39) for d in (-1, 0, 1)]),
+    length=st.sampled_from([2, 3, 4, 8, 31, 32, 1024]),
+    finer=st.integers(0, 10),
+    signed=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+)
+def test_exact_row_sums_at_the_bound(bound, length, finer, signed, rng):
+    # rows of multiples of 2^-e whose absolute values sum to bound exactly,
+    # on grids down to 2^finer times finer than the one bound alone allows
+    e = 53 - bound.bit_length() + min(finer, length.bit_length() - 2)
+    base, extra = divmod(bound << e, length)
+    parts = [base] * length
+    parts[0] += extra
+    for i in range(0, length - 1, 2):
+        moved = rng.randrange(base // 2 + 1)
+        parts[i] += moved
+        parts[i + 1] -= moved
+    rows = []
+    for _ in range(2):
+        row = [math.ldexp(part, -e) for part in parts]
+        if signed:
+            row = [-x if rng.random() < 0.5 else x for x in row]
+        rng.shuffle(row)
+        rows.append(row)
+    assert _abs_sum_ceiling(rows) == bound
+    assert _exact_row_sums(np.array(rows), bound) == [math.fsum(row) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "row, want",
+    [
+        ([1.0, 2.0**-53], 1.0),  # a tie rounds to the even neighbour
+        ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),
+        ([1.0, 2.0**-53, 2.0**-1074], 1.0 + 2.0**-52),  # a subnormal breaks the tie
+        ([2.0**-1074, 2.0**-1074, -(2.0**-1074)], 2.0**-1074),
+        ([0.5, -0.5, 2.0**-1074], 2.0**-1074),
+        ([-0.0, -0.0], 0.0),
+        ([7.0, -7.0], 0.0),
+    ],
+)
+def test_exact_row_sums_reference_values(row, want):
+    negated = [-x for x in row]
+    assert [math.fsum(row), math.fsum(negated)] == [want, -want]
+    assert _exact_row_sums(np.array([row, negated]), _abs_sum_ceiling([row])) == [want, -want]
 
 
 def test_erdos_turan_certifies_discrepancy_spot_checks():
