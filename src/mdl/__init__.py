@@ -12,8 +12,8 @@ a tolerance would otherwise creep in:
 
 Every exponential sum is one sequential pass over its stream, Kahan-summed
 in a fixed block order on float pairs (real and imaginary parts), and the
-Erdos-Turan inner sums are correctly rounded by math.fsum, so results are
-reproducible bit for bit.
+Erdos-Turan inner sums are exact sums rounded once (the bits of math.fsum),
+so results are reproducible bit for bit.
 
 Each module's __all__ is the one list of its public names: the package
 re-exports every one of them, and its own __all__ joins those lists.

@@ -5,7 +5,7 @@ e and the size of the power before it is formed; code that holds an
 already validated q checks only the size, with _check_power_size.
 Everything here works on Python's arbitrary-precision integers; floating
 point enters in two places, where a canonical residue over its modulus
-becomes a double: expsum._phase_sum and digits._phase_ratios.
+becomes a double: expsum._phase_sum and digits.erdos_turan_bound.
 """
 
 from __future__ import annotations

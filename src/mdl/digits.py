@@ -9,7 +9,7 @@ per-window prime counts, an exact star-discrepancy of the scaled
 residues, and an Erdos-Turan upper bound for that discrepancy built from
 exponential sums.  Everything float is a single rounding away
 from exact integer or rational arithmetic.  numpy is imported by the
-Erdos-Turan bound when it runs, not with this module.
+Erdos-Turan bound once its guard admits the run, not with this module.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ __all__ = [
 
 BIN_GUARD = 10**6  # maximum number of digit-window values q^s
 # Phase terms charged per h of erdos_turan_bound on top of one per distinct residue
-# for its fixed numpy calls, kept at 64: 32 us, 400 terms at 80 ns (2-vCPU AVX-512).
-_PER_H_TERMS = 64
+# for its fixed numpy calls: 25-37 us, 405-515 terms at 60-76 ns (2-vCPU AVX-512).
+_PER_H_TERMS = 512
 
 # Leading constant of the discrepancy bound; the classical inequality
 # D* <= 1/(H+1) + 3 * sum_{h<=H} (1/h) |S_h| / N holds with this value.
@@ -217,28 +217,6 @@ def discrepancy(q: int, gamma: int, residues: Sequence[int]) -> float:
     return best / (n * modulus)
 
 
-def _phase_ratios(support: list[int], modulus: int, H: int) -> Iterator[np.ndarray]:
-    """(h * x mod modulus) / modulus for every x in support, for h = 1, ..., H.
-
-    Yields one float array per h, each ratio correctly rounded from the
-    exact rational.  When modulus < 2^53 and H * modulus < 2^63, numerator
-    and denominator are exact doubles and no product overflows, so one
-    int64 array built here serves every h and numpy's division rounds once.
-    Otherwise each ratio is Python's correctly rounded int / int.  Both
-    branches give the same bits wherever the first one applies.
-    """
-    import numpy as np
-
-    if modulus < 2**53 and H * modulus < 2**63:
-        values = np.array(support, dtype=np.int64)
-        denominator = float(modulus)
-        for h in range(1, H + 1):
-            yield h * values % modulus / denominator
-    else:
-        for h in range(1, H + 1):
-            yield np.array([h * x % modulus / modulus for x in support])
-
-
 def _exact_row_sums(rows: np.ndarray, bound: int) -> list[float]:
     """Each row's exact sum, rounded once: math.fsum of the row, bit for bit.
 
@@ -266,19 +244,17 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     """Erdos-Turan upper bound for the star discrepancy of the same points.
 
     Evaluates 1/(H+1) + 3 * sum over h <= H of |S_h| / (h * N), where S_h
-    sums the phase h * residue / q^gamma over the N residues.  Each phase
-    ratio is the exact residue (h * residue) mod q^gamma over q^gamma,
-    correctly rounded: by int64 numpy arrays when q^gamma < 2^53 and
-    H * q^gamma < 2^63, by Python's int / int otherwise (_phase_ratios).
-    For each h, numpy takes cos and sin of those ratios over the distinct
-    residues, and _exact_row_sums adds the multiplicity-weighted parts
-    exactly, rounding each once.  residues is taken as in discrepancy.
-    Raises ResourceGuardError, before the first phase, when H times the
-    number of distinct residues plus 64 (per-h numpy calls) exceeds
-    ENUMERATION_GUARD.
+    sums the phase h * residue / q^gamma over the N residues.  One array
+    holds the numerators (h * residue) mod q^gamma of the distinct
+    residues, stepped from h to h + 1 by adding the residues and reducing;
+    it is int64 when q^gamma < 2^53 and Python ints above.  Each phase
+    ratio is a numerator over q^gamma, one correctly rounded division.
+    For each h, numpy takes cos and sin of those ratios, and _exact_row_sums
+    adds the multiplicity-weighted parts exactly, rounding each once.
+    residues is taken as in discrepancy.  Raises ResourceGuardError, before
+    numpy is imported, when H times the number of distinct residues plus
+    512 (the fixed numpy calls of each h) exceeds ENUMERATION_GUARD.
     """
-    import numpy as np
-
     if H < 1:
         raise PreconditionError(f"H must be >= 1, got {H}")
     modulus = _checked_modulus(q, gamma, residues)
@@ -291,12 +267,22 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
             f"({len(multiplicity)} + {_PER_H_TERMS}) exceeds the "
             f"enumeration guard {ENUMERATION_GUARD}"
         )
+    import numpy as np
+
+    # below 2^53, 2 * modulus fits in int64 and modulus is an exact double
+    support = np.array(list(multiplicity), np.int64 if modulus < 2**53 else object)
+    numerators = np.zeros_like(support)  # h * x mod modulus, stepped by addition
     weights = np.array(list(multiplicity.values()), dtype=float)
+    angles = np.empty(len(weights))
     products = np.empty((2, len(weights)))  # weight * cos, weight * sin
 
     total = 0.0
-    for h, ratios in enumerate(_phase_ratios(list(multiplicity), modulus, H), start=1):
-        angles = np.multiply(ratios, math.tau, out=ratios)
+    for h in range(1, H + 1):
+        numerators += support
+        numerators %= modulus
+        # one rounding either way; object ratios are Python floats, cast exactly
+        np.divide(numerators, modulus, out=angles, casting="unsafe")
+        angles *= math.tau
         np.cos(angles, out=products[0])
         np.sin(angles, out=products[1])
         products *= weights

@@ -122,16 +122,21 @@ print(json.dumps(loaded))
 """
 
 
-def test_numpy_is_loaded_only_by_the_commands_that_use_it():
+def _run_probe(probe: str) -> subprocess.CompletedProcess[str]:
+    # a fresh interpreter, so sys.modules shows what the probe itself loaded
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
-    done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
         timeout=120,
     )
+
+
+def test_numpy_is_loaded_only_by_the_commands_that_use_it():
+    done = _run_probe(_NUMPY_PROBE)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
         "import mdl.cli": False,
@@ -143,6 +148,20 @@ def test_numpy_is_loaded_only_by_the_commands_that_use_it():
         "mersenne-sum": False,
         "discrepancy": True,  # the Erdos-Turan bound: the probe can see numpy arrive
     }
+
+
+_GUARD_PROBE = """
+import json, sys
+import mdl.cli
+code = mdl.cli.main(["discrepancy", "--q", "3", "--gamma", "1", "--X", "2", "--H", "100000000"])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_erdos_turan_guard_rejects_before_numpy_loads():
+    done = _run_probe(_GUARD_PROBE)
+    assert json.loads(done.stdout) == {"code": 3, "numpy": False}, done.stderr
+    assert "enumeration guard" in done.stderr
 
 
 def test_timestamp_present_by_default_and_suppressible(capsys):
@@ -237,8 +256,12 @@ def test_digit_window_bins_are_guarded(capsys):
 
 def test_erdos_turan_terms_are_guarded(capsys):
     # 25 distinct residues times H = 10^7 phase terms exceed the guard, and so
-    # does H = 10^8 over one residue, since each h is charged 64 terms more
-    for gamma, X, H in [("30", "100", "10000000"), ("1", "2", "100000000")]:
+    # does H = 10^8 over one residue, since each h is charged 512 terms more;
+    # 194,932 = 10^8 // (1 + 512) + 1 is the smallest H that charge rejects
+    # over one residue, which a charge of 64 admitted (some 7 s of phases)
+    for gamma, X, H in [
+        ("30", "100", "10000000"), ("1", "2", "100000000"), ("1", "2", "194932"),
+    ]:
         start = time.perf_counter()
         code, _, err = run_cli(
             capsys, "discrepancy", "--q", "3", "--gamma", gamma, "--X", X, "--H", H,

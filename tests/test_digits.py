@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from mdl.digits import (
     DigitCountReport,
     _exact_row_sums,
-    _phase_ratios,
     count_blocks,
     digit_block,
     discrepancy,
@@ -189,8 +188,10 @@ def test_erdos_turan_frozen_golden_value():
 
 
 # values frozen from the scalar cos/sin loop with Kahan sums that the numpy
-# phases and math.fsum replaced, moduli below 2^53 and above 2^63; the last
-# two from that fsum route, one with weights up to 1,604
+# phases and math.fsum replaced, moduli below 2^53 and above 2^63; the next
+# two from that fsum route, one with weights up to 1,604; the last two from
+# the int / int phase ratios that the stepped numerators replaced, one past
+# H * 3^33 = 2^63 and one mod 3^34 > 2^53
 @pytest.mark.parametrize(
     "q, gamma, X, H, frozen",
     [
@@ -200,24 +201,17 @@ def test_erdos_turan_frozen_golden_value():
         (3, 101, 3 * 10**4, 50, 0.3285380685874239),
         (3, 20, 10**6, 100, float.fromhex("0x1.c831dd9d9fcadp-5")),
         (3, 3, 10**5, 40, float.fromhex("0x1.f8aa13f166bacp+0")),
+        (3, 33, 10**4, 1700, float.fromhex("0x1.42ed78cc626eap-1")),
+        (3, 34, 10**4, 60, float.fromhex("0x1.9173988c119b6p-2")),
     ],
 )
 def test_erdos_turan_frozen_scalar_route_values(q, gamma, X, H, frozen):
     assert erdos_turan_bound(q, gamma, mersenne_residues(q, gamma, X), H) == frozen
 
 
-# 3^33 < 2^53 < 3^34: the int64 ratios apply to the first modulus only
-@pytest.mark.parametrize("modulus", [3**33, 3**34], ids=["3^33", "3^34"])
-def test_phase_ratios_equal_int_division_bit_for_bit(modulus):
-    rng = random.Random(modulus)
-    support = [rng.randrange(modulus) for _ in range(500)] + [0, modulus - 1]
-    H = 40
-    for h, ratios in enumerate(_phase_ratios(support, modulus, H), start=1):
-        assert ratios.tolist() == [h * x % modulus / modulus for x in support]
-
-
 def test_int64_ratios_would_round_twice_above_2_53():
-    # why 3^34 takes the int / int branch: its int64 quotients round twice
+    # 3^33 < 2^53 < 3^34: why the numerators of 3^34 are Python ints, since
+    # int64 quotients would round twice
     modulus = 3**34
     rng = random.Random(modulus)
     support = [rng.randrange(modulus) for _ in range(500)]
@@ -227,8 +221,9 @@ def test_int64_ratios_would_round_twice_above_2_53():
 
 @pytest.mark.parametrize("H", [1659, 1660])
 def test_erdos_turan_bound_across_the_int64_product_switch(H):
-    # 1659 * 3^33 < 2^63 <= 1660 * 3^33: the last h of H = 1660 would wrap in
-    # int64 for the residue 3^33 - 1, so that H takes the int / int branch
+    # 1659 * 3^33 < 2^63 <= 1660 * 3^33: the product h * (3^33 - 1) would wrap
+    # in int64 at the last h of H = 1660; the stepped numerators never form it,
+    # and these H stay as a large-H regression
     modulus = 3**33
     assert 1659 * modulus < 2**63 <= 1660 * modulus
     residues = mersenne_residues(3, 33, 2000) + [modulus - 1]
@@ -237,12 +232,13 @@ def test_erdos_turan_bound_across_the_int64_product_switch(H):
     )
 
 
-# 3^5 and 3^20 take the int64 ratios, 3^40 the int / int ones, and 3^33
-# switches between H = 1659 and H = 1660
+# 3^5, 3^20 and 3^33 take int64 numerators, 3^34 (the first power of 3 above
+# 2^53) and 3^40 Python ints; the H of 3^33 straddle H * 3^33 = 2^63
 _DUAL_ROUTE_H = {
     5: st.integers(1, 40),
     20: st.integers(1, 40),
-    33: st.sampled_from([1659, 1660]),
+    33: st.integers(1600, 1700),
+    34: st.integers(1, 40),
     40: st.integers(1, 40),
 }
 
