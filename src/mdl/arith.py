@@ -48,14 +48,6 @@ def _prime_factors(n: int) -> Iterator[int]:
         yield n
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factors of n <= BASE_GUARD with multiplicities (_prime_factors)."""
-    out: dict[int, int] = {}
-    for p in _prime_factors(n):
-        out[p] = out.get(p, 0) + 1
-    return out
-
-
 @lru_cache(maxsize=4096, typed=True)
 def is_prime(n: int) -> bool:
     """Whether n is a prime int: its smallest prime factor is n itself.

@@ -2,14 +2,12 @@
 
 A length-s window of base-q digits at positions r..r-s+1 (position 0 is
 the least significant digit) is a plain integer in [0, q^s), read off
-exactly from 2^p - 1 mod q^(r+1).  fractional_part_check verifies that
-reading against the fractional part of (2^p - 1) / q^(r+1), the reduction
-that turns digit windows into exponential sums.  On top of that sit
-per-window prime counts, an exact star-discrepancy of the scaled
-residues, and an Erdos-Turan upper bound for that discrepancy built from
-exponential sums.  Everything float is a single rounding away
-from exact integer or rational arithmetic.  numpy is imported by the
-Erdos-Turan bound once its guard admits the run, not with this module.
+exactly from 2^p - 1 mod q^(r+1).  On top of that sit per-window prime
+counts, an exact star-discrepancy of the scaled residues, and an
+Erdos-Turan upper bound for that discrepancy built from exponential sums.
+Everything float is a single rounding away from exact integer or rational
+arithmetic.  numpy is imported by the Erdos-Turan bound once its guard
+admits the run, not with this module.
 """
 
 from __future__ import annotations
@@ -31,17 +29,23 @@ __all__ = [
     "DigitCountReport",
     "digit_block",
     "count_blocks",
-    "fractional_part_check",
     "mersenne_residues",
     "discrepancy",
     "erdos_turan_bound",
     "BIN_GUARD",
+    "RESIDUE_GUARD",
 ]
 
 BIN_GUARD = 10**6  # maximum number of digit-window values q^s
+# Most residues mersenne_residues holds; the discrepancy path peaks at 138-206 B
+# a residue from 3^20 to 3^101 (list, sort, Counter and numpy arrays).
+RESIDUE_GUARD = 5 * 10**6
 # Phase terms charged per h of erdos_turan_bound on top of one per distinct residue
 # for its fixed numpy calls: 25-37 us, 405-515 terms at 60-76 ns (2-vCPU AVX-512).
 _PER_H_TERMS = 512
+# Terms per distinct residue once q^gamma >= 2^53 and numerators are Python ints:
+# 270-350 ns from 3^34 to 3^101, 420 ns mod 3^300, against 50-55 ns below 2^53.
+_OBJECT_TERMS = 8
 
 # Leading constant of the discrepancy bound; the classical inequality
 # D* <= 1/(H+1) + 3 * sum_{h<=H} (1/h) |S_h| / N holds with this value.
@@ -74,7 +78,11 @@ class DigitCountReport:
     def __post_init__(self) -> None:
         q, r, s = self.q, self.r, self.s
         walk = _mersenne_walk(_window_checks(q, r, s), self.X)
-        size = _window_values(q, s)
+        size = q**s
+        if size > BIN_GUARD:
+            raise ResourceGuardError(
+                f"q^s = {q}^{s} digit-window values exceed the bin guard {BIN_GUARD}"
+            )
         counts = [0] * size
         divisor = q ** (r - s + 1)
         for _, residue in walk:
@@ -96,23 +104,6 @@ def _window_checks(q: int, r: int, s: int) -> int:
     if s < 1 or s > r + 1:
         raise PreconditionError(f"need 1 <= s <= r+1, got s={s}, r={r}")
     return prime_power(q, r + 1)
-
-
-def _mersenne_residue(p: int, q: int, r: int, s: int) -> tuple[int, int]:
-    """(2^p - 1 mod q^(r+1), q^(r+1)), once p, q, r and s are validated."""
-    modulus = _window_checks(q, r, s)
-    if not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p}")
-    return (pow(2, p, modulus) - 1) % modulus, modulus
-
-
-def _window_values(q: int, s: int) -> int:
-    """q^s, the number of window values, once it is within BIN_GUARD."""
-    if q**s > BIN_GUARD:
-        raise ResourceGuardError(
-            f"q^s = {q}^{s} digit-window values exceed the bin guard {BIN_GUARD}"
-        )
-    return q**s
 
 
 def _mersenne_walk(modulus: int, X: int) -> Iterator[tuple[int, int]]:
@@ -139,8 +130,10 @@ def digit_block(p: int, q: int, r: int, s: int) -> int:
     The window is read from the exact residue of 2^p - 1 mod q^(r+1); the
     returned value lies in [0, q^s).
     """
-    residue, _ = _mersenne_residue(p, q, r, s)
-    return residue // q ** (r - s + 1)
+    modulus = _window_checks(q, r, s)
+    if not is_prime(p):
+        raise PreconditionError(f"p must be prime, got {p}")
+    return (pow(2, p, modulus) - 1) % modulus // q ** (r - s + 1)
 
 
 def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
@@ -151,35 +144,17 @@ def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
     return DigitCountReport(q, r, s, X)
 
 
-def fractional_part_check(p: int, q: int, r: int, s: int) -> list[tuple[bool, bool]]:
-    """Test every value of one digit window two independent ways.
-
-    Entry v holds two booleans for window value v in [0, q^s).  Both
-    routes start from one residue of 2^p - 1 mod q^(r+1).  Route one reads
-    the window from it by integer division and compares it to v.  Route
-    two asks whether the fractional part of (2^p - 1) / q^(r+1) lies in the
-    half-open interval [v / q^s, (v + 1) / q^s), with both sides of each
-    comparison multiplied out to exact integers.  The two answers agree
-    for every entry, and each route is true for exactly one v; returning
-    both keeps the equivalence observable.  Raises ResourceGuardError,
-    before the list is built, when q^s exceeds BIN_GUARD.
-    """
-    residue, modulus = _mersenne_residue(p, q, r, s)
-    size = _window_values(q, s)
-    window = residue // q ** (r - s + 1)
-    scaled = residue * size
-    return [
-        (window == v, v * modulus <= scaled < (v + 1) * modulus)
-        for v in range(size)
-    ]
-
-
 def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
     """Residues of 2^p - 1 mod q^gamma for all primes p <= X, in p order.
 
-    The Mersenne walk, collected into a list.
+    The Mersenne walk, collected into a list.  Raises ResourceGuardError,
+    before the sieve starts, when 1.25506 X / ln X, which exceeds pi(X) for
+    X > 1 (Rosser and Schoenfeld 1962), exceeds RESIDUE_GUARD.
     """
-    return [residue for _, residue in _mersenne_walk(prime_power(q, gamma), X)]
+    walk = _mersenne_walk(prime_power(q, gamma), X)
+    if X > RESIDUE_GUARD * math.log(X) / 1.25506:  # X stays an int of any size
+        raise ResourceGuardError(f"pi({X}) may exceed the residue guard {RESIDUE_GUARD}")
+    return [residue for _, residue in walk]
 
 
 def _checked_modulus(q: int, gamma: int, residues: Sequence[int]) -> int:
@@ -252,8 +227,9 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     For each h, numpy takes cos and sin of those ratios, and _exact_row_sums
     adds the multiplicity-weighted parts exactly, rounding each once.
     residues is taken as in discrepancy.  Raises ResourceGuardError, before
-    numpy is imported, when H times the number of distinct residues plus
-    512 (the fixed numpy calls of each h) exceeds ENUMERATION_GUARD.
+    numpy is imported, when H times the terms charged per h exceeds
+    ENUMERATION_GUARD: 512 for its fixed numpy calls, plus one per distinct
+    residue, or 8 once q^gamma >= 2^53 (Python-int numerators).
     """
     if H < 1:
         raise PreconditionError(f"H must be >= 1, got {H}")
@@ -261,16 +237,18 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     n = len(residues)
     # integer multiplicities keep the per-h pass cheap and deterministic
     multiplicity = Counter(residues)
-    if H * (len(multiplicity) + _PER_H_TERMS) > ENUMERATION_GUARD:
+    # below 2^53, 2 * modulus fits in int64 and modulus is an exact double
+    small = modulus < 2**53
+    charge = 1 if small else _OBJECT_TERMS
+    if H * (charge * len(multiplicity) + _PER_H_TERMS) > ENUMERATION_GUARD:
         raise ResourceGuardError(
-            f"H * (distinct residues + {_PER_H_TERMS}) = {H} * "
-            f"({len(multiplicity)} + {_PER_H_TERMS}) exceeds the "
+            f"H * ({charge} * distinct residues + {_PER_H_TERMS}) = {H} * "
+            f"({charge} * {len(multiplicity)} + {_PER_H_TERMS}) exceeds the "
             f"enumeration guard {ENUMERATION_GUARD}"
         )
     import numpy as np
 
-    # below 2^53, 2 * modulus fits in int64 and modulus is an exact double
-    support = np.array(list(multiplicity), np.int64 if modulus < 2**53 else object)
+    support = np.array(list(multiplicity), np.int64 if small else object)
     numerators = np.zeros_like(support)  # h * x mod modulus, stepped by addition
     weights = np.array(list(multiplicity.values()), dtype=float)
     angles = np.empty(len(weights))

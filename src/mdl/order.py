@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import log2
 
-from .arith import _check_power_size, _check_unit_base, _factorize, padic_valuation
+from .arith import _check_power_size, _check_unit_base, _prime_factors, padic_valuation
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 
 __all__ = [
@@ -54,7 +54,7 @@ class OrderStructure:
         q, g = self.q, self.g
         _check_unit_base(q, g)
         tau = q - 1
-        for p in _factorize(q - 1):
+        for p in set(_prime_factors(q - 1)):
             while tau % p == 0 and pow(g, tau // p, q) == 1:
                 tau //= p
         if tau * log2(abs(g)) > POWER_BIT_GUARD:

@@ -2,10 +2,11 @@
 
 Everything here recomputes values from definitions, by a different route
 than the library takes: trial division instead of sieving, full integer
-expansion instead of modular windows, plain sums with cmath instead of
-compensated blocked sums, one complex phase per term instead of float
-pairs, and exhaustive orbit walks instead of closed forms.  Slow on
-purpose; sized for test boxes only.
+expansion instead of modular windows, fractional-part intervals instead
+of digit division, plain sums with cmath instead of compensated blocked
+sums, one complex phase per term instead of float pairs, and exhaustive
+orbit walks instead of closed forms.  Slow on purpose; sized for test
+boxes only.
 """
 
 from __future__ import annotations
@@ -119,6 +120,20 @@ def digit_window_by_expansion(p: int, q: int, r: int, s: int) -> int:
     for pos in range(r, r - s, -1):
         value = value * q + (digits[pos] if pos < len(digits) else 0)
     return value
+
+
+def window_hits_by_fractional_part(p: int, q: int, r: int, s: int) -> list[bool]:
+    """Whether frac((2**p - 1) / q**(r+1)) lies in [v / q**s, (v+1) / q**s), per v.
+
+    Entry v is True for exactly one v in [0, q**s): the value of the digit
+    window r..r-s+1, by the reduction from digit windows to the points
+    M_p / q^(r+1).  The residue comes from the full integer 2**p - 1, and
+    both sides of each comparison are multiplied out to exact integers:
+    v * q**(r+1) <= residue * q**s < (v+1) * q**(r+1).
+    """
+    modulus = q ** (r + 1)
+    scaled = (2**p - 1) % modulus * q**s
+    return [v * modulus <= scaled < (v + 1) * modulus for v in range(q**s)]
 
 
 def star_discrepancy_by_threshold_sweep(residues: list[int], modulus: int) -> Fraction:

@@ -18,7 +18,6 @@ from mdl.digits import (
     digit_block,
     discrepancy,
     erdos_turan_bound,
-    fractional_part_check,
     mersenne_residues,
 )
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
@@ -31,7 +30,11 @@ from mdl.order import (
 )
 from mdl.primes import PrimeRange, primes_up_to
 from mdl.vmvt import monotonicity_check, vmvt_count
-from oracles import orders_by_stride_scan, vmvt_by_double_loop
+from oracles import (
+    orders_by_stride_scan,
+    vmvt_by_double_loop,
+    window_hits_by_fractional_part,
+)
 
 # FROZEN: max_abs_deviation of count_blocks(q=3, X=10^6, r=25, s=1)
 DEVIATION_CEILING_AT_1E6 = 0.004242146296720928
@@ -132,11 +135,11 @@ def test_criterion_04_fractional_part_equivalence_exhaustive():
         for s in (1, 2):
             for r in range(s - 1, 31):
                 for p in primes:
-                    routes = fractional_part_check(p, q, r, s)
-                    # both routes true at one value and false at every other
-                    assert routes.count((True, True)) == 1, (p, q, r, s)
-                    assert routes.count((False, False)) == q**s - 1, (p, q, r, s)
-                    checked += len(routes)
+                    hits = window_hits_by_fractional_part(p, q, r, s)
+                    # the interval holds the digit window and no other value
+                    assert hits.count(True) == 1, (p, q, r, s)
+                    assert hits[digit_block(p, q, r, s)], (p, q, r, s)
+                    checked += len(hits)
     elapsed = time.monotonic() - started
     assert checked == 8512054
     assert elapsed < 20.0, f"budget 20s exceeded: {elapsed:.1f}s"

@@ -13,17 +13,17 @@ from hypothesis import strategies as st
 from mdl.arith import (
     BASE_GUARD,
     MODULUS_BIT_GUARD,
-    _factorize,
+    _prime_factors,
     is_prime,
     padic_valuation,
     prime_power,
 )
 from mdl.digits import (
     DigitCountReport,
+    count_blocks,
     digit_block,
     discrepancy,
     erdos_turan_bound,
-    fractional_part_check,
     mersenne_residues,
 )
 from mdl.errors import PreconditionError, ResourceGuardError
@@ -60,9 +60,9 @@ def test_is_prime_is_false_for_non_ints():
 def test_factorize_multiplies_back_to_n():
     primes = set(primes_up_to(PrimeRange(10**4)))
     for n in range(1, 10**4 + 1):
-        factors = _factorize(n)
-        assert set(factors) <= primes, n
-        assert math.prod(p**e for p, e in factors.items()) == n
+        factors = list(_prime_factors(n))
+        assert set(factors) <= primes and factors == sorted(factors), n
+        assert math.prod(factors) == n
 
 
 def test_is_prime_stops_at_the_smallest_factor():
@@ -83,11 +83,11 @@ def test_is_prime_agrees_with_the_sieve():
     [
         lambda: is_prime(2**61 - 1),
         lambda: digit_block(2**61 - 1, 3, 5, 1),
-        lambda: fractional_part_check(2**61 - 1, 3, 5, 1),
+        lambda: count_blocks(2**61 - 1, 100, 5, 1),
         lambda: padic_valuation(2**61 - 1, 5),
         lambda: OrderStructure(2**61 - 1, 2),
     ],
-    ids=["is_prime", "digit_block", "fractional_part_check", "padic_valuation", "order"],
+    ids=["is_prime", "digit_block", "count_blocks", "padic_valuation", "order"],
 )
 def test_trial_division_is_guarded_before_it_starts(call):
     # 2^61 - 1 is prime: unguarded, each call divides up to about 1.5 * 10^9

@@ -153,15 +153,21 @@ def test_numpy_is_loaded_only_by_the_commands_that_use_it():
 _GUARD_PROBE = """
 import json, sys
 import mdl.cli
-code = mdl.cli.main(["discrepancy", "--q", "3", "--gamma", "1", "--X", "2", "--H", "100000000"])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+codes = [mdl.cli.main(argv.split()) for argv in (
+    "discrepancy --q 3 --gamma 1 --X 2 --H 100000000",
+    "discrepancy --q 3 --gamma 40 --X 100000 --H 5000",
+    "discrepancy --q 3 --gamma 20 --X 1000000000 --H 1",
+)]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
 
 
 def test_erdos_turan_guard_rejects_before_numpy_loads():
+    # so does the residue guard, which stops the walk to X = 10^9 before the sieve
     done = _run_probe(_GUARD_PROBE)
-    assert json.loads(done.stdout) == {"code": 3, "numpy": False}, done.stderr
-    assert "enumeration guard" in done.stderr
+    assert json.loads(done.stdout) == {"codes": [3, 3, 3], "numpy": False}, done.stderr
+    assert done.stderr.count("enumeration guard") == 2
+    assert "residue guard" in done.stderr
 
 
 def test_timestamp_present_by_default_and_suppressible(capsys):
@@ -258,9 +264,13 @@ def test_erdos_turan_terms_are_guarded(capsys):
     # 25 distinct residues times H = 10^7 phase terms exceed the guard, and so
     # does H = 10^8 over one residue, since each h is charged 512 terms more;
     # 194,932 = 10^8 // (1 + 512) + 1 is the smallest H that charge rejects
-    # over one residue, which a charge of 64 admitted (some 7 s of phases)
+    # over one residue, which a charge of 64 admitted (some 7 s of phases).
+    # Mod 3^40 >= 2^53 a residue is charged 8 terms: that rejects H = 192,308
+    # over one residue, and H = 5,000 over 9,592 residues (some 16 s of
+    # phases), both of which a charge of one admitted
     for gamma, X, H in [
         ("30", "100", "10000000"), ("1", "2", "100000000"), ("1", "2", "194932"),
+        ("40", "2", "192308"), ("40", "100000", "5000"),
     ]:
         start = time.perf_counter()
         code, _, err = run_cli(

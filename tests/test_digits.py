@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,6 @@ from mdl.digits import (
     digit_block,
     discrepancy,
     erdos_turan_bound,
-    fractional_part_check,
     mersenne_residues,
 )
 from mdl.errors import PreconditionError, ResourceGuardError
@@ -28,6 +28,7 @@ from oracles import (
     erdos_turan_by_unreduced_phases,
     primes_by_trial_division,
     star_discrepancy_by_threshold_sweep,
+    window_hits_by_fractional_part,
 )
 
 
@@ -58,6 +59,19 @@ def test_digit_block_rejections():
         digit_block(7, 3, -1, 1)
 
 
+@pytest.mark.parametrize(
+    "q, r, s",
+    [(3, 2, 4), (3, -1, 1), (3, 2, 0), (9, 2, 1)],
+    ids=["s-above-r-plus-1", "negative-r", "s-zero", "composite-q"],
+)
+def test_window_rejections(q, r, s):
+    # both window readers check (q, r, s) first: before p, and before X's sieve guard
+    with pytest.raises(PreconditionError):
+        digit_block(7, q, r, s)
+    with pytest.raises(PreconditionError):
+        count_blocks(q, 10**13, r, s)
+
+
 def test_count_blocks_small_reference():
     rep = count_blocks(3, 7, 0, 1)
     assert rep.counts == (1, 3, 0)
@@ -78,9 +92,13 @@ def test_count_blocks_single_prime():
 
 
 def test_count_blocks_checks_x_before_the_bin_guard():
-    # 3^13 window values exceed BIN_GUARD, but the bad X is reported first
+    # 3^13 window values exceed BIN_GUARD, but the bad X is reported first;
+    # the bin guard then comes before the sieve guard of the first draw
     with pytest.raises(PreconditionError, match="X must be >= 2"):
         count_blocks(3, 1, 20, 13)
+    for X in (7, 10**13):
+        with pytest.raises(ResourceGuardError, match="bin guard"):
+            count_blocks(3, X, 20, 13)
 
 
 def test_count_blocks_matches_expansion_oracle():
@@ -99,12 +117,14 @@ def test_count_blocks_matches_expansion_oracle():
 )
 def test_fractional_part_check_reference_true_cases(p, q, r, digits):
     value = digits[0] * q + digits[1]
-    assert fractional_part_check(p, q, r, len(digits))[value] == (True, True)
+    assert digit_block(p, q, r, len(digits)) == value
+    assert window_hits_by_fractional_part(p, q, r, len(digits))[value]
 
 
 def test_fractional_part_check_mismatch_is_false_false():
     # value 3 is digits (1, 0); positions 2..1 of 127 = 11201 in base 3 hold (2, 0)
-    assert fractional_part_check(7, 3, 2, 2)[3] == (False, False)
+    assert digit_block(7, 3, 2, 2) != 3
+    assert not window_hits_by_fractional_part(7, 3, 2, 2)[3]
 
 
 @settings(max_examples=200)
@@ -117,8 +137,8 @@ def test_fractional_part_check_mismatch_is_false_false():
 def test_fractional_part_routes_agree_everywhere(p, q, r, data):
     s = data.draw(st.integers(1, min(2, r + 1)))
     value = data.draw(st.integers(0, q**s - 1))
-    got = fractional_part_check(p, q, r, s)[value]
-    assert got[0] == got[1]
+    hit = window_hits_by_fractional_part(p, q, r, s)[value]
+    assert (digit_block(p, q, r, s) == value) == hit
 
 
 def test_fractional_part_routes_find_the_expanded_window():
@@ -126,32 +146,25 @@ def test_fractional_part_routes_find_the_expanded_window():
         for q in (3, 5, 7):
             for r in (0, 1, 5, 12):
                 for s in range(1, min(2, r + 1) + 1):
-                    routes = fractional_part_check(p, q, r, s)
-                    want = [digit_window_by_expansion(p, q, r, s)]
-                    assert [v for v, (one, _) in enumerate(routes) if one] == want
-                    assert [v for v, (_, two) in enumerate(routes) if two] == want
-
-
-def test_fractional_part_check_window_values_are_guarded():
-    # 3^13 = 1,594,323 window values exceed BIN_GUARD
-    with pytest.raises(ResourceGuardError, match="bin guard"):
-        fractional_part_check(7, 3, 20, 13)
-
-
-@pytest.mark.parametrize(
-    "p, q, r, s",
-    [(7, 3, 2, 4), (8, 3, 2, 1), (7, 3, -1, 1), (7, 3, 2, 0)],
-    ids=["s-above-r-plus-1", "composite-p", "negative-r", "s-zero"],
-)
-def test_fractional_part_check_rejections(p, q, r, s):
-    with pytest.raises(PreconditionError):
-        fractional_part_check(p, q, r, s)
+                    want = digit_window_by_expansion(p, q, r, s)
+                    assert digit_block(p, q, r, s) == want
+                    hits = window_hits_by_fractional_part(p, q, r, s)
+                    assert hits == [v == want for v in range(q**s)]
 
 
 def test_mersenne_residues_prime_order_and_values():
     got = mersenne_residues(3, 2, 20)
     want = [(2**p - 1) % 9 for p in (2, 3, 5, 7, 11, 13, 17, 19)]
     assert got == want
+
+
+def test_residue_guard_admits_the_north_star_and_rejects_before_the_sieve():
+    assert len(mersenne_residues(3, 20, 10**7)) == 664579
+    # 1.25506 X / ln X is 6.1 * 10^7 at X = 10^9, some 8 GB on the discrepancy path
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="residue guard"):
+        mersenne_residues(3, 20, 10**9)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_discrepancy_trivial_cases():

@@ -25,12 +25,13 @@ def test_every_package_name_is_its_module_object():
 def test_guards_are_package_names():
     guards = {
         "BASE_GUARD", "MODULUS_BIT_GUARD", "BIN_GUARD",
-        "SIEVE_GUARD", "ENUMERATION_GUARD", "POWER_BIT_GUARD",
+        "SIEVE_GUARD", "ENUMERATION_GUARD", "POWER_BIT_GUARD", "RESIDUE_GUARD",
     }
     assert guards <= set(mdl.__all__)
 
 
 def test_unit_circle_value_is_an_oracle_only():
-    sources = Path(mdl.__file__).parent.glob("*.py")
-    holders = [p.name for p in sources if "unit_circle_value" in p.read_text(encoding="utf-8")]
-    assert not holders
+    # so is the fractional-part window check, which tests run against digit_block
+    texts = [p.read_text(encoding="utf-8") for p in Path(mdl.__file__).parent.glob("*.py")]
+    for name in ("unit_circle_value", "fractional_part_check"):
+        assert not [text for text in texts if name in text], name
