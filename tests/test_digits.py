@@ -127,6 +127,22 @@ def test_fractional_part_check_mismatch_is_false_false():
     assert not window_hits_by_fractional_part(7, 3, 2, 2)[3]
 
 
+def test_fractional_part_check_window_values_are_guarded():
+    # 3^12 = 531,441 window values fit BIN_GUARD; 3^13 = 1,594,323 do not
+    assert sum(count_blocks(3, 7, 20, 12).counts) == 4
+    with pytest.raises(ResourceGuardError, match="bin guard"):
+        count_blocks(3, 7, 20, 13)
+
+
+@pytest.mark.parametrize(
+    "p", [8, 9, 1, 0], ids=["composite-p", "odd-composite-p", "p-one", "p-zero"]
+)
+def test_fractional_part_check_rejections(p):
+    # a valid window (3, 2, 1): only p is at fault
+    with pytest.raises(PreconditionError, match="p must be prime"):
+        digit_block(p, 3, 2, 1)
+
+
 @settings(max_examples=200)
 @given(
     p=st.sampled_from(primes_by_trial_division(500)),
