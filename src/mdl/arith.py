@@ -2,17 +2,18 @@
 
 Every modulus q^e is a plain int formed by prime_power, which checks q and
 e and the size of the power before it is formed; code that holds an
-already validated q checks only the size, with _check_power_size.
-Everything here works on Python's arbitrary-precision integers; floating
-point enters in two places, where a canonical residue over its modulus
-becomes a double: expsum._phase_sum and digits.erdos_turan_bound.
+already validated q checks only the size, with _check_power_size.  The
+residue engine, stepped_powers, turns batches of ascending exponents into
+powers.  Everything here works on Python's arbitrary-precision integers;
+floating point enters where a canonical residue over its modulus becomes
+a double: in expsum._phase_sum and digits.erdos_turan_bound.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import PreconditionError, ResourceGuardError
 
@@ -126,36 +127,41 @@ def padic_valuation(q: int, n: int) -> int:
     return k
 
 
-def stepped_powers(
-    base: int, exponents: Iterable[int], modulus: int
-) -> Iterator[tuple[int, int]]:
-    """Yield (e, base**e mod modulus) for non-negative, strictly ascending e.
+def stepped_powers(base: int, modulus: int) -> Callable[[list[int]], list[int]]:
+    """A stepper: each call maps a batch of exponents e to base**e mod modulus.
 
+    The exponents are non-negative and strictly ascending across the calls.
     Only the first power is a full exponentiation; each later one is the
-    previous power times base**(e - e_prev), computed once per distinct
-    gap (prime gaps below 10^7 take fewer than a hundred values).  The
-    stream is lazy: it draws the next exponent only when the next pair is
-    asked for, so consumers never need every power at once.
+    previous power times base**(e - e_prev), computed once per distinct gap
+    (prime gaps below 10^7 take fewer than a hundred values) into one table
+    for every batch.  Callers hold one batch of powers at a time, beside
+    whatever else their batch carries, such as von Mangoldt weights.
     """
     if modulus < 1:
         raise PreconditionError(f"modulus must be >= 1, got {modulus}")
     steps: dict[int, int] = {}
-    previous = None
-    value = 0
-    for e in exponents:
-        if previous is None:
-            if e < 0:
-                raise PreconditionError(f"exponents must be >= 0, got {e}")
-            value = pow(base, e, modulus)
-        else:
-            gap = e - previous
-            if gap < 1:
-                raise PreconditionError(
-                    f"exponents must strictly ascend, got {previous} then {e}"
-                )
-            step = steps.get(gap)
-            if step is None:
-                step = steps[gap] = pow(base, gap, modulus)
+    previous = value = None
+
+    def powers(exponents: list[int]) -> list[int]:
+        nonlocal previous, value
+        out, rest = [], iter(exponents)
+        if previous is None and exponents:
+            if exponents[0] < 0:
+                raise PreconditionError(f"exponents must be >= 0, got {exponents[0]}")
+            previous = next(rest)
+            value = pow(base, previous, modulus)
+            out.append(value)
+        for e in rest:
+            step = steps.get(e - previous)
+            if step is None:  # every gap in the table is >= 1
+                if e <= previous:
+                    raise PreconditionError(
+                        f"exponents must strictly ascend, got {previous} then {e}"
+                    )
+                step = steps[e - previous] = pow(base, e - previous, modulus)
             value = value * step % modulus
-        previous = e
-        yield e, value
+            out.append(value)
+            previous = e
+        return out
+
+    return powers

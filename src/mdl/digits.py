@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .arith import _check_odd_prime, is_prime, prime_power, stepped_powers
 from .errors import PreconditionError, ResourceGuardError
-from .primes import PrimeRange, primes_up_to
+from .primes import PrimeRange, prime_batches
 from .vmvt import ENUMERATION_GUARD
 
 if TYPE_CHECKING:
@@ -37,14 +38,16 @@ __all__ = [
 ]
 
 BIN_GUARD = 10**6  # maximum number of digit-window values q^s
-# Most residues mersenne_residues holds; the discrepancy path peaks at 138-206 B
-# a residue from 3^20 to 3^101 (list, sort, Counter and numpy arrays).
+# Most residues mersenne_residues holds, each charged max(1, (200 + bits / 4) / 256):
+# the discrepancy path peaked at 136-214 B a residue up to 3^101, 584 B mod 3^1000 and
+# 7.0 KB mod 3^20000, within 200 + bits / 4 B (tracemalloc at X = 10^5).
 RESIDUE_GUARD = 5 * 10**6
 # Phase terms charged per h of erdos_turan_bound on top of one per distinct residue
 # for its fixed numpy calls: 25-37 us, 405-515 terms at 60-76 ns (2-vCPU AVX-512).
 _PER_H_TERMS = 512
-# Terms per distinct residue once q^gamma >= 2^53 and numerators are Python ints:
-# 270-350 ns from 3^34 to 3^101, 420 ns mod 3^300, against 50-55 ns below 2^53.
+# Python-int numerators (q^gamma >= 2^53) charge _OBJECT_TERMS + bits // 128 terms: a
+# residue cost 310-420 ns from 3^34 to 3^101, 0.85 us mod 3^1000, 2.6 us mod 3^3000 and
+# 9.9 us mod 3^20000, within 350 + bits / 2 ns, against 59 ns below 2^53.
 _OBJECT_TERMS = 8
 
 # Leading constant of the discrepancy bound; the classical inequality
@@ -85,7 +88,7 @@ class DigitCountReport:
             )
         counts = [0] * size
         divisor = q ** (r - s + 1)
-        for _, residue in walk:
+        for residue in chain.from_iterable(residues for _, residues in walk):
             counts[residue // divisor] += 1
         pi_X, uniform = sum(counts), 1.0 / size  # pi_X >= 1: X >= 2 admits p = 2
         deviations = tuple(count / pi_X - uniform for count in counts)
@@ -106,20 +109,21 @@ def _window_checks(q: int, r: int, s: int) -> int:
     return prime_power(q, r + 1)
 
 
-def _mersenne_walk(modulus: int, X: int) -> Iterator[tuple[int, int]]:
-    """(p, 2^p - 1 mod modulus) for each prime p <= X, streamed in p order.
+def _mersenne_walk(modulus: int, X: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(primes, residues) batches: 2^p - 1 mod modulus for each prime p <= X.
 
-    One stepped_powers pass.  The modulus is odd, so 2^p is a unit mod it
-    and x - 1 needs no reduction.  X is checked at once, the sieve guard
-    when the first pair is drawn, so callers can finish their own checks
-    first.
+    One stepped_powers pass over the prime batches, in p order.  The
+    modulus is odd, so 2^p is a unit mod it and x - 1 needs no reduction.
+    X is checked at once, the sieve guard when the first batch is drawn,
+    so callers can finish their own checks first.
     """
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
 
-    def walk() -> Iterator[tuple[int, int]]:
-        for p, x in stepped_powers(2, primes_up_to(PrimeRange(X)), modulus):
-            yield p, x - 1
+    def walk() -> Iterator[tuple[list[int], list[int]]]:
+        powers = stepped_powers(2, modulus)
+        for primes in prime_batches(PrimeRange(X)):
+            yield primes, [x - 1 for x in powers(primes)]
 
     return walk()
 
@@ -149,12 +153,16 @@ def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
 
     The Mersenne walk, collected into a list.  Raises ResourceGuardError,
     before the sieve starts, when 1.25506 X / ln X, which exceeds pi(X) for
-    X > 1 (Rosser and Schoenfeld 1962), exceeds RESIDUE_GUARD.
+    X > 1 (Rosser and Schoenfeld 1962), times the charge per residue for
+    the size of q^gamma, exceeds RESIDUE_GUARD.
     """
-    walk = _mersenne_walk(prime_power(q, gamma), X)
-    if X > RESIDUE_GUARD * math.log(X) / 1.25506:  # X stays an int of any size
-        raise ResourceGuardError(f"pi({X}) may exceed the residue guard {RESIDUE_GUARD}")
-    return [residue for _, residue in walk]
+    modulus = prime_power(q, gamma)
+    walk = _mersenne_walk(modulus, X)
+    charge = max(1.0, (200 + modulus.bit_length() / 4) / 256)
+    if X > RESIDUE_GUARD * math.log(X) / 1.25506 / charge:  # X stays an int of any size
+        msg = f"pi({X}) residues mod {q}^{gamma}, charged {charge:.2f} each,"
+        raise ResourceGuardError(f"{msg} may exceed the residue guard {RESIDUE_GUARD}")
+    return list(chain.from_iterable(residues for _, residues in walk))
 
 
 def _checked_modulus(q: int, gamma: int, residues: Sequence[int]) -> int:
@@ -229,7 +237,8 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     residues is taken as in discrepancy.  Raises ResourceGuardError, before
     numpy is imported, when H times the terms charged per h exceeds
     ENUMERATION_GUARD: 512 for its fixed numpy calls, plus one per distinct
-    residue, or 8 once q^gamma >= 2^53 (Python-int numerators).
+    residue, or 8 + bits // 128 for a q^gamma >= 2^53 of that many bits
+    (Python-int numerators, whose cost grows with their size).
     """
     if H < 1:
         raise PreconditionError(f"H must be >= 1, got {H}")
@@ -239,7 +248,7 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     multiplicity = Counter(residues)
     # below 2^53, 2 * modulus fits in int64 and modulus is an exact double
     small = modulus < 2**53
-    charge = 1 if small else _OBJECT_TERMS
+    charge = 1 if small else _OBJECT_TERMS + modulus.bit_length() // 128
     if H * (charge * len(multiplicity) + _PER_H_TERMS) > ENUMERATION_GUARD:
         raise ResourceGuardError(
             f"H * ({charge} * distinct residues + {_PER_H_TERMS}) = {H} * "

@@ -4,25 +4,27 @@ Two sums are provided: one over prime powers n <= X weighted by log p
 (von Mangoldt weights), with phase a*g^n, and one over primes p <= X with
 phase a*(2^p - 1).  Phases are exact residues; only the final
 residue/modulus ratio is rounded to double, so the modulus may far exceed
-2^53 without loss.  Each sum is one sequential pass over its stream: the
-powers g^n come from one walk across the gaps between consecutive
-exponents (stepped_powers), the residues of 2^p - 1 from the Mersenne
-walk of mdl.digits, and the phases are Kahan-summed in fixed blocks of
-BLOCK_WIDTH consecutive exponents, so results are reproducible bit for
-bit.  Each block is one loop over its terms that keeps the real part,
-the imaginary part and the weight as plain float Kahan sums.
+2^53 without loss.  Each sum is one sequential pass over batches of up
+to 2,048 terms: the powers g^n are stepped across the gaps between
+consecutive exponents (stepped_powers), the residues of 2^p - 1 come from
+the Mersenne walk of mdl.digits, and the phases are Kahan-summed in fixed
+blocks of BLOCK_WIDTH consecutive exponents, whatever the batches, so
+results are reproducible bit for bit.  Each block is a loop over its
+terms that keeps the real part, the imaginary part and the weight as
+plain float Kahan sums.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .arith import _check_unit, _check_unit_base, prime_power, stepped_powers
 from .digits import _mersenne_walk
 from .errors import PreconditionError, SelfCheckError
-from .primes import PrimeRange, mangoldt_terms
+from .primes import PrimeRange, mangoldt_batches
 
 __all__ = [
     "ExpSumResult",
@@ -84,20 +86,22 @@ def kahan_sum(values: Iterable[complex]) -> complex:
 
 
 def _phase_sum(
-    terms: Iterable[tuple[int, float, int]], modulus: int
+    batches: Iterable[tuple[list[int], list[float], list[int]]], modulus: int
 ) -> tuple[complex, float, int]:
-    """Sum weight * e(residue / modulus) over (n, weight, residue) terms.
+    """Sum weight * e(residue / modulus) over (ns, weights, residues) batches.
 
-    The terms come by strictly ascending n.  Those whose n share
+    The n come strictly ascending across the batches.  Terms whose n share
     n // BLOCK_WIDTH form one block, whose real parts, imaginary parts and
     weights are Kahan-summed from zero as three plain floats; the block
     totals are then Kahan-summed in block order.  That order is part of
-    every frozen report.  The float pairs give the same bits as complex
-    Kahan sums of weight * complex(cos(angle), sin(angle)): complex
-    addition and subtraction act on each part alone, and weight times
-    complex(cos, sin) is (weight * cos, weight * sin), since cos of a
-    finite double is never 0 and the angle is never -0.0.  Returns the
-    sum, the weight total and the number of terms.
+    every frozen report, so a block may span batches and a batch blocks:
+    the three sums carry over from one batch to the next, and bisect finds
+    where each block ends in a batch.  The float pairs give the same bits
+    as complex Kahan sums of weight * complex(cos(angle), sin(angle)):
+    complex addition and subtraction act on each part alone, and weight
+    times complex(cos, sin) is (weight * cos, weight * sin), since cos of a
+    finite double is never 0 and the angle is never -0.0.  Returns the sum,
+    the weight total and the number of terms.
     """
     cos, sin, tau, width = math.cos, math.sin, math.tau, BLOCK_WIDTH
     sums: list[complex] = []
@@ -105,29 +109,32 @@ def _phase_sum(
     block = None
     re = im = wt = re_comp = im_comp = wt_comp = 0.0
     count = 0
-    for count, (n, w, r) in enumerate(terms, start=1):
-        if n // width != block:
-            if block is not None:
-                sums.append(complex(re, im))
-                weights.append(wt)
-            block = n // width
-            re = im = wt = re_comp = im_comp = wt_comp = 0.0
-        angle = tau * (r / modulus)
-        y = w * cos(angle) - re_comp
-        t = re + y
-        re_comp = (t - re) - y
-        re = t
-        y = w * sin(angle) - im_comp
-        t = im + y
-        im_comp = (t - im) - y
-        im = t
-        y = w - wt_comp
-        t = wt + y
-        wt_comp = (t - wt) - y
-        wt = t
-    if count:
-        sums.append(complex(re, im))
-        weights.append(wt)
+    for ns, ws, rs in batches:
+        count += len(ns)
+        i = 0
+        while i < len(ns):
+            if ns[i] // width != block:  # a new block: new totals, summed from zero
+                block = ns[i] // width
+                re = im = wt = re_comp = im_comp = wt_comp = 0.0
+                sums.append(0j)
+                weights.append(0.0)
+            end = bisect_left(ns, (block + 1) * width, i)
+            for w, r in zip(ws[i:end], rs[i:end]):
+                angle = tau * (r / modulus)
+                y = w * cos(angle) - re_comp
+                t = re + y
+                re_comp = (t - re) - y
+                re = t
+                y = w * sin(angle) - im_comp
+                t = im + y
+                im_comp = (t - im) - y
+                im = t
+                y = w - wt_comp
+                t = wt + y
+                wt_comp = (t - wt) - y
+                wt = t
+            sums[-1], weights[-1] = complex(re, im), wt
+            i = end
     return kahan_sum(sums), kahan_sum(weights).real, count
 
 
@@ -144,17 +151,9 @@ def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult
     _check_unit_base(q, g)
     if X == 1 and isinstance(X, int):  # 1.0 goes on to PrimeRange's int check
         return ExpSumResult(0.0, 0.0, 0, 0.0, 0.0)
-    weight = 0.0
-
-    def exponents() -> Iterator[int]:
-        # stepped_powers draws one exponent per pair, so weight is the
-        # weight of the pair being read
-        nonlocal weight
-        for n, weight in mangoldt_terms(PrimeRange(X)):
-            yield n
-
+    powers, batches = stepped_powers(g, Q), mangoldt_batches(PrimeRange(X))
     total, normalizer, count = _phase_sum(
-        ((n, weight, (a * x) % Q) for n, x in stepped_powers(g, exponents(), Q)), Q
+        ((ns, ws, [a * x % Q for x in powers(ns)]) for ns, ws in batches), Q
     )
     return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))
 
@@ -168,6 +167,6 @@ def mersenne_prime_sum(q: int, gamma: int, a: int, X: int) -> ExpSumResult:
     walk = _mersenne_walk(Q, X)
     _check_unit(q, "a", a)
     total, normalizer, count = _phase_sum(
-        ((p, 1.0, a * residue % Q) for p, residue in walk), Q
+        ((ps, [1.0] * len(ps), [a * x % Q for x in xs]) for ps, xs in walk), Q
     )
     return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))

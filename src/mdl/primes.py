@@ -5,14 +5,17 @@ and Hudson, BIT 17, 1977) on bytearray segments, so memory stays bounded
 by the segment size regardless of the limit.  Composites are cleared by
 slice assignment and primes read out with itertools.compress, so the
 sieve needs no dependency.  Streams are emitted in strictly increasing
-order.
+order, in lists of at most _BATCH primes each: the residue engine and its
+consumers loop over a list, not one generator hop per prime, while memory
+stays bounded by one segment and one batch.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, islice
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError, ResourceGuardError
@@ -20,11 +23,14 @@ from .errors import PreconditionError, ResourceGuardError
 __all__ = [
     "PrimeRange",
     "SIEVE_GUARD",
+    "prime_batches",
     "primes_up_to",
+    "mangoldt_batches",
     "mangoldt_terms",
 ]
 
 SEGMENT_SIZE = 1 << 20  # odd numbers per sieve segment
+_BATCH = 1 << 11  # items per list at most; 2^14 put a child's peak over 20 MB
 SIEVE_GUARD = 10**9  # largest sieve limit
 
 
@@ -69,21 +75,24 @@ def _base_primes(limit: int) -> list[int]:
     return [2, *_odd_sieve(3, limit + 1, _base_primes(math.isqrt(limit))[1:])]
 
 
-def primes_up_to(prime_range: PrimeRange) -> Iterator[int]:
-    """Stream every prime <= limit exactly once, in increasing order.
+def prime_batches(prime_range: PrimeRange) -> Iterator[list[int]]:
+    """Every prime <= limit once, ascending, in non-empty lists of at most _BATCH.
 
-    The sieve runs segment by segment; only one segment mask is alive at
-    a time.
+    The sieve runs segment by segment; only one segment mask is alive at a time.
     """
     limit = prime_range.limit
     odd_base = _base_primes(math.isqrt(limit))[1:]
-    yield from (p for p in (2, 3) if p <= limit)
-
-    low = 5
     span = 2 * SEGMENT_SIZE  # SEGMENT_SIZE odd numbers per segment
-    while low <= limit:
-        yield from _odd_sieve(low, min(low + span, limit + 1), odd_base)
-        low += span
+    segments = (_odd_sieve(low, min(low + span, limit + 1), odd_base)
+                for low in range(5, limit + 1, span))
+    primes = chain([p for p in (2, 3) if p <= limit], chain.from_iterable(segments))
+    while batch := list(islice(primes, _BATCH)):
+        yield batch
+
+
+def primes_up_to(prime_range: PrimeRange) -> Iterator[int]:
+    """Every prime <= limit exactly once, in increasing order: prime_batches, flat."""
+    return chain.from_iterable(prime_batches(prime_range))
 
 
 def _higher_powers(limit: int) -> list[tuple[int, float]]:
@@ -99,22 +108,29 @@ def _higher_powers(limit: int) -> list[tuple[int, float]]:
     return out
 
 
-def mangoldt_terms(prime_range: PrimeRange) -> Iterator[tuple[int, float]]:
-    """Stream every n <= limit with nonzero von Mangoldt weight, by n.
+def mangoldt_batches(prime_range: PrimeRange) -> Iterator[tuple[list[int], list[float]]]:
+    """Every n <= limit with nonzero von Mangoldt weight, as batches (ns, weights).
 
-    Emits the pair (n, log p) for each prime power n = p**k.  The prime
-    stream is merged with the (short) sorted list of higher powers, so
-    memory stays bounded by the segment size; the powers left over after
-    the last prime (limit 4 or 64, say) close the stream.
+    The n = p**k ascend within and across batches, each with weight log p.
+    A batch of primes takes in the (few) higher powers below its last prime,
+    placed by bisect; those after the last prime (limit 4 or 64, say) close
+    the stream as one more batch.
     """
-    log = math.log
-    limit = prime_range.limit
-    powers = [*_higher_powers(limit), (limit + 1, 0.0)]  # the last is a sentinel
-    i, next_power = 0, powers[0][0]
-    for p in primes_up_to(prime_range):
-        while next_power < p:
-            yield powers[i]
+    powers = _higher_powers(prime_range.limit)
+    i = 0
+    for ns in prime_batches(prime_range):
+        weights = list(map(math.log, ns))
+        while i < len(powers) and powers[i][0] < ns[-1]:
+            n, weight = powers[i]
+            k = bisect_left(ns, n)
+            ns.insert(k, n)
+            weights.insert(k, weight)
             i += 1
-            next_power = powers[i][0]
-        yield p, log(p)
-    yield from powers[i:-1]
+        yield ns, weights
+    if i < len(powers):
+        yield [n for n, _ in powers[i:]], [weight for _, weight in powers[i:]]
+
+
+def mangoldt_terms(prime_range: PrimeRange) -> Iterator[tuple[int, float]]:
+    """Every (n, log p) of mangoldt_batches, flat, by n."""
+    return chain.from_iterable(zip(*batch) for batch in mangoldt_batches(prime_range))

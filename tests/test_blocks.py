@@ -27,6 +27,18 @@ def test_kahan_close_to_fsum(xs: list[float]):
     assert got.imag == 0.0
 
 
+def _batches(terms: list[tuple[int, float, int]], cuts: list[int]) -> list[tuple[list, ...]]:
+    """terms as (ns, weights, residues) batches, cut at the sorted indices cuts.
+
+    A repeated cut, or one at either end, gives an empty batch.
+    """
+    bounds = [0, *sorted(cuts), len(terms)]
+    return [
+        tuple(list(column) for column in zip(*terms[i:j])) or ([], [], [])
+        for i, j in zip(bounds, bounds[1:])
+    ]
+
+
 def test_phase_sum_restarts_kahan_at_every_block():
     # keys straddle three blocks; the middle block holds a single term
     modulus = 3**40
@@ -38,11 +50,21 @@ def test_phase_sum_restarts_kahan_at_every_block():
         for block in blocks
     )
     weights = kahan_sum(kahan_sum(w for _, w, _ in block) for block in blocks)
-    assert _phase_sum(terms, modulus) == (want, weights.real, len(terms))
+    for cuts in (
+        [],  # one batch over three blocks
+        [0, 0, 3, 3, 6, 6],  # empty batches, at both ends and between blocks
+        [3],  # a batch that ends on a block boundary
+        [3, 4],  # a batch that is one whole block
+        [1, 2],  # one block over three batches
+        [1, 5],  # a batch over a block boundary
+    ):
+        got = _phase_sum(_batches(terms, cuts), modulus)
+        assert got == (want, weights.real, len(terms)), cuts
 
 
 def test_phase_sum_of_no_terms_is_zero():
     assert _phase_sum([], 9) == (0j, 0.0, 0)
+    assert _phase_sum([([], [], [])] * 3, 9) == (0j, 0.0, 0)
 
 
 def _bits(total: complex, normalizer: float, count: int) -> tuple[str, str, str, int]:
@@ -51,25 +73,30 @@ def _bits(total: complex, normalizer: float, count: int) -> tuple[str, str, str,
 
 
 @st.composite
-def _blocked_terms(draw) -> tuple[list[tuple[int, float, int]], int]:
-    """Terms over three to five blocks, weighted 1.0 or log p, with residue 0 drawn often."""
+def _blocked_terms(draw) -> tuple[list[tuple[int, float, int]], int, list[int]]:
+    """Terms over three to five blocks, weighted 1.0 or log p, with residue 0 drawn often.
+
+    The cuts split them into batches at random, empty batches and cuts on a
+    block boundary included.
+    """
     modulus = draw(st.sampled_from(MODULI))
     weight = st.sampled_from((1.0, *LOG_WEIGHTS))
     residue = st.one_of(st.just(0), st.integers(0, modulus - 1))
+    # the first and last offsets of a block are drawn often
+    edge = st.one_of(st.sampled_from((0, BLOCK_WIDTH - 1)), st.integers(0, BLOCK_WIDTH - 1))
     terms = []
     for block in sorted(draw(st.sets(st.integers(0, 6), min_size=3, max_size=5))):
-        offsets = draw(st.sets(st.integers(0, BLOCK_WIDTH - 1), min_size=1, max_size=8))
-        for offset in sorted(offsets):
+        for offset in sorted(draw(st.sets(edge, min_size=1, max_size=8))):
             terms.append((block * BLOCK_WIDTH + offset, draw(weight), draw(residue)))
-    return terms, modulus
+    cuts = draw(st.lists(st.integers(0, len(terms)), max_size=8))
+    return terms, modulus, cuts
 
 
 @given(_blocked_terms())
-@example(([], 3**20))
-@example(([], 3**40))
-@example(([], 3**101))
+@example(([], 3**20, []))
+@example(([], 3**40, [0, 0]))
+@example(([], 3**101, []))
 def test_phase_sum_matches_blocked_complex_kahan_bit_for_bit(case):
-    terms, modulus = case
+    terms, modulus, cuts = case
     want = phase_sum_by_blocked_kahan(terms, modulus)
-    assert _bits(*_phase_sum(terms, modulus)) == _bits(*want)
-
+    assert _bits(*_phase_sum(_batches(terms, cuts), modulus)) == _bits(*want)

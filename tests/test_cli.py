@@ -157,17 +157,20 @@ codes = [mdl.cli.main(argv.split()) for argv in (
     "discrepancy --q 3 --gamma 1 --X 2 --H 100000000",
     "discrepancy --q 3 --gamma 40 --X 100000 --H 5000",
     "discrepancy --q 3 --gamma 20 --X 1000000000 --H 1",
+    "discrepancy --q 3 --gamma 20000 --X 70000000 --H 1",
+    "discrepancy --q 3 --gamma 20000 --X 100000 --H 1294",
 )]
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
 
 
 def test_erdos_turan_guard_rejects_before_numpy_loads():
-    # so does the residue guard, which stops the walk to X = 10^9 before the sieve
+    # so does the residue guard, which stops the walk to X = 10^9 before the sieve;
+    # mod 3^20000 both guards charge each residue by its size
     done = _run_probe(_GUARD_PROBE)
-    assert json.loads(done.stdout) == {"codes": [3, 3, 3], "numpy": False}, done.stderr
-    assert done.stderr.count("enumeration guard") == 2
-    assert "residue guard" in done.stderr
+    assert json.loads(done.stdout) == {"codes": [3] * 5, "numpy": False}, done.stderr
+    assert done.stderr.count("enumeration guard") == 3
+    assert done.stderr.count("residue guard") == 2
 
 
 def test_timestamp_present_by_default_and_suppressible(capsys):

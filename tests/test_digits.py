@@ -183,6 +183,16 @@ def test_residue_guard_admits_the_north_star_and_rejects_before_the_sieve():
     assert time.perf_counter() - start < 0.1
 
 
+def test_residue_guard_charges_wide_residues_by_size():
+    # mod 3^20000 (31,700 bits) a residue is charged (200 + 31700 / 4) / 256 = 31.74
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="charged 31.74 each"):
+        mersenne_residues(3, 20000, 7 * 10**7)
+    assert time.perf_counter() - start < 0.1
+    # up to 224 bits the charge is 1, so the north star stays admitted mod 3^101
+    assert len(mersenne_residues(3, 101, 10**7)) == 664579
+
+
 def test_discrepancy_trivial_cases():
     assert discrepancy(3, 1, mersenne_residues(3, 1, 2)) == 1.0  # single point at zero
     assert discrepancy(3, 1, mersenne_residues(3, 1, 10)) == pytest.approx(2 / 3, abs=1e-15)

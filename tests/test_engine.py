@@ -2,24 +2,52 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdl import primes
 from mdl.arith import stepped_powers
 from mdl.digits import count_blocks, mersenne_residues
 from mdl.errors import PreconditionError
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
-from mdl.primes import PrimeRange, mangoldt_terms, primes_up_to
+from mdl.primes import (
+    PrimeRange,
+    mangoldt_batches,
+    mangoldt_terms,
+    prime_batches,
+    primes_up_to,
+)
 from oracles import (
     digit_window_by_expansion,
+    mangoldt_by_factoring,
     mangoldt_sum_by_direct_powers,
     mersenne_sum_by_direct_powers,
+    phase_sum_by_blocked_kahan,
     powers_by_direct_pow,
     primes_by_trial_division,
 )
 
 PRIMES_TO_1E4 = list(primes_up_to(PrimeRange(10**4)))
+
+
+def _stepped(base: int, batches: list[list[int]], modulus: int) -> list[int]:
+    """The powers of one stepper fed the batches in order, flat."""
+    powers = stepped_powers(base, modulus)
+    out = []
+    for batch in batches:
+        got = powers(batch)
+        assert len(got) == len(batch)
+        out += got
+    return out
+
+
+def _cut(items: list, cuts: list[int]) -> list[list]:
+    """items as consecutive lists, cut at the sorted indices cuts; a repeat cut gives []."""
+    bounds = [0, *sorted(cuts), len(items)]
+    return [items[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 @pytest.mark.parametrize("X", [2, 3, 100, 10**4])
@@ -29,41 +57,48 @@ def test_stepped_powers_match_pow_over_primes(q: int, gamma: int, X: int):
     primes = [p for p in PRIMES_TO_1E4 if p <= X]
     modulus = q**gamma
     for base in (2, 5, -7):
-        got = [x for _, x in stepped_powers(base, primes, modulus)]
-        assert got == powers_by_direct_pow(base, primes, modulus), (base, q, gamma, X)
+        want = powers_by_direct_pow(base, primes, modulus)
+        got = _stepped(base, list(prime_batches(PrimeRange(X))), modulus)
+        assert got == want, (base, q, gamma, X)
+        assert _stepped(base, _cut(primes, [0, 1, 1, len(primes) // 2]), modulus) == want
 
 
 @pytest.mark.parametrize("X", [2, 3, 4, 10**4])
 def test_stepped_powers_match_pow_over_prime_powers(X: int):
-    exponents = [n for n, _ in mangoldt_terms(PrimeRange(X))]
+    batches = [ns for ns, _ in mangoldt_batches(PrimeRange(X))]
+    exponents = [n for ns in batches for n in ns]
     for modulus in (3, 3**40, 7**20, 11**101):
         for g in (2, 5, -2, -7):
-            got = [x for _, x in stepped_powers(g, exponents, modulus)]
+            got = _stepped(g, batches, modulus)
             assert got == powers_by_direct_pow(g, exponents, modulus), (modulus, g, X)
 
 
 @settings(max_examples=200)
 @given(
     exponents=st.lists(st.integers(0, 10**6), unique=True, max_size=60),
+    cuts=st.lists(st.integers(0, 60), max_size=6),
     base=st.integers(-(10**6), 10**6),
     modulus=st.integers(1, 3**101),
 )
-def test_stepped_powers_property(exponents: list[int], base: int, modulus: int):
+def test_stepped_powers_property(exponents, cuts, base: int, modulus: int):
+    # any cut of the exponents into batches, empty ones included, gives the same powers
     exponents.sort()
-    pairs = list(stepped_powers(base, exponents, modulus))
-    assert [e for e, _ in pairs] == exponents
-    assert [x for _, x in pairs] == powers_by_direct_pow(base, exponents, modulus)
+    batches = _cut(exponents, [min(c, len(exponents)) for c in cuts])
+    assert _stepped(base, batches, modulus) == powers_by_direct_pow(base, exponents, modulus)
 
 
 @pytest.mark.parametrize("exponents", [[3, 2], [2, 3, 3], [2, 5, 3, 7], [-1, 2]])
 def test_stepped_powers_rejects_bad_exponents(exponents: list[int]):
     with pytest.raises(PreconditionError):
-        list(stepped_powers(2, exponents, 9))
+        stepped_powers(2, 9)(exponents)
+    # one state across the batches: a descent between two batches is caught too
+    with pytest.raises(PreconditionError):
+        _stepped(2, [[], *([e] for e in exponents)], 9)
 
 
 def test_stepped_powers_rejects_bad_modulus():
     with pytest.raises(PreconditionError):
-        list(stepped_powers(2, [2, 3], 0))
+        stepped_powers(2, 0)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -97,3 +132,67 @@ def test_mersenne_sum_matches_direct_powers_oracle(q: int, gamma: int):
 def test_mangoldt_sum_matches_direct_powers_oracle_mod_3_40(g: int):
     got = mangoldt_exp_sum(3, 40, 7, g, 2000)
     assert abs(got.value - mangoldt_sum_by_direct_powers(3**40, 7, g, 2000)) < 1e-9
+
+
+def _mangoldt_by_factoring(limit: int) -> list[tuple[int, float]]:
+    return [(n, w) for n in range(2, limit + 1) if (w := mangoldt_by_factoring(n))]
+
+
+def _bits(result) -> tuple[str, str, str, int]:
+    # float.hex tells 0.0 from -0.0, which == does not
+    return result.real.hex(), result.imag.hex(), result.normalizer.hex(), result.term_count
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7])
+def test_tiny_batches_match_the_oracles(monkeypatch, batch: int):
+    # higher powers fall between batches, or after the last prime at limits 4 and 64
+    monkeypatch.setattr(primes, "_BATCH", batch)
+    for limit in (4, 64, 1024):
+        assert all(0 < len(b) <= batch for b in prime_batches(PrimeRange(limit)))
+        assert list(primes_up_to(PrimeRange(limit))) == primes_by_trial_division(limit)
+        assert list(mangoldt_terms(PrimeRange(limit))) == _mangoldt_by_factoring(limit)
+    manual = [0] * 25
+    for p in primes_by_trial_division(600):
+        manual[digit_window_by_expansion(p, 5, 20, 2)] += 1
+    assert count_blocks(5, 600, 20, 2).counts == tuple(manual)
+    want = mersenne_sum_by_direct_powers(3**40, 4, 3000)
+    assert abs(mersenne_prime_sum(3, 40, 4, 3000).value - want) < 1e-9
+    want = mangoldt_sum_by_direct_powers(3**40, 7, 5, 2000)
+    assert abs(mangoldt_exp_sum(3, 40, 7, 5, 2000).value - want) < 1e-9
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7])
+def test_tiny_batches_keep_the_blocked_bits(monkeypatch, batch: int):
+    # X past BLOCK_WIDTH = 2^16, so both sums span two blocks; the terms are
+    # read at the default batch size, the sums at the tiny one
+    X, Q, a, g = 70_000, 3**40, 5, 7
+    mersenne = [(p, 1.0, a * (pow(2, p, Q) - 1) % Q) for p in primes_up_to(PrimeRange(X))]
+    mangoldt = [(n, w, a * pow(g, n, Q) % Q) for n, w in mangoldt_terms(PrimeRange(X))]
+    monkeypatch.setattr(primes, "_BATCH", batch)
+    for got, terms in [
+        (mersenne_prime_sum(3, 40, a, X), mersenne),
+        (mangoldt_exp_sum(3, 40, a, g, X), mangoldt),
+    ]:
+        total, normalizer, count = phase_sum_by_blocked_kahan(terms, Q)
+        assert _bits(got) == (total.real.hex(), total.imag.hex(), normalizer.hex(), count)
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [lambda X: mersenne_prime_sum(3, 40, 1, X), lambda X: count_blocks(3, X, 100, 2)],
+    ids=["mersenne_prime_sum", "count_blocks"],
+)
+def test_walks_hold_one_batch_not_every_residue(walk):
+    # pi(10^6) - pi(10^5) = 68,906 more residues would take some 3.5 MB if held
+    # at once; between the two X only the sieve segment grows, by X / 2 bytes
+    small, large = _peak_bytes(lambda: walk(10**5)), _peak_bytes(lambda: walk(10**6))
+    assert large - small < 2**20, (small, large)
