@@ -3,10 +3,13 @@
 Every modulus q^e is a plain int formed by prime_power, which checks q and
 e and the size of the power before it is formed; code that holds an
 already validated q checks only the size, with _check_power_size.  The
-residue engine, stepped_powers, turns batches of ascending exponents into
-powers.  Everything here works on Python's arbitrary-precision integers;
-floating point enters where a canonical residue over its modulus becomes
-a double: in expsum._phase_sum and digits.erdos_turan_bound.
+guards shared by several modules sit here too: ENUMERATION_GUARD bounds
+both the vmvt dynamic program and the Erdos-Turan phase terms.  The
+residue engine, stepped_powers, turns batches of ascending exponents (the
+blocks of mdl.primes) into powers.  Everything here works on Python's
+arbitrary-precision integers; floating point enters where a canonical
+residue over its modulus becomes a double: in expsum._phase_sum and
+digits.erdos_turan_bound.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .errors import PreconditionError, ResourceGuardError
 
 __all__ = [
     "BASE_GUARD",
+    "ENUMERATION_GUARD",
     "MODULUS_BIT_GUARD",
     "is_prime",
     "padic_valuation",
@@ -28,6 +32,7 @@ __all__ = [
 
 MODULUS_BIT_GUARD = 1 << 16  # maximum size, in bits, of a modulus q^e
 BASE_GUARD = 1 << 32  # largest prime base q, and largest n tested by trial division
+ENUMERATION_GUARD = 10**8  # vmvt_count dictionary updates, erdos_turan_bound terms
 
 
 def _prime_factors(n: int) -> Iterator[int]:

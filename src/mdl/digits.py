@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .arith import _check_odd_prime, is_prime, prime_power, stepped_powers
+from .arith import ENUMERATION_GUARD, _check_odd_prime, is_prime, prime_power, stepped_powers
 from .errors import PreconditionError, ResourceGuardError
 from .primes import PrimeRange, prime_batches
-from .vmvt import ENUMERATION_GUARD
 
 if TYPE_CHECKING:
     import numpy as np

@@ -4,10 +4,11 @@ The sieve is a classical odd-only segmented sieve of Eratosthenes (Bays
 and Hudson, BIT 17, 1977) on bytearray segments, so memory stays bounded
 by the segment size regardless of the limit.  Composites are cleared by
 slice assignment and primes read out with itertools.compress, so the
-sieve needs no dependency.  Streams are emitted in strictly increasing
-order, in lists of at most _BATCH primes each: the residue engine and its
-consumers loop over a list, not one generator hop per prime, while memory
-stays bounded by one segment and one batch.
+sieve needs no dependency.  Streams come in one list per block of
+BLOCK_WIDTH consecutive integers, ascending.  The block is the one
+grouping of the residue pipeline: it bounds the memory each list takes,
+and it is the summation block of the exponential sums, so their order,
+and every bit of their results, is fixed here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError, ResourceGuardError
@@ -29,8 +30,8 @@ __all__ = [
     "mangoldt_terms",
 ]
 
-SEGMENT_SIZE = 1 << 20  # odd numbers per sieve segment
-_BATCH = 1 << 11  # items per list at most; 2^14 put a child's peak over 20 MB
+BLOCK_WIDTH = 1 << 16  # integers per batch and per summation block
+SEGMENT_SIZE = 1 << 21  # integers per sieve segment, a multiple of BLOCK_WIDTH
 SIEVE_GUARD = 10**9  # largest sieve limit
 
 
@@ -51,43 +52,50 @@ class PrimeRange:
             )
 
 
-def _odd_sieve(low: int, high: int, odd_primes: Iterable[int]) -> Iterator[int]:
-    """The odd primes in [low, high), for odd low >= 3.
+def _odd_mask(low: int, high: int, odd_primes: Iterable[int]) -> bytearray:
+    """1 at index i when low + 2i + 1 is prime, for the odd numbers in [low, high).
 
-    odd_primes must hold every odd prime <= sqrt(high); their odd
-    multiples from p*p on are cleared from a mask of the odd numbers.
+    low is even and >= 0.  odd_primes must hold every odd prime <= sqrt(high);
+    their odd multiples from p*p on are cleared, and so is 1.
     """
-    count = (high - low + 1) // 2
+    count = (high - low) // 2
     mask = bytearray(b"\x01") * count
+    if low == 0:
+        mask[0] = 0
     for p in odd_primes:
         start = max(p * p, (low + p - 1) // p * p)
         if start % 2 == 0:
             start += p
         i = (start - low) // 2
         mask[i::p] = bytes(len(range(i, count, p)))
-    return compress(range(low, high, 2), mask)
+    return mask
 
 
 def _base_primes(limit: int) -> list[int]:
     """Every prime <= limit (the base primes <= sqrt(X)), sieved from its own base."""
     if limit < 2:
         return []
-    return [2, *_odd_sieve(3, limit + 1, _base_primes(math.isqrt(limit))[1:])]
+    mask = _odd_mask(0, limit + 1, _base_primes(math.isqrt(limit))[1:])
+    return [2, *compress(range(1, limit + 1, 2), mask)]
 
 
 def prime_batches(prime_range: PrimeRange) -> Iterator[list[int]]:
-    """Every prime <= limit once, ascending, in non-empty lists of at most _BATCH.
+    """Every prime <= limit once, as one ascending list per block of BLOCK_WIDTH.
 
-    The sieve runs segment by segment; only one segment mask is alive at a time.
+    List b holds the primes in [b * BLOCK_WIDTH, (b + 1) * BLOCK_WIDTH), for
+    every block up to the limit's; the last list may be empty.  Each segment
+    is read out block by block through a view of its mask, which is
+    released before the next segment is sieved.
     """
     limit = prime_range.limit
     odd_base = _base_primes(math.isqrt(limit))[1:]
-    span = 2 * SEGMENT_SIZE  # SEGMENT_SIZE odd numbers per segment
-    segments = (_odd_sieve(low, min(low + span, limit + 1), odd_base)
-                for low in range(5, limit + 1, span))
-    primes = chain([p for p in (2, 3) if p <= limit], chain.from_iterable(segments))
-    while batch := list(islice(primes, _BATCH)):
-        yield batch
+    for low in range(0, limit + 1, SEGMENT_SIZE):
+        high = min(low + SEGMENT_SIZE, limit + 1)
+        with memoryview(_odd_mask(low, high, odd_base)) as mask:
+            for start in range(low, high, BLOCK_WIDTH):
+                odd = range(start + 1, min(start + BLOCK_WIDTH, high), 2)
+                primes = list(compress(odd, mask[(start - low) // 2:]))
+                yield [2, *primes] if start == 0 else primes
 
 
 def primes_up_to(prime_range: PrimeRange) -> Iterator[int]:
@@ -109,26 +117,23 @@ def _higher_powers(limit: int) -> list[tuple[int, float]]:
 
 
 def mangoldt_batches(prime_range: PrimeRange) -> Iterator[tuple[list[int], list[float]]]:
-    """Every n <= limit with nonzero von Mangoldt weight, as batches (ns, weights).
+    """Every n <= limit with nonzero von Mangoldt weight, as (ns, weights), one per block.
 
-    The n = p**k ascend within and across batches, each with weight log p.
-    A batch of primes takes in the (few) higher powers below its last prime,
-    placed by bisect; those after the last prime (limit 4 or 64, say) close
-    the stream as one more batch.
+    Batch b holds the n = p**k in block b of prime_batches, ascending, each
+    with weight log p: the block's primes, with its (few) higher powers
+    placed among them by bisect.
     """
     powers = _higher_powers(prime_range.limit)
     i = 0
-    for ns in prime_batches(prime_range):
+    for block, ns in enumerate(prime_batches(prime_range)):
         weights = list(map(math.log, ns))
-        while i < len(powers) and powers[i][0] < ns[-1]:
+        while i < len(powers) and powers[i][0] < (block + 1) * BLOCK_WIDTH:
             n, weight = powers[i]
             k = bisect_left(ns, n)
             ns.insert(k, n)
             weights.insert(k, weight)
             i += 1
         yield ns, weights
-    if i < len(powers):
-        yield [n for n, _ in powers[i:]], [weight for _, weight in powers[i:]]
 
 
 def mangoldt_terms(prime_range: PrimeRange) -> Iterator[tuple[int, float]]:

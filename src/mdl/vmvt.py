@@ -21,16 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .arith import ENUMERATION_GUARD
 from .errors import PreconditionError, ResourceGuardError
 
 __all__ = [
-    "ENUMERATION_GUARD",
     "VmvtInstance",
     "vmvt_count",
     "monotonicity_check",
 ]
-
-ENUMERATION_GUARD = 10**8  # vmvt_count dictionary updates, erdos_turan_bound terms
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from itertools import groupby
 
 import numpy as np
 
-from mdl.expsum import BLOCK_WIDTH, kahan_sum
+from mdl.expsum import kahan_sum
+from mdl.primes import BLOCK_WIDTH
 
 
 def primes_by_trial_division(limit: int) -> list[int]:

@@ -7,7 +7,8 @@ import math
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mdl.expsum import BLOCK_WIDTH, _phase_sum, kahan_sum
+from mdl.expsum import _phase_sum, kahan_sum
+from mdl.primes import BLOCK_WIDTH
 from oracles import phase_sum_by_blocked_kahan, unit_circle_value
 
 MODULI = (3**20, 3**40, 3**101)
@@ -27,16 +28,19 @@ def test_kahan_close_to_fsum(xs: list[float]):
     assert got.imag == 0.0
 
 
-def _batches(terms: list[tuple[int, float, int]], cuts: list[int]) -> list[tuple[list, ...]]:
-    """terms as (ns, weights, residues) batches, cut at the sorted indices cuts.
+def _batches(terms: list[tuple[int, float, int]]) -> list[tuple[list, list]]:
+    """terms as (weights, residues) batches, one per block from block 0 to the last.
 
-    A repeated cut, or one at either end, gives an empty batch.
+    As in mdl.primes, a batch is cut only at a block boundary, and a block
+    without terms gives an empty batch.
     """
-    bounds = [0, *sorted(cuts), len(terms)]
-    return [
-        tuple(list(column) for column in zip(*terms[i:j])) or ([], [], [])
-        for i, j in zip(bounds, bounds[1:])
-    ]
+    batches: list[tuple[list, list]] = []
+    for n, weight, residue in terms:
+        while len(batches) <= n // BLOCK_WIDTH:
+            batches.append(([], []))
+        batches[-1][0].append(weight)
+        batches[-1][1].append(residue)
+    return batches
 
 
 def test_phase_sum_restarts_kahan_at_every_block():
@@ -50,21 +54,15 @@ def test_phase_sum_restarts_kahan_at_every_block():
         for block in blocks
     )
     weights = kahan_sum(kahan_sum(w for _, w, _ in block) for block in blocks)
-    for cuts in (
-        [],  # one batch over three blocks
-        [0, 0, 3, 3, 6, 6],  # empty batches, at both ends and between blocks
-        [3],  # a batch that ends on a block boundary
-        [3, 4],  # a batch that is one whole block
-        [1, 2],  # one block over three batches
-        [1, 5],  # a batch over a block boundary
-    ):
-        got = _phase_sum(_batches(terms, cuts), modulus)
-        assert got == (want, weights.real, len(terms)), cuts
+    batches = _batches(terms)
+    assert [len(ws) for ws, _ in batches] == [3, 1, 0, 2]  # block 2 gives an empty batch
+    for padded in (batches, [([], []), *batches, ([], [])]):
+        assert _phase_sum(padded, modulus) == (want, weights.real, len(terms))
 
 
 def test_phase_sum_of_no_terms_is_zero():
     assert _phase_sum([], 9) == (0j, 0.0, 0)
-    assert _phase_sum([([], [], [])] * 3, 9) == (0j, 0.0, 0)
+    assert _phase_sum([([], [])] * 3, 9) == (0j, 0.0, 0)
 
 
 def _bits(total: complex, normalizer: float, count: int) -> tuple[str, str, str, int]:
@@ -73,11 +71,10 @@ def _bits(total: complex, normalizer: float, count: int) -> tuple[str, str, str,
 
 
 @st.composite
-def _blocked_terms(draw) -> tuple[list[tuple[int, float, int]], int, list[int]]:
-    """Terms over three to five blocks, weighted 1.0 or log p, with residue 0 drawn often.
+def _blocked_terms(draw) -> tuple[list[tuple[int, float, int]], int]:
+    """Terms in three to five of blocks 0..6, weighted 1.0 or log p, residue 0 drawn often.
 
-    The cuts split them into batches at random, empty batches and cuts on a
-    block boundary included.
+    The blocks left out before and between those drawn give empty batches.
     """
     modulus = draw(st.sampled_from(MODULI))
     weight = st.sampled_from((1.0, *LOG_WEIGHTS))
@@ -88,15 +85,14 @@ def _blocked_terms(draw) -> tuple[list[tuple[int, float, int]], int, list[int]]:
     for block in sorted(draw(st.sets(st.integers(0, 6), min_size=3, max_size=5))):
         for offset in sorted(draw(st.sets(edge, min_size=1, max_size=8))):
             terms.append((block * BLOCK_WIDTH + offset, draw(weight), draw(residue)))
-    cuts = draw(st.lists(st.integers(0, len(terms)), max_size=8))
-    return terms, modulus, cuts
+    return terms, modulus
 
 
 @given(_blocked_terms())
-@example(([], 3**20, []))
-@example(([], 3**40, [0, 0]))
-@example(([], 3**101, []))
+@example(([], 3**20))
+@example(([], 3**40))
+@example(([], 3**101))
 def test_phase_sum_matches_blocked_complex_kahan_bit_for_bit(case):
-    terms, modulus, cuts = case
+    terms, modulus = case
     want = phase_sum_by_blocked_kahan(terms, modulus)
-    assert _bits(*_phase_sum(_batches(terms, cuts), modulus)) == _bits(*want)
+    assert _bits(*_phase_sum(_batches(terms), modulus)) == _bits(*want)

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdl import primes
 from mdl.arith import stepped_powers
 from mdl.digits import count_blocks, mersenne_residues
 from mdl.errors import PreconditionError
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
 from mdl.primes import (
+    BLOCK_WIDTH,
     PrimeRange,
     mangoldt_batches,
     mangoldt_terms,
@@ -22,7 +22,6 @@ from mdl.primes import (
 )
 from oracles import (
     digit_window_by_expansion,
-    mangoldt_by_factoring,
     mangoldt_sum_by_direct_powers,
     mersenne_sum_by_direct_powers,
     phase_sum_by_blocked_kahan,
@@ -134,41 +133,30 @@ def test_mangoldt_sum_matches_direct_powers_oracle_mod_3_40(g: int):
     assert abs(got.value - mangoldt_sum_by_direct_powers(3**40, 7, g, 2000)) < 1e-9
 
 
-def _mangoldt_by_factoring(limit: int) -> list[tuple[int, float]]:
-    return [(n, w) for n in range(2, limit + 1) if (w := mangoldt_by_factoring(n))]
-
-
 def _bits(result) -> tuple[str, str, str, int]:
     # float.hex tells 0.0 from -0.0, which == does not
     return result.real.hex(), result.imag.hex(), result.normalizer.hex(), result.term_count
 
 
-@pytest.mark.parametrize("batch", [1, 2, 7])
-def test_tiny_batches_match_the_oracles(monkeypatch, batch: int):
-    # higher powers fall between batches, or after the last prime at limits 4 and 64
-    monkeypatch.setattr(primes, "_BATCH", batch)
-    for limit in (4, 64, 1024):
-        assert all(0 < len(b) <= batch for b in prime_batches(PrimeRange(limit)))
-        assert list(primes_up_to(PrimeRange(limit))) == primes_by_trial_division(limit)
-        assert list(mangoldt_terms(PrimeRange(limit))) == _mangoldt_by_factoring(limit)
-    manual = [0] * 25
-    for p in primes_by_trial_division(600):
-        manual[digit_window_by_expansion(p, 5, 20, 2)] += 1
-    assert count_blocks(5, 600, 20, 2).counts == tuple(manual)
-    want = mersenne_sum_by_direct_powers(3**40, 4, 3000)
-    assert abs(mersenne_prime_sum(3, 40, 4, 3000).value - want) < 1e-9
-    want = mangoldt_sum_by_direct_powers(3**40, 7, 5, 2000)
-    assert abs(mangoldt_exp_sum(3, 40, 7, 5, 2000).value - want) < 1e-9
+@pytest.mark.parametrize("X", [64, 2**17 + 1, 3 * BLOCK_WIDTH + 5])
+def test_batches_are_the_summation_blocks(X: int):
+    # list b of either stream holds its items of block b, ascending, for every
+    # block up to X's, so the blocks ascend and none is skipped
+    mangoldt = [ns for ns, _ in mangoldt_batches(PrimeRange(X))]
+    for batches in (list(prime_batches(PrimeRange(X))), mangoldt):
+        assert len(batches) == X // BLOCK_WIDTH + 1
+        for block, ns in enumerate(batches):
+            assert all(n // BLOCK_WIDTH == block for n in ns), (X, block)
+            assert ns == sorted(set(ns)), (X, block)
 
 
-@pytest.mark.parametrize("batch", [1, 2, 7])
-def test_tiny_batches_keep_the_blocked_bits(monkeypatch, batch: int):
-    # X past BLOCK_WIDTH = 2^16, so both sums span two blocks; the terms are
-    # read at the default batch size, the sums at the tiny one
-    X, Q, a, g = 70_000, 3**40, 5, 7
+@pytest.mark.parametrize("X", [70_000, 2**17, 3 * BLOCK_WIDTH + 5])
+def test_blocked_bits_at_block_crossing_limits(X: int):
+    # both sums span two blocks or more; at 2^17 the last block of the von
+    # Mangoldt sum holds 2^17 alone, and that of the Mersenne sum nothing
+    Q, a, g = 3**40, 5, 7
     mersenne = [(p, 1.0, a * (pow(2, p, Q) - 1) % Q) for p in primes_up_to(PrimeRange(X))]
     mangoldt = [(n, w, a * pow(g, n, Q) % Q) for n, w in mangoldt_terms(PrimeRange(X))]
-    monkeypatch.setattr(primes, "_BATCH", batch)
     for got, terms in [
         (mersenne_prime_sum(3, 40, a, X), mersenne),
         (mangoldt_exp_sum(3, 40, a, g, X), mangoldt),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import pytest
 
@@ -11,8 +12,28 @@ from mdl.arith import is_prime
 from mdl.digits import count_blocks, mersenne_residues
 from mdl.errors import PreconditionError, ResourceGuardError
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
-from mdl.primes import SIEVE_GUARD, PrimeRange, _base_primes, mangoldt_terms, primes_up_to
+from mdl.primes import (
+    BLOCK_WIDTH,
+    SIEVE_GUARD,
+    PrimeRange,
+    _base_primes,
+    mangoldt_terms,
+    prime_batches,
+    primes_up_to,
+)
 from oracles import mangoldt_by_factoring, primes_by_trial_division
+
+
+@cache
+def _trial_primes() -> list[int]:
+    """Every prime to 4 * BLOCK_WIDTH + 2 by trial division, computed once."""
+    return primes_by_trial_division(4 * BLOCK_WIDTH + 2)
+
+
+@cache
+def _factored_terms() -> list[tuple[int, float]]:
+    """Every (n, log p) with n = p^k <= 2^18 by factoring, computed once."""
+    return [(n, w) for n in range(2, 2**18 + 1) if (w := mangoldt_by_factoring(n))]
 
 
 def test_sieve_matches_trial_division():
@@ -20,10 +41,12 @@ def test_sieve_matches_trial_division():
 
 
 def test_sieve_segmentation_is_invisible(monkeypatch):
-    wide = list(primes_up_to(PrimeRange(10_000)))
-    monkeypatch.setattr(mdl.primes, "SEGMENT_SIZE", 64)  # 79 segments instead of 2
-    narrow = list(primes_up_to(PrimeRange(10_000)))
-    assert wide == narrow
+    # the same blocks from one segment as from one segment per block
+    limit = 3 * BLOCK_WIDTH + 100
+    wide = list(prime_batches(PrimeRange(limit)))
+    monkeypatch.setattr(mdl.primes, "SEGMENT_SIZE", BLOCK_WIDTH)  # 4 segments instead of 1
+    assert list(prime_batches(PrimeRange(limit))) == wide
+    assert [p for batch in wide for p in batch] == [p for p in _trial_primes() if p <= limit]
 
 
 def test_base_primes_match_trial_division():
@@ -36,10 +59,12 @@ def test_base_primes_match_trial_division():
 @pytest.mark.parametrize("k", range(5))
 @pytest.mark.parametrize("d", [-2, -1, 0, 1, 2])
 def test_sieve_matches_trial_division_at_segment_ends(monkeypatch, k: int, d: int):
-    # with 64 odd numbers per segment, the segments start at 5 + 128k
-    monkeypatch.setattr(mdl.primes, "SEGMENT_SIZE", 64)
-    limit = 5 + 128 * k + d
-    assert list(primes_up_to(PrimeRange(limit))) == primes_by_trial_division(limit)
+    # with one block per segment, both start at k * BLOCK_WIDTH; k = 0, which
+    # has no limit below its start, checks the limits 2 to 6 instead
+    monkeypatch.setattr(mdl.primes, "SEGMENT_SIZE", BLOCK_WIDTH)
+    limit = k * BLOCK_WIDTH + d if k else 4 + d
+    want = [p for p in _trial_primes() if p <= limit]
+    assert list(primes_up_to(PrimeRange(limit))) == want
 
 
 def test_sieve_yields_plain_ints():
@@ -103,6 +128,16 @@ def test_mangoldt_terms_merge_emits_powers_after_the_last_prime(limit: int):
     # at 4, 8, 9 and 64 the stream ends with a power above the largest prime
     want = [(n, mangoldt_by_factoring(n)) for n in range(2, limit + 1)]
     assert list(mangoldt_terms(PrimeRange(limit))) == [(n, w) for n, w in want if w]
+
+
+@pytest.mark.parametrize(
+    "limit", [4, 64, BLOCK_WIDTH, BLOCK_WIDTH + 1, 2**17, 2**17 + 1, 3 * BLOCK_WIDTH, 2**18]
+)
+def test_mangoldt_terms_keep_a_last_block_without_a_prime(limit: int):
+    # at 2^17 and 2^17 + 1 the last block holds the power 2^17 and no prime
+    assert list(mangoldt_terms(PrimeRange(limit))) == [
+        (n, w) for n, w in _factored_terms() if n <= limit
+    ]
 
 
 def test_mangoldt_terms_sorted_and_weighted_by_base_prime():
