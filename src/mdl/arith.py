@@ -5,11 +5,11 @@ e and the size of the power before it is formed; code that holds an
 already validated q checks only the size, with _check_power_size.  The
 guards shared by several modules sit here too: ENUMERATION_GUARD bounds
 both the vmvt dynamic program and the Erdos-Turan phase terms.  The
-residue engine, stepped_powers, turns batches of ascending exponents (the
-blocks of mdl.primes) into powers.  Everything here works on Python's
-arbitrary-precision integers; floating point enters where a canonical
-residue over its modulus becomes a double: in expsum._phase_sum and
-digits.erdos_turan_bound.
+residue engine, stepped_powers, turns batches of positive, ascending
+exponents (the blocks of mdl.primes) into powers.  Everything here works
+on Python's arbitrary-precision integers; floating point enters where a
+canonical residue over its modulus becomes a double: in expsum._phase_sum
+and digits.erdos_turan_bound.
 """
 
 from __future__ import annotations
@@ -135,33 +135,28 @@ def padic_valuation(q: int, n: int) -> int:
 def stepped_powers(base: int, modulus: int) -> Callable[[list[int]], list[int]]:
     """A stepper: each call maps a batch of exponents e to base**e mod modulus.
 
-    The exponents are non-negative and strictly ascending across the calls.
-    Only the first power is a full exponentiation; each later one is the
-    previous power times base**(e - e_prev), computed once per distinct gap
-    (prime gaps below 10^7 take fewer than a hundred values) into one table
-    for every batch.  Callers hold one batch of powers at a time, beside
-    whatever else their batch carries, such as von Mangoldt weights.
+    The exponents are positive and strictly ascending across the calls.
+    The stepper starts at exponent 0 with power 1 % modulus, so every power,
+    the first included, is the previous power times base**(e - e_prev),
+    computed once per distinct gap (prime gaps below 10^7 take fewer than a
+    hundred values) into one table for every batch.  Callers hold one batch
+    of powers at a time, beside whatever else their batch carries, such as
+    von Mangoldt weights.
     """
     if modulus < 1:
         raise PreconditionError(f"modulus must be >= 1, got {modulus}")
     steps: dict[int, int] = {}
-    previous = value = None
+    previous, value = 0, 1 % modulus
 
     def powers(exponents: list[int]) -> list[int]:
         nonlocal previous, value
-        out, rest = [], iter(exponents)
-        if previous is None and exponents:
-            if exponents[0] < 0:
-                raise PreconditionError(f"exponents must be >= 0, got {exponents[0]}")
-            previous = next(rest)
-            value = pow(base, previous, modulus)
-            out.append(value)
-        for e in rest:
+        out = []
+        for e in exponents:
             step = steps.get(e - previous)
             if step is None:  # every gap in the table is >= 1
                 if e <= previous:
                     raise PreconditionError(
-                        f"exponents must strictly ascend, got {previous} then {e}"
+                        f"exponents must strictly ascend from 0, got {previous} then {e}"
                     )
                 step = steps[e - previous] = pow(base, e - previous, modulus)
             value = value * step % modulus

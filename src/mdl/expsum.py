@@ -2,22 +2,23 @@
 
 Two sums are provided: one over prime powers n <= X weighted by log p
 (von Mangoldt weights), with phase a*g^n, and one over primes p <= X with
-phase a*(2^p - 1).  Phases are exact residues; only the final
-residue/modulus ratio is rounded to double, so the modulus may far exceed
-2^53 without loss.  Each sum is one sequential pass over the batches of
+phase a*(2^p - 1).  Each sum is one sequential pass over the batches of
 mdl.primes, one per block of BLOCK_WIDTH consecutive exponents: the
 powers g^n are stepped across the gaps between consecutive exponents
-(stepped_powers), the residues of 2^p - 1 come from the Mersenne walk of
-mdl.digits, and each batch's phases are Kahan-summed from zero, as plain
-float sums of the real part, the imaginary part and the weight.  The
-batch totals are Kahan-summed in block order, so results are
-reproducible bit for bit.
+(stepped_powers), and the residues of 2^p - 1 come from the Mersenne walk
+of mdl.digits.  _phase_sum turns each residue x into the exact phase
+numerator a*x mod q^gamma; only the numerator/modulus ratio is rounded to
+double, so the modulus may far exceed 2^53 without loss.  Each batch's
+phases are Kahan-summed from zero, as plain float sums of the real part,
+the imaginary part and the weight.  The batch totals are Kahan-summed in
+block order, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 from .arith import _check_unit, _check_unit_base, prime_power, stepped_powers
@@ -82,32 +83,34 @@ def kahan_sum(values: Iterable[complex]) -> complex:
 
 
 def _phase_sum(
-    batches: Iterable[tuple[list[float], list[int]]], modulus: int
+    batches: Iterable[tuple[Iterable[float], list[int]]], a: int, modulus: int
 ) -> tuple[complex, float, int]:
-    """Sum weight * e(residue / modulus) over (weights, residues) batches, one per block.
+    """Sum weight * e(a * residue / modulus) over (weights, residues) batches, one per block.
 
-    The real parts, imaginary parts and weights of each non-empty batch are
-    Kahan-summed from zero as three plain floats; the batch totals are then
-    Kahan-summed in order.  That order is part of every frozen report, so
-    the batches must be the summation blocks of mdl.primes.  The float
-    pairs give the same bits as complex Kahan sums of
-    weight * complex(cos(angle), sin(angle)): complex addition and
-    subtraction act on each part alone, and weight times complex(cos, sin)
-    is (weight * cos, weight * sin), since cos of a finite double is never
-    0 and the angle is never -0.0.  Returns the sum, the weight total and
-    the number of terms.
+    Each phase numerator a * residue % modulus is formed here, exactly, and
+    divided by the modulus once.  The real parts, imaginary parts and
+    weights of each non-empty batch are Kahan-summed from zero as three
+    plain floats; the batch totals are then Kahan-summed in order.  That
+    order is part of every frozen report, so the batches must be the
+    summation blocks of mdl.primes.  The float pairs give the same bits as
+    complex Kahan sums of weight * complex(cos(angle), sin(angle)): complex
+    addition and subtraction act on each part alone, and weight times
+    complex(cos, sin) is (weight * cos, weight * sin), since cos of a finite
+    double is never 0 and the angle is never -0.0.  The residues set each
+    batch's length; its weights may run longer, as a repeat does.  Returns
+    the sum, the weight total and the number of terms.
     """
     cos, sin, tau = math.cos, math.sin, math.tau
     sums: list[complex] = []
     weights: list[float] = []
     count = 0
     for ws, rs in batches:
-        if not ws:
+        if not rs:
             continue
-        count += len(ws)
+        count += len(rs)
         re = im = wt = re_comp = im_comp = wt_comp = 0.0
         for w, r in zip(ws, rs):
-            angle = tau * (r / modulus)
+            angle = tau * (a * r % modulus / modulus)
             y = w * cos(angle) - re_comp
             t = re + y
             re_comp = (t - re) - y
@@ -139,9 +142,7 @@ def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult
     if X == 1 and isinstance(X, int):  # 1.0 goes on to PrimeRange's int check
         return ExpSumResult(0.0, 0.0, 0, 0.0, 0.0)
     powers, batches = stepped_powers(g, Q), mangoldt_batches(PrimeRange(X))
-    total, normalizer, count = _phase_sum(
-        ((ws, [a * x % Q for x in powers(ns)]) for ns, ws in batches), Q
-    )
+    total, normalizer, count = _phase_sum(((ws, powers(ns)) for ns, ws in batches), a, Q)
     return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))
 
 
@@ -153,7 +154,5 @@ def mersenne_prime_sum(q: int, gamma: int, a: int, X: int) -> ExpSumResult:
     Q = prime_power(q, gamma)
     walk = _mersenne_walk(Q, X)
     _check_unit(q, "a", a)
-    total, normalizer, count = _phase_sum(
-        (([1.0] * len(ps), [a * x % Q for x in xs]) for ps, xs in walk), Q
-    )
+    total, normalizer, count = _phase_sum(((repeat(1.0), xs) for _, xs in walk), a, Q)
     return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))

@@ -4,11 +4,12 @@ The sieve is a classical odd-only segmented sieve of Eratosthenes (Bays
 and Hudson, BIT 17, 1977) on bytearray segments, so memory stays bounded
 by the segment size regardless of the limit.  Composites are cleared by
 slice assignment and primes read out with itertools.compress, so the
-sieve needs no dependency.  Streams come in one list per block of
-BLOCK_WIDTH consecutive integers, ascending.  The block is the one
-grouping of the residue pipeline: it bounds the memory each list takes,
-and it is the summation block of the exponential sums, so their order,
-and every bit of their results, is fixed here.
+sieve needs no dependency; the base primes up to sqrt(limit) come from the
+same sieve and read-out, run to that smaller limit.  Streams come in one
+list per block of BLOCK_WIDTH consecutive integers, ascending.  The block
+is the one grouping of the residue pipeline: it bounds the memory each
+list takes, and it is the summation block of the exponential sums, so
+their order, and every bit of their results, is fixed here.
 """
 
 from __future__ import annotations
@@ -72,11 +73,8 @@ def _odd_mask(low: int, high: int, odd_primes: Iterable[int]) -> bytearray:
 
 
 def _base_primes(limit: int) -> list[int]:
-    """Every prime <= limit (the base primes <= sqrt(X)), sieved from its own base."""
-    if limit < 2:
-        return []
-    mask = _odd_mask(0, limit + 1, _base_primes(math.isqrt(limit))[1:])
-    return [2, *compress(range(1, limit + 1, 2), mask)]
+    """Every prime <= limit (the base primes <= sqrt(X)), from the same sieve."""
+    return list(primes_up_to(PrimeRange(limit))) if limit >= 2 else []
 
 
 def prime_batches(prime_range: PrimeRange) -> Iterator[list[int]]:

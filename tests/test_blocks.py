@@ -57,12 +57,12 @@ def test_phase_sum_restarts_kahan_at_every_block():
     batches = _batches(terms)
     assert [len(ws) for ws, _ in batches] == [3, 1, 0, 2]  # block 2 gives an empty batch
     for padded in (batches, [([], []), *batches, ([], [])]):
-        assert _phase_sum(padded, modulus) == (want, weights.real, len(terms))
+        assert _phase_sum(padded, 1, modulus) == (want, weights.real, len(terms))
 
 
 def test_phase_sum_of_no_terms_is_zero():
-    assert _phase_sum([], 9) == (0j, 0.0, 0)
-    assert _phase_sum([([], [])] * 3, 9) == (0j, 0.0, 0)
+    assert _phase_sum([], 1, 9) == (0j, 0.0, 0)
+    assert _phase_sum([([], [])] * 3, 1, 9) == (0j, 0.0, 0)
 
 
 def _bits(total: complex, normalizer: float, count: int) -> tuple[str, str, str, int]:
@@ -71,12 +71,14 @@ def _bits(total: complex, normalizer: float, count: int) -> tuple[str, str, str,
 
 
 @st.composite
-def _blocked_terms(draw) -> tuple[list[tuple[int, float, int]], int]:
+def _blocked_terms(draw) -> tuple[list[tuple[int, float, int]], int, int]:
     """Terms in three to five of blocks 0..6, weighted 1.0 or log p, residue 0 drawn often.
 
     The blocks left out before and between those drawn give empty batches.
+    The multiplier a is 1 often, else any int within twice the modulus.
     """
     modulus = draw(st.sampled_from(MODULI))
+    a = draw(st.one_of(st.just(1), st.integers(-2 * modulus, 2 * modulus)))
     weight = st.sampled_from((1.0, *LOG_WEIGHTS))
     residue = st.one_of(st.just(0), st.integers(0, modulus - 1))
     # the first and last offsets of a block are drawn often
@@ -85,14 +87,16 @@ def _blocked_terms(draw) -> tuple[list[tuple[int, float, int]], int]:
     for block in sorted(draw(st.sets(st.integers(0, 6), min_size=3, max_size=5))):
         for offset in sorted(draw(st.sets(edge, min_size=1, max_size=8))):
             terms.append((block * BLOCK_WIDTH + offset, draw(weight), draw(residue)))
-    return terms, modulus
+    return terms, a, modulus
 
 
 @given(_blocked_terms())
-@example(([], 3**20))
-@example(([], 3**40))
-@example(([], 3**101))
+@example(([], 1, 3**20))
+@example(([], 1, 3**40))
+@example(([], 1, 3**101))
 def test_phase_sum_matches_blocked_complex_kahan_bit_for_bit(case):
-    terms, modulus = case
-    want = phase_sum_by_blocked_kahan(terms, modulus)
-    assert _bits(*_phase_sum(_batches(terms), modulus)) == _bits(*want)
+    # the oracle takes the phase numerators a * r % modulus that _phase_sum forms
+    terms, a, modulus = case
+    numerators = [(n, w, a * r % modulus) for n, w, r in terms]
+    want = phase_sum_by_blocked_kahan(numerators, modulus)
+    assert _bits(*_phase_sum(_batches(terms), a, modulus)) == _bits(*want)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 import mdl.cli
 from mdl import __version__
 from mdl.cli import main
-from mdl.errors import SelfCheckError
+from mdl.digits import erdos_turan_bound
+from mdl.errors import PreconditionError, SelfCheckError
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -173,11 +175,45 @@ def test_erdos_turan_guard_rejects_before_numpy_loads():
     assert done.stderr.count("residue guard") == 2
 
 
+_H_PROBE = """
+import json, sys
+from mdl.digits import erdos_turan_bound
+from mdl.errors import PreconditionError
+try:
+    erdos_turan_bound(3, 2, [0, 1], 0)
+except PreconditionError as exc:
+    print(json.dumps({"error": str(exc), "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_erdos_turan_bound_rejects_h_below_one_before_numpy_loads():
+    # the discrepancy subcommand checks H first, so only a library call gets here
+    with pytest.raises(PreconditionError, match="H must be >= 1, got 0"):
+        erdos_turan_bound(3, 2, [0, 1], 0)
+    done = _run_probe(_H_PROBE)
+    assert json.loads(done.stdout) == {"error": "H must be >= 1, got 0", "numpy": False}, (
+        done.stderr
+    )
+
+
 def test_timestamp_present_by_default_and_suppressible(capsys):
     _, out, _ = run_cli(capsys, "order-structure", "--q", "11", "--g", "3")
     assert "timestamp" in json.loads(out)
     _, out, _ = run_cli(capsys, "order-structure", "--q", "11", "--g", "3", "--no-timestamp")
     assert "timestamp" not in json.loads(out)
+
+
+def test_csv_timestamp_is_one_extra_header_line(capsys):
+    args = ("digit-stats", "--q", "3", "--X", "1000", "--r", "25", "--s", "1")
+    code, stamped, _ = run_cli(capsys, *args)
+    assert code == 0
+    _, plain, _ = run_cli(capsys, *args, "--no-timestamp")
+    lines = stamped.splitlines(keepends=True)
+    assert lines[1].startswith("# generated ") and lines[1].endswith("\n")
+    when = datetime.fromisoformat(lines[1][len("# generated "):-1])  # UTC ISO-8601
+    assert when.utcoffset() == timedelta(0)
+    assert abs(datetime.now(timezone.utc) - when) < timedelta(minutes=5)
+    assert "".join(lines[:1] + lines[2:]) == plain
 
 
 def test_order_structure_csv(capsys):
@@ -219,6 +255,40 @@ def test_verify_lemmas_report(capsys):
     assert results["all_ok"] is True
     assert results["congruence_cases"] > 0
     assert results["valuation_cases"] > 0
+
+
+def _once(forged, original):
+    """A stand-in that calls forged on its first call and original after it."""
+    calls = iter([forged])
+    return lambda *args: next(calls, original)(*args)
+
+
+def test_verify_lemmas_reports_a_disagreement_in_band(capsys, monkeypatch):
+    # a sweep: one failed case of each check turns its flag false, with exit 0, not 4
+    args = ("verify-lemmas", "--q", "3", "--g", "2", "--no-timestamp")
+    _, out, _ = run_cli(capsys, *args)
+    clean = json.loads(out)["results"]
+
+    def forged_valuation(*args):
+        raise SelfCheckError("closed form disagrees with the direct residue")
+
+    monkeypatch.setattr(
+        mdl.cli, "congruence_criterion",
+        _once(lambda *args: (True, False), mdl.cli.congruence_criterion),
+    )
+    monkeypatch.setattr(
+        mdl.cli, "valuation_difference", _once(forged_valuation, mdl.cli.valuation_difference)
+    )
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results == {
+        "congruence_cases": clean["congruence_cases"],
+        "congruence_ok": False,
+        "valuation_cases": clean["valuation_cases"],
+        "valuation_ok": False,
+        "all_ok": False,
+    }
 
 
 def test_precondition_exit_code(capsys):

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from mdl.errors import PreconditionError
-from mdl.expsum import log_ratio, mangoldt_exp_sum, mersenne_prime_sum
+from mdl.errors import PreconditionError, SelfCheckError
+from mdl.expsum import ExpSumResult, log_ratio, mangoldt_exp_sum, mersenne_prime_sum
 from oracles import mangoldt_sum_by_direct_powers, mersenne_sum_by_direct_powers
 
 # (q, gamma) of each modulus q^gamma
@@ -77,6 +77,13 @@ def test_triangle_inequality(a: int):
     assert r.magnitude <= r.normalizer * (1 + 1e-9)
     s = mangoldt_exp_sum(*M340, a, 2, 10**4)
     assert s.magnitude <= s.normalizer * (1 + 1e-9)
+
+
+def test_expsum_result_rechecks_the_triangle_inequality():
+    # |3 + 4i| = 5 exceeds a normalizer of 4.9 by more than the 1e-9 headroom
+    with pytest.raises(SelfCheckError):
+        ExpSumResult(3.0, 4.0, 1, 4.9, 0.5)
+    assert ExpSumResult(3.0, 4.0, 1, 5.0, 0.5).magnitude == 5.0
 
 
 def test_conjugation_symmetry():
