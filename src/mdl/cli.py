@@ -16,10 +16,8 @@ be written (an OSError from --output or standard output).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -203,6 +201,13 @@ _HANDLERS: dict[str, Callable[..., SubcommandOutput]] = {
 }
 
 
+def _flags(handler: Callable[..., SubcommandOutput]) -> dict[str, int | None]:
+    """The handler's parameters in order, each with its default, or None when required."""
+    code, defaults = handler.__code__, handler.__defaults__ or ()
+    names = code.co_varnames[:code.co_argcount]
+    return dict(zip(names, [None] * (len(names) - len(defaults)) + list(defaults)))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdl",
@@ -211,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name, handler in _HANDLERS.items():
         sub = subparsers.add_parser(name, help=handler.__doc__)
-        for flag in inspect.signature(handler).parameters.values():
-            sub.add_argument(f"--{flag.name}", type=int, default=flag.default,
-                             required=flag.default is flag.empty)
+        for flag, default in _flags(handler).items():
+            sub.add_argument(f"--{flag}", type=int, default=default, required=default is None)
         default_format = "csv" if name == "digit-stats" else "json"
         sub.add_argument("--format", choices=("csv", "json"), default=default_format)
         sub.add_argument("--output", type=Path, default=None)
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config(argv: Sequence[str]) -> argparse.Namespace:
     """Parse argv; parameters holds the handler's flags in signature order."""
     config = build_parser().parse_args(argv)
-    flags = inspect.signature(_HANDLERS[config.subcommand]).parameters
+    flags = _flags(_HANDLERS[config.subcommand])
     config.parameters = {flag: getattr(config, flag) for flag in flags}
     return config
 
@@ -236,11 +240,11 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
 def run(config: argparse.Namespace) -> str:
     """Execute one parsed invocation and return the rendered report text."""
     results, columns, rows = _HANDLERS[config.subcommand](**config.parameters)
-    stamp = (
-        None
-        if config.no_timestamp
-        else datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
+    stamp = None
+    if not config.no_timestamp:
+        from datetime import datetime, timezone
+
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if config.format == "json":
         return _render_json(config, results, stamp)
     return _render_csv(config, columns, rows, stamp)

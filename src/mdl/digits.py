@@ -13,8 +13,7 @@ admits the run, not with this module.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -54,8 +53,9 @@ _OBJECT_TERMS = 8
 ERDOS_TURAN_CONSTANT = 3.0
 
 
-@dataclass(frozen=True)
-class DigitCountReport:
+class DigitCountReport(
+    namedtuple("DigitCountReport", "q r s X counts pi_X expected deviations max_abs_deviation")
+):
     """Prime counts per digit-window value, with uniformity deviations.
 
     Built from (q, r, s, X) by one Mersenne walk of 2^p - 1 mod q^(r+1).
@@ -67,19 +67,10 @@ class DigitCountReport:
     exceeds BIN_GUARD or q^(r+1) exceeds MODULUS_BIT_GUARD bits.
     """
 
-    q: int
-    r: int
-    s: int
-    X: int
-    counts: tuple[int, ...] = field(init=False)
-    pi_X: int = field(init=False)
-    expected: float = field(init=False)
-    deviations: tuple[float, ...] = field(init=False)
-    max_abs_deviation: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        q, r, s = self.q, self.r, self.s
-        walk = _mersenne_walk(_window_checks(q, r, s), self.X)
+    def __new__(cls, q: int, r: int, s: int, X: int) -> DigitCountReport:
+        walk = _mersenne_walk(_window_checks(q, r, s), X)
         size = q**s
         if size > BIN_GUARD:
             raise ResourceGuardError(
@@ -91,11 +82,13 @@ class DigitCountReport:
             counts[residue // divisor] += 1
         pi_X, uniform = sum(counts), 1.0 / size  # pi_X >= 1: X >= 2 admits p = 2
         deviations = tuple(count / pi_X - uniform for count in counts)
-        object.__setattr__(self, "counts", tuple(counts))
-        object.__setattr__(self, "pi_X", pi_X)
-        object.__setattr__(self, "expected", pi_X / size)
-        object.__setattr__(self, "deviations", deviations)
-        object.__setattr__(self, "max_abs_deviation", max(map(abs, deviations)))
+        return super().__new__(
+            cls, q, r, s, X, tuple(counts), pi_X, pi_X / size, deviations,
+            max(map(abs, deviations)),
+        )
+
+    def __getnewargs__(self) -> tuple[int, int, int, int]:
+        return self.q, self.r, self.s, self.X
 
 
 def _window_checks(q: int, r: int, s: int) -> int:

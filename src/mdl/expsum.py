@@ -17,7 +17,7 @@ block order, so results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from typing import Iterable
 
@@ -33,8 +33,7 @@ __all__ = [
     "log_ratio",
 ]
 
-@dataclass(frozen=True)
-class ExpSumResult:
+class ExpSumResult(namedtuple("ExpSumResult", "real imag term_count normalizer rho")):
     """Value and context of one evaluated exponential sum.
 
     normalizer is the sum of the absolute term weights (so the trivial
@@ -42,17 +41,17 @@ class ExpSumResult:
     triangle inequality is re-checked at construction.
     """
 
-    real: float
-    imag: float
-    term_count: int
-    normalizer: float
-    rho: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.magnitude > self.normalizer * (1.0 + 1e-9):
+    def __new__(
+        cls, real: float, imag: float, term_count: int, normalizer: float, rho: float
+    ) -> ExpSumResult:
+        self = super().__new__(cls, real, imag, term_count, normalizer, rho)
+        if self.magnitude > normalizer * (1.0 + 1e-9):
             raise SelfCheckError(
-                f"sum magnitude {self.magnitude} exceeds normalizer {self.normalizer}"
+                f"sum magnitude {self.magnitude} exceeds normalizer {normalizer}"
             )
+        return self
 
     @property
     def value(self) -> complex:

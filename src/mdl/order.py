@@ -9,7 +9,7 @@ congruence facts, each evaluated by two independent routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import log2
 
 from .arith import _check_power_size, _check_unit_base, _prime_factors, padic_valuation
@@ -29,8 +29,7 @@ __all__ = [
 POWER_BIT_GUARD = 14_284  # bits of g^order: 4,300 digits, the most str(int) prints
 
 
-@dataclass(frozen=True)
-class OrderStructure:
+class OrderStructure(namedtuple("OrderStructure", "q g order_mod_q lift_valuation cofactor")):
     """Order of g mod the odd prime q together with its exact lifting data.
 
     Built from q and g alone.  The order is found by descent from q-1: each
@@ -44,14 +43,9 @@ class OrderStructure:
     order * log2|g| exceeds POWER_BIT_GUARD.
     """
 
-    q: int
-    g: int
-    order_mod_q: int = field(init=False)
-    lift_valuation: int = field(init=False)
-    cofactor: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        q, g = self.q, self.g
+    def __new__(cls, q: int, g: int) -> OrderStructure:
         _check_unit_base(q, g)
         tau = q - 1
         for p in set(_prime_factors(q - 1)):
@@ -64,9 +58,10 @@ class OrderStructure:
             )
         diff = g**tau - 1
         lift_valuation = padic_valuation(q, diff)
-        object.__setattr__(self, "order_mod_q", tau)
-        object.__setattr__(self, "lift_valuation", lift_valuation)
-        object.__setattr__(self, "cofactor", diff // q**lift_valuation)
+        return super().__new__(cls, q, g, tau, lift_valuation, diff // q**lift_valuation)
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.q, self.g
 
 
 def order_structure(q: int, g: int) -> OrderStructure:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, compress
 from typing import Iterable, Iterator
 
@@ -36,21 +36,21 @@ SEGMENT_SIZE = 1 << 21  # integers per sieve segment, a multiple of BLOCK_WIDTH
 SIEVE_GUARD = 10**9  # largest sieve limit
 
 
-@dataclass(frozen=True)
-class PrimeRange:
+class PrimeRange(namedtuple("PrimeRange", "limit")):
     """Enumeration range [2, limit]; every sieve is checked against SIEVE_GUARD here."""
 
-    limit: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.limit, int):
-            raise PreconditionError(f"limit must be an int, got {self.limit!r}")
-        if self.limit < 2:
-            raise PreconditionError(f"limit must be >= 2, got {self.limit}")
-        if self.limit > SIEVE_GUARD:
+    def __new__(cls, limit: int) -> PrimeRange:
+        if not isinstance(limit, int):
+            raise PreconditionError(f"limit must be an int, got {limit!r}")
+        if limit < 2:
+            raise PreconditionError(f"limit must be >= 2, got {limit}")
+        if limit > SIEVE_GUARD:
             raise ResourceGuardError(
-                f"sieve limit {self.limit} exceeds the sieve guard {SIEVE_GUARD}"
+                f"sieve limit {limit} exceeds the sieve guard {SIEVE_GUARD}"
             )
+        return super().__new__(cls, limit)
 
 
 def _odd_mask(low: int, high: int, odd_primes: Iterable[int]) -> bytearray:

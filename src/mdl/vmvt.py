@@ -19,7 +19,7 @@ an independent oracle.  All arithmetic is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .arith import ENUMERATION_GUARD
 from .errors import PreconditionError, ResourceGuardError
@@ -31,21 +31,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VmvtInstance:
+class VmvtInstance(namedtuple("VmvtInstance", "r k P count")):
     """Box parameters (r, k, P) and the exact collision count they give.
 
     count is computed at construction by _collision_counts, as vmvt_count
     describes, so every instance holds a count the dynamic program found.
+    The field count shadows tuple.count.
     """
 
-    r: int
-    k: int
-    P: int
-    count: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "count", _collision_counts(self.r, self.k, self.P)[1])
+    def __new__(cls, r: int, k: int, P: int) -> VmvtInstance:
+        return super().__new__(cls, r, k, P, _collision_counts(r, k, P)[1])
+
+    def __getnewargs__(self) -> tuple[int, int, int]:
+        return self.r, self.k, self.P
 
 
 def _check_guard(rounds: int, k: int, P: int) -> None:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import copy
 import math
+import pickle
 import time
 
 import pytest
@@ -27,7 +29,7 @@ from mdl.digits import (
     mersenne_residues,
 )
 from mdl.errors import PreconditionError, ResourceGuardError
-from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
+from mdl.expsum import ExpSumResult, mangoldt_exp_sum, mersenne_prime_sum
 from mdl.order import (
     OrderStructure,
     congruence_criterion,
@@ -134,6 +136,28 @@ def test_records_take_only_their_parameters(call):
     # each call passes the true results, but a record derives them itself
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         call()
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        PrimeRange(100),
+        DigitCountReport(3, 1, 1, 7),
+        ExpSumResult(3.0, 4.0, 1, 5.0, 0.5),
+        OrderStructure(11, 3),
+        VmvtInstance(2, 1, 3),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_survive_copy_and_pickle(record):
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record
+
+
+def test_copied_records_derive_their_results_again():
+    # a copy or pickle carries the parameters alone, so a wrong result field is not kept
+    forged = tuple.__new__(OrderStructure, (11, 3, 5, 9, 2))
+    assert copy.copy(forged) == pickle.loads(pickle.dumps(forged)) == OrderStructure(11, 3)
 
 
 def test_trial_division_guard_boundary():

@@ -196,6 +196,23 @@ def test_erdos_turan_bound_rejects_h_below_one_before_numpy_loads():
     )
 
 
+_COLD_START_PROBE = """
+import contextlib, io, json, sys
+import mdl.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = mdl.cli.main(["vmvt", "--r", "2", "--k", "1", "--P", "3", "--no-timestamp"])
+heavy = ("dataclasses", "inspect", "datetime", "numpy")
+print(json.dumps({"code": code, "loaded": [name for name in heavy if name in sys.modules]}))
+"""
+
+
+def test_cold_start_loads_no_dataclasses_inspect_datetime_or_numpy():
+    # records are tuples, flags come from each handler's code object, and
+    # datetime is imported only to stamp a report
+    done = _run_probe(_COLD_START_PROBE)
+    assert json.loads(done.stdout) == {"code": 0, "loaded": []}, done.stderr
+
+
 def test_timestamp_present_by_default_and_suppressible(capsys):
     _, out, _ = run_cli(capsys, "order-structure", "--q", "11", "--g", "3")
     assert "timestamp" in json.loads(out)

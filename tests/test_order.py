@@ -200,15 +200,9 @@ def test_valuation_difference_symmetry_and_rejection():
 
 
 def _forged(lift_valuation: int) -> OrderStructure:
-    # a structure with a wrong cofactor cannot be built, so forge the
-    # closed form by lying about lift_valuation through subclass bypass
-    forged = object.__new__(OrderStructure)
-    object.__setattr__(forged, "q", 11)
-    object.__setattr__(forged, "g", 3)
-    object.__setattr__(forged, "order_mod_q", 5)
-    object.__setattr__(forged, "lift_valuation", lift_valuation)
-    object.__setattr__(forged, "cofactor", 2)
-    return forged
+    # a structure with a wrong cofactor cannot be built, so forge the closed
+    # form by lying about lift_valuation in a tuple filled past __new__
+    return tuple.__new__(OrderStructure, (11, 3, 5, lift_valuation, 2))
 
 
 def test_self_check_error_surfaces_on_forged_structure():
