@@ -4,12 +4,12 @@ Every modulus q^e is a plain int formed by prime_power, which checks q and
 e and the size of the power before it is formed; code that holds an
 already validated q checks only the size, with _check_power_size.  The
 guards shared by several modules sit here too: ENUMERATION_GUARD bounds
-both the vmvt dynamic program and the Erdos-Turan phase terms.  The
+the vmvt dynamic program, the Erdos-Turan phase terms and the walks.  The
 residue engine, stepped_powers, turns batches of positive, ascending
-exponents (the blocks of mdl.primes) into powers.  Everything here works
-on Python's arbitrary-precision integers; floating point enters where a
-canonical residue over its modulus becomes a double: in expsum._phase_sum
-and digits.erdos_turan_bound.
+exponents (the blocks of mdl.primes) into the orbit start * base^e.
+Everything here is exact integer arithmetic; floating point enters where
+a canonical residue over its modulus becomes a double: in
+expsum._phase_sum and digits.erdos_turan_bound.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = [
 
 MODULUS_BIT_GUARD = 1 << 16  # maximum size, in bits, of a modulus q^e
 BASE_GUARD = 1 << 32  # largest prime base q, and largest n tested by trial division
-ENUMERATION_GUARD = 10**8  # vmvt_count dictionary updates, erdos_turan_bound terms
+ENUMERATION_GUARD = 10**8  # vmvt_count updates, erdos_turan_bound terms, walked primes
 
 
 def _prime_factors(n: int) -> Iterator[int]:
@@ -132,12 +132,12 @@ def padic_valuation(q: int, n: int) -> int:
     return k
 
 
-def stepped_powers(base: int, modulus: int) -> Callable[[list[int]], list[int]]:
-    """A stepper: each call maps a batch of exponents e to base**e mod modulus.
+def stepped_powers(base: int, modulus: int, start: int = 1) -> Callable[[list[int]], list[int]]:
+    """A stepper: each call maps a batch of exponents e to start * base**e mod modulus.
 
     The exponents are positive and strictly ascending across the calls.
-    The stepper starts at exponent 0 with power 1 % modulus, so every power,
-    the first included, is the previous power times base**(e - e_prev),
+    The stepper starts at exponent 0 with start % modulus, so every value,
+    the first included, is the previous one times base**(e - e_prev),
     computed once per distinct gap (prime gaps below 10^7 take fewer than a
     hundred values) into one table for every batch.  Callers hold one batch
     of powers at a time, beside whatever else their batch carries, such as
@@ -146,7 +146,7 @@ def stepped_powers(base: int, modulus: int) -> Callable[[list[int]], list[int]]:
     if modulus < 1:
         raise PreconditionError(f"modulus must be >= 1, got {modulus}")
     steps: dict[int, int] = {}
-    previous, value = 0, 1 % modulus
+    previous, value = 0, start % modulus
 
     def powers(exponents: list[int]) -> list[int]:
         nonlocal previous, value

@@ -36,9 +36,10 @@ __all__ = [
 ]
 
 BIN_GUARD = 10**6  # maximum number of digit-window values q^s
-# Most residues mersenne_residues holds, each charged max(1, (200 + bits / 4) / 256):
-# the discrepancy path peaked at 136-214 B a residue up to 3^101, 584 B mod 3^1000 and
-# 7.0 KB mod 3^20000, within 200 + bits / 4 B (tracemalloc at X = 10^5).
+# Most residues mersenne_residues holds, each charged max(1, (800 + bits) / 1024): a
+# residue took 136-214 B to 3^101, 584 B mod 3^1000 and 7.0 KB mod 3^20000 on the
+# discrepancy path, within (800 + bits) / 4 B.  Walks charge primes the same against
+# ENUMERATION_GUARD: a step and phase took 0.9-1.3 us to 224 bits, 51 us at 64,984 bits.
 RESIDUE_GUARD = 5 * 10**6
 # Phase terms charged per h of erdos_turan_bound on top of one per distinct residue
 # for its fixed numpy calls: 25-37 us, 405-515 terms at 60-76 ns (2-vCPU AVX-512).
@@ -101,21 +102,30 @@ def _window_checks(q: int, r: int, s: int) -> int:
     return prime_power(q, r + 1)
 
 
-def _mersenne_walk(modulus: int, X: int) -> Iterator[tuple[list[int], list[int]]]:
-    """(primes, residues) batches: 2^p - 1 mod modulus for each prime p <= X.
+def _check_work(X: int, modulus: int, items: str, name: str, guard: int) -> None:
+    """Reject pi(X) items, charged by size, over guard; pi(X) < 1.25506 X / ln X for X > 1."""
+    charge = max(1.0, (800 + modulus.bit_length()) / 1024)
+    if X > guard * math.log(X) / 1.25506 / charge:  # X stays an int of any size
+        msg = f"pi({X}) {items}, charged {charge:.2f} each,"
+        raise ResourceGuardError(f"{msg} may exceed the {name} guard {guard}")
 
-    One stepped_powers pass over the prime batches, in p order.  The
-    modulus is odd, so 2^p is a unit mod it and x - 1 needs no reduction.
-    X is checked at once, the sieve guard when the first batch is drawn,
+
+def _mersenne_walk(modulus: int, X: int, a: int = 1) -> Iterator[tuple[list[int], list[int]]]:
+    """(primes, residues) batches: a * (2^p - 1) mod modulus for each prime p <= X.
+
+    One stepped_powers pass from a over the prime batches, in p order: x - a
+    for each x = a * 2^p.  X is checked at once; the sieve guard, then the
+    walk's charge against ENUMERATION_GUARD, when the first batch is drawn,
     so callers can finish their own checks first.
     """
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
 
     def walk() -> Iterator[tuple[list[int], list[int]]]:
-        powers = stepped_powers(2, modulus)
-        for primes in prime_batches(PrimeRange(X)):
-            yield primes, [x - 1 for x in powers(primes)]
+        prime_range, powers = PrimeRange(X), stepped_powers(2, modulus, a)
+        _check_work(X, modulus, "walked primes", "enumeration", ENUMERATION_GUARD)
+        for primes in prime_batches(prime_range):
+            yield primes, [(x - a) % modulus for x in powers(primes)]
 
     return walk()
 
@@ -143,17 +153,12 @@ def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
 def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
     """Residues of 2^p - 1 mod q^gamma for all primes p <= X, in p order.
 
-    The Mersenne walk, collected into a list.  Raises ResourceGuardError,
-    before the sieve starts, when 1.25506 X / ln X, which exceeds pi(X) for
-    X > 1 (Rosser and Schoenfeld 1962), times the charge per residue for
-    the size of q^gamma, exceeds RESIDUE_GUARD.
+    The Mersenne walk, collected into a list.  Raises ResourceGuardError
+    before the sieve when _check_work charges them above RESIDUE_GUARD.
     """
     modulus = prime_power(q, gamma)
     walk = _mersenne_walk(modulus, X)
-    charge = max(1.0, (200 + modulus.bit_length() / 4) / 256)
-    if X > RESIDUE_GUARD * math.log(X) / 1.25506 / charge:  # X stays an int of any size
-        msg = f"pi({X}) residues mod {q}^{gamma}, charged {charge:.2f} each,"
-        raise ResourceGuardError(f"{msg} may exceed the residue guard {RESIDUE_GUARD}")
+    _check_work(X, modulus, f"residues mod {q}^{gamma}", "residue", RESIDUE_GUARD)
     return list(chain.from_iterable(residues for _, residues in walk))
 
 

@@ -4,14 +4,14 @@ Two sums are provided: one over prime powers n <= X weighted by log p
 (von Mangoldt weights), with phase a*g^n, and one over primes p <= X with
 phase a*(2^p - 1).  Each sum is one sequential pass over the batches of
 mdl.primes, one per block of BLOCK_WIDTH consecutive exponents: the
-powers g^n are stepped across the gaps between consecutive exponents
-(stepped_powers), and the residues of 2^p - 1 come from the Mersenne walk
-of mdl.digits.  _phase_sum turns each residue x into the exact phase
-numerator a*x mod q^gamma; only the numerator/modulus ratio is rounded to
-double, so the modulus may far exceed 2^53 without loss.  Each batch's
-phases are Kahan-summed from zero, as plain float sums of the real part,
-the imaginary part and the weight.  The batch totals are Kahan-summed in
-block order, so results are reproducible bit for bit.
+phase numerators a*g^n mod q^gamma are stepped from a across the gaps
+between consecutive exponents (stepped_powers), and a*(2^p - 1) comes
+from the Mersenne walk of mdl.digits, stepped from a too.  Numerators stay
+exact; only the numerator/modulus ratio is rounded to double, so the
+modulus may far exceed 2^53 without loss.  Each batch's phases are
+Kahan-summed from zero, as plain float sums of the real part, the
+imaginary part and the weight.  The batch totals are Kahan-summed in block
+order, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from collections import namedtuple
 from itertools import repeat
 from typing import Iterable
 
-from .arith import _check_unit, _check_unit_base, prime_power, stepped_powers
-from .digits import _mersenne_walk
+from .arith import ENUMERATION_GUARD, _check_unit, _check_unit_base, prime_power, stepped_powers
+from .digits import _check_work, _mersenne_walk
 from .errors import PreconditionError, SelfCheckError
 from .primes import PrimeRange, mangoldt_batches
 
@@ -82,20 +82,20 @@ def kahan_sum(values: Iterable[complex]) -> complex:
 
 
 def _phase_sum(
-    batches: Iterable[tuple[Iterable[float], list[int]]], a: int, modulus: int
+    batches: Iterable[tuple[Iterable[float], list[int]]], modulus: int
 ) -> tuple[complex, float, int]:
-    """Sum weight * e(a * residue / modulus) over (weights, residues) batches, one per block.
+    """Sum weight * e(numerator / modulus) over (weights, numerators) batches, by block.
 
-    Each phase numerator a * residue % modulus is formed here, exactly, and
-    divided by the modulus once.  The real parts, imaginary parts and
-    weights of each non-empty batch are Kahan-summed from zero as three
-    plain floats; the batch totals are then Kahan-summed in order.  That
+    Each numerator is an exact residue in [0, modulus), stepped, not formed
+    here, and is divided by the modulus once.  The real parts, imaginary
+    parts and weights of each non-empty batch are Kahan-summed from zero as
+    three plain floats; the batch totals are then Kahan-summed in order.  That
     order is part of every frozen report, so the batches must be the
     summation blocks of mdl.primes.  The float pairs give the same bits as
     complex Kahan sums of weight * complex(cos(angle), sin(angle)): complex
     addition and subtraction act on each part alone, and weight times
     complex(cos, sin) is (weight * cos, weight * sin), since cos of a finite
-    double is never 0 and the angle is never -0.0.  The residues set each
+    double is never 0 and the angle is never -0.0.  The numerators set each
     batch's length; its weights may run longer, as a repeat does.  Returns
     the sum, the weight total and the number of terms.
     """
@@ -109,7 +109,7 @@ def _phase_sum(
         count += len(rs)
         re = im = wt = re_comp = im_comp = wt_comp = 0.0
         for w, r in zip(ws, rs):
-            angle = tau * (a * r % modulus / modulus)
+            angle = tau * (r / modulus)
             y = w * cos(angle) - re_comp
             t = re + y
             re_comp = (t - re) - y
@@ -140,8 +140,9 @@ def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult
     _check_unit_base(q, g)
     if X == 1 and isinstance(X, int):  # 1.0 goes on to PrimeRange's int check
         return ExpSumResult(0.0, 0.0, 0, 0.0, 0.0)
-    powers, batches = stepped_powers(g, Q), mangoldt_batches(PrimeRange(X))
-    total, normalizer, count = _phase_sum(((ws, powers(ns)) for ns, ws in batches), a, Q)
+    powers, batches = stepped_powers(g, Q, a), mangoldt_batches(PrimeRange(X))
+    _check_work(X, Q, f"prime powers mod {q}^{gamma}", "enumeration", ENUMERATION_GUARD)
+    total, normalizer, count = _phase_sum(((ws, powers(ns)) for ns, ws in batches), Q)
     return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))
 
 
@@ -151,7 +152,7 @@ def mersenne_prime_sum(q: int, gamma: int, a: int, X: int) -> ExpSumResult:
     normalizer is the prime count up to X.
     """
     Q = prime_power(q, gamma)
-    walk = _mersenne_walk(Q, X)
+    walk = _mersenne_walk(Q, X, a)
     _check_unit(q, "a", a)
-    total, normalizer, count = _phase_sum(((repeat(1.0), xs) for _, xs in walk), a, Q)
+    total, normalizer, count = _phase_sum(((repeat(1.0), xs) for _, xs in walk), Q)
     return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))

@@ -3,13 +3,14 @@
 The sieve is a classical odd-only segmented sieve of Eratosthenes (Bays
 and Hudson, BIT 17, 1977) on bytearray segments, so memory stays bounded
 by the segment size regardless of the limit.  Composites are cleared by
-slice assignment and primes read out with itertools.compress, so the
-sieve needs no dependency; the base primes up to sqrt(limit) come from the
-same sieve and read-out, run to that smaller limit.  Streams come in one
-list per block of BLOCK_WIDTH consecutive integers, ascending.  The block
-is the one grouping of the residue pipeline: it bounds the memory each
-list takes, and it is the summation block of the exponential sums, so
-their order, and every bit of their results, is fixed here.
+slice assignment and primes read out with itertools.compress over the
+candidates 6k + 1 and 6k + 5 alone, so the sieve needs no dependency; the
+base primes up to sqrt(limit) come from the same sieve and read-out, run
+to that smaller limit.  Streams come in one list per block of BLOCK_WIDTH
+consecutive integers, ascending.  The block is the one grouping of the
+residue pipeline: it bounds the memory each list takes, and it is the
+summation block of the exponential sums, so their order, and every bit of
+their results, is fixed here.
 """
 
 from __future__ import annotations
@@ -81,19 +82,22 @@ def prime_batches(prime_range: PrimeRange) -> Iterator[list[int]]:
     """Every prime <= limit once, as one ascending list per block of BLOCK_WIDTH.
 
     List b holds the primes in [b * BLOCK_WIDTH, (b + 1) * BLOCK_WIDTH), for
-    every block up to the limit's; the last list may be empty.  Each segment
-    is read out block by block through a view of its mask, which is
-    released before the next segment is sieved.
+    every block up to the limit's; the last list may be empty.  Each block is
+    read out of its segment's mask one class, 6k + 1 or 6k + 5, at a time,
+    and the mask is released before the next segment is sieved.
     """
     limit = prime_range.limit
     odd_base = _base_primes(math.isqrt(limit))[1:]
     for low in range(0, limit + 1, SEGMENT_SIZE):
         high = min(low + SEGMENT_SIZE, limit + 1)
-        with memoryview(_odd_mask(low, high, odd_base)) as mask:
-            for start in range(low, high, BLOCK_WIDTH):
-                odd = range(start + 1, min(start + BLOCK_WIDTH, high), 2)
-                primes = list(compress(odd, mask[(start - low) // 2:]))
-                yield [2, *primes] if start == 0 else primes
+        mask = _odd_mask(low, high, odd_base)
+        for start in range(low, high, BLOCK_WIDTH):
+            primes, stop = [], (start + BLOCK_WIDTH - low) // 2  # the block's end in mask
+            for first in (start + (1 - start) % 6, start + (5 - start) % 6):
+                primes += compress(range(first, high, 6), mask[(first - low) // 2:stop:3])
+            primes.sort()  # one merge of the two ascending runs
+            yield [p for p in (2, 3) if p <= limit] + primes if start == 0 else primes
+        del mask  # one segment's mask at a time
 
 
 def primes_up_to(prime_range: PrimeRange) -> Iterator[int]:

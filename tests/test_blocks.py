@@ -57,12 +57,12 @@ def test_phase_sum_restarts_kahan_at_every_block():
     batches = _batches(terms)
     assert [len(ws) for ws, _ in batches] == [3, 1, 0, 2]  # block 2 gives an empty batch
     for padded in (batches, [([], []), *batches, ([], [])]):
-        assert _phase_sum(padded, 1, modulus) == (want, weights.real, len(terms))
+        assert _phase_sum(padded, modulus) == (want, weights.real, len(terms))
 
 
 def test_phase_sum_of_no_terms_is_zero():
-    assert _phase_sum([], 1, 9) == (0j, 0.0, 0)
-    assert _phase_sum([([], [])] * 3, 1, 9) == (0j, 0.0, 0)
+    assert _phase_sum([], 9) == (0j, 0.0, 0)
+    assert _phase_sum([([], [])] * 3, 9) == (0j, 0.0, 0)
 
 
 def _bits(total: complex, normalizer: float, count: int) -> tuple[str, str, str, int]:
@@ -95,8 +95,8 @@ def _blocked_terms(draw) -> tuple[list[tuple[int, float, int]], int, int]:
 @example(([], 1, 3**40))
 @example(([], 1, 3**101))
 def test_phase_sum_matches_blocked_complex_kahan_bit_for_bit(case):
-    # the oracle takes the phase numerators a * r % modulus that _phase_sum forms
+    # both take the phase numerators a * r % modulus, which the callers step
     terms, a, modulus = case
     numerators = [(n, w, a * r % modulus) for n, w, r in terms]
     want = phase_sum_by_blocked_kahan(numerators, modulus)
-    assert _bits(*_phase_sum(_batches(terms), a, modulus)) == _bits(*want)
+    assert _bits(*_phase_sum(_batches(numerators), modulus)) == _bits(*want)

@@ -430,6 +430,25 @@ def test_sieve_base_and_power_are_guarded(capsys, argv: list[str]):
     assert "guard" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["digit-stats", "--q", "3", "--X", str(10**9), "--r", "41000", "--s", "1"],
+        ["expsum", "--q", "3", "--gamma", "41000", "--a", "1", "--g", "2", "--X", str(10**9)],
+        ["mersenne-sum", "--q", "3", "--gamma", "41000", "--a", "1", "--X", str(10**9)],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_walk_work_is_guarded_before_the_sieve(capsys, argv: list[str]):
+    # about 6.1 * 10^7 primes, each charged 64 for a modulus of some 65,000 bits:
+    # some 40 minutes of steps and phases, admitted by the sieve and modulus guards
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "enumeration guard" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("q", ["10007", "20011"])
 def test_largest_printed_cofactors_stay_admitted(capsys, q: str):
     # cofactors of 1,503 and 2,004 decimal digits, below the power guard

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdl.arith import stepped_powers
-from mdl.digits import count_blocks, mersenne_residues
-from mdl.errors import PreconditionError
+from mdl.arith import ENUMERATION_GUARD, stepped_powers
+from mdl.digits import _check_work, _mersenne_walk, count_blocks, mersenne_residues
+from mdl.errors import PreconditionError, ResourceGuardError
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
 from mdl.primes import (
     BLOCK_WIDTH,
+    SIEVE_GUARD,
     PrimeRange,
     mangoldt_batches,
     mangoldt_terms,
@@ -32,9 +34,9 @@ from oracles import (
 PRIMES_TO_1E4 = list(primes_up_to(PrimeRange(10**4)))
 
 
-def _stepped(base: int, batches: list[list[int]], modulus: int) -> list[int]:
-    """The powers of one stepper fed the batches in order, flat."""
-    powers = stepped_powers(base, modulus)
+def _stepped(base: int, batches: list[list[int]], modulus: int, start: int = 1) -> list[int]:
+    """The values of one stepper from start, fed the batches in order, flat."""
+    powers = stepped_powers(base, modulus, start)
     out = []
     for batch in batches:
         got = powers(batch)
@@ -79,11 +81,17 @@ def test_stepped_powers_match_pow_over_prime_powers(X: int):
     cuts=st.lists(st.integers(0, 60), max_size=6),
     base=st.integers(-(10**6), 10**6),
     modulus=st.integers(1, 3**101),
+    start=st.one_of(st.sampled_from((0, 1, -1)), st.integers(-(3**102), 3**102)),
+    multiple=st.integers(-3, 3),
 )
-def test_stepped_powers_property(exponents, cuts, base: int, modulus: int):
-    # any cut of the exponents into batches, empty ones included, gives the same powers
+def test_stepped_powers_property(exponents, cuts, base: int, modulus: int, start, multiple):
+    # any cut of the exponents into batches, empty ones included, gives the same
+    # values start * base^e mod modulus; start is any int, reduced or not
     exponents.sort()
     batches = _cut(exponents, [min(c, len(exponents)) for c in cuts])
+    for begin in (start, multiple * modulus, start + multiple * modulus):
+        want = [begin * pow(base, e, modulus) % modulus for e in exponents]
+        assert _stepped(base, batches, modulus, begin) == want, begin
     assert _stepped(base, batches, modulus) == powers_by_direct_pow(base, exponents, modulus)
 
 
@@ -103,13 +111,19 @@ def test_stepped_powers_rejects_bad_modulus():
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_mersenne_walk_matches_reduced_pow(q: int):
-    # the walk takes x - 1 for x = 2^p mod q, unreduced; with q = 3, p = 2
+    # the walk takes x - a for x = a * 2^p mod q, reduced; with q = 3, p = 2
     # gives the residue 0, the lower end of the range
     X = 1000
-    want = [(pow(2, p, q) - 1) % q for p in primes_by_trial_division(X)]
+    primes = primes_by_trial_division(X)
+    want = [(pow(2, p, q) - 1) % q for p in primes]
     assert mersenne_residues(q, 1, X) == want
     assert count_blocks(q, X, 0, 1).counts == tuple(want.count(v) for v in range(q))
     assert (q != 3) or want[0] == 0
+    # from any multiplier a the walk gives the phase numerators a * (2^p - 1) mod q^e
+    for a in (1, 2, q - 1, q + 1):
+        for modulus in (q, q**3):
+            got = [x for _, xs in _mersenne_walk(modulus, X, a) for x in xs]
+            assert got == [a * (pow(2, p, modulus) - 1) % modulus for p in primes], a
 
 
 @pytest.mark.parametrize("q, r, s", [(5, 20, 2), (7, 12, 1), (11, 30, 2)])
@@ -185,3 +199,43 @@ def test_walks_hold_one_batch_not_every_residue(walk):
     # at once; between the two X only the sieve segment grows, by X / 2 bytes
     small, large = _peak_bytes(lambda: walk(10**5)), _peak_bytes(lambda: walk(10**6))
     assert large - small < 2**20, (small, large)
+
+
+def _walk_admitted(X: int, modulus: int) -> bool:
+    try:
+        _check_work(X, modulus, "walked primes", "enumeration", ENUMERATION_GUARD)
+    except ResourceGuardError:
+        return False
+    return True
+
+
+def test_walk_charge_is_one_up_to_224_bits():
+    # at a charge of 1 the bound 1.25506 X / ln X admits every X the sieve does
+    for modulus in (3, 3**40, 3**101, 3**141, 2**224 - 1):
+        assert _walk_admitted(SIEVE_GUARD, modulus)
+    # mod 3^41000 (64,984 bits) a prime is charged (800 + 64984) / 1024 = 64.24;
+    # X = 10^7, a bound of 778,665 primes, stays admitted, and 10^8 is rejected
+    assert _walk_admitted(10**7, 3**41000)
+    assert not _walk_admitted(10**8, 3**41000)
+    with pytest.raises(ResourceGuardError, match="charged 64.24 each"):
+        _check_work(10**8, 3**41000, "walked primes", "enumeration", ENUMERATION_GUARD)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: count_blocks(3, SIEVE_GUARD, 41000, 1),
+        lambda: mersenne_prime_sum(3, 41000, 1, SIEVE_GUARD),
+        lambda: mangoldt_exp_sum(3, 41000, 1, 2, SIEVE_GUARD),
+    ],
+    ids=["count_blocks", "mersenne_prime_sum", "mangoldt_exp_sum"],
+)
+def test_every_walk_is_guarded_before_the_sieve(walk, monkeypatch):
+    # the sieve guard and the modulus guard admit each of these runs; the sieve
+    # never starts, as the walk's charge rejects them first (mersenne_residues
+    # charges the same against the 20 times smaller residue guard first)
+    monkeypatch.setattr("mdl.primes._odd_mask", None)  # any sieve would fail
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="enumeration guard"):
+        walk()
+    assert time.perf_counter() - start < 0.1

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from collections import deque
 from functools import cache
 
 import pytest
@@ -14,9 +16,11 @@ from mdl.errors import PreconditionError, ResourceGuardError
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
 from mdl.primes import (
     BLOCK_WIDTH,
+    SEGMENT_SIZE,
     SIEVE_GUARD,
     PrimeRange,
     _base_primes,
+    _odd_mask,
     mangoldt_terms,
     prime_batches,
     primes_up_to,
@@ -50,7 +54,8 @@ def test_sieve_segmentation_is_invisible(monkeypatch):
 
 
 def test_base_primes_match_trial_division():
-    # every n up to 3000 passes each p*p at which the odd-only mask clears
+    # every n up to 3000 passes each p*p at which the odd-only mask clears, and
+    # every limit at which 2, 3 or a candidate 6k + 1 or 6k + 5 enters the read-out
     primes = primes_by_trial_division(3000)
     for n in range(3001):
         assert _base_primes(n) == [p for p in primes if p <= n], n
@@ -65,6 +70,37 @@ def test_sieve_matches_trial_division_at_segment_ends(monkeypatch, k: int, d: in
     limit = k * BLOCK_WIDTH + d if k else 4 + d
     want = [p for p in _trial_primes() if p <= limit]
     assert list(primes_up_to(PrimeRange(limit))) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d", range(-7, 8))
+def test_sieve_matches_trial_division_at_block_ends(k: int, d: int):
+    # BLOCK_WIDTH = 4 mod 6, so k * BLOCK_WIDTH + d meets both classes, and
+    # the numbers between them, at the end of a block and of the limit
+    limit = k * BLOCK_WIDTH + d
+    batches = list(prime_batches(PrimeRange(limit)))
+    assert [p for batch in batches for p in batch] == [p for p in _trial_primes() if p <= limit]
+    assert len(batches) == limit // BLOCK_WIDTH + 1
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sieve_holds_one_segment_mask_at_a_time():
+    # sieving one segment peaks at its mask, SEGMENT_SIZE / 2 bytes, plus the
+    # marking's copies; a mask still held while the next segment is sieved would
+    # add its whole size to that, and the batches add far less
+    limit = 2 * SEGMENT_SIZE  # three segments, the last holding the limit alone
+    odd_base = _base_primes(math.isqrt(limit))[1:]
+    one_segment = _peak_bytes(lambda: _odd_mask(0, SEGMENT_SIZE, odd_base))
+    run = _peak_bytes(lambda: deque(prime_batches(PrimeRange(limit)), maxlen=0))
+    assert run - one_segment < SEGMENT_SIZE // 4, (run, one_segment)
 
 
 def test_sieve_yields_plain_ints():
