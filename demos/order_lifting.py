@@ -6,10 +6,10 @@ Run:  python3 demos/order_lifting.py
 from __future__ import annotations
 
 from mdl import (
+    OrderStructure,
     congruence_criterion,
     excess_valuation,
     order_mod_power,
-    order_structure,
     valuation_difference,
 )
 
@@ -18,7 +18,7 @@ def main() -> None:
     print("Order lifting for a few (q, g) pairs")
     print("=" * 60)
     for q, g in [(3, 2), (11, 3), (5, 7), (7, 10)]:
-        s = order_structure(q, g)
+        s = OrderStructure(q, g)
         print(f"\nq={q}, g={g}: order mod q is {s.order_mod_q}, "
               f"lift valuation {s.lift_valuation}, cofactor {s.cofactor}")
         print(f"  identity: {g}^{s.order_mod_q} - 1 = "
@@ -32,7 +32,7 @@ def main() -> None:
 
     print("\nValuation of g^(m x) - g^(m y) from the closed form")
     print("=" * 60)
-    s = order_structure(11, 3)
+    s = OrderStructure(11, 3)
     for m, x, y in [(1, 6, 1), (11, 5, 0), (1, 12, 1), (5, 9, 4)]:
         v = valuation_difference(s, m, x, y)
         shown = "unit (no factor 11)" if v is None else f"11^{v} exactly"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from mdl import ResourceGuardError, monotonicity_check, vmvt_count
+from mdl import ResourceGuardError, VmvtInstance, monotonicity_check
 
 
 def main() -> None:
@@ -22,7 +22,7 @@ def main() -> None:
     print(f"{'r':>2} {'k':>2} {'P':>3} {'count':>10} {'count/P^2r':>11}")
     for r, k, P in [(1, 1, 6), (2, 1, 6), (2, 2, 6), (3, 2, 6), (3, 3, 6),
                     (2, 2, 30), (3, 2, 40)]:
-        inst = vmvt_count(r, k, P)
+        inst = VmvtInstance(r, k, P)
         print(f"{r:>2} {k:>2} {P:>3} {inst.count:>10} "
               f"{inst.count / P ** (2 * r):>11.3e}")
 
@@ -33,13 +33,13 @@ def main() -> None:
     print("\ncount exponent against the mean value exponent:")
     print(f"{'r':>2} {'k':>2} {'P':>3} {'log J/log P':>11} {'max(r, 2r-k(k+1)/2)':>20}")
     for r, k, P in [(4, 1, 100), (4, 2, 40), (4, 3, 30), (5, 2, 30)]:
-        count = vmvt_count(r, k, P).count
+        count = VmvtInstance(r, k, P).count
         print(f"{r:>2} {k:>2} {P:>3} {math.log(count) / math.log(P):>11.4f} "
               f"{max(r, 2 * r - k * (k + 1) // 2):>20}")
 
     print("\nthe dynamic program refuses to melt the desk:")
     try:
-        vmvt_count(6, 2, 30)
+        VmvtInstance(6, 2, 30)
     except ResourceGuardError as exc:
         print(f"  {exc}")
 

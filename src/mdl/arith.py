@@ -15,7 +15,6 @@ expsum._phase_sum and digits.erdos_turan_bound.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import PreconditionError, ResourceGuardError
@@ -32,7 +31,7 @@ __all__ = [
 
 MODULUS_BIT_GUARD = 1 << 16  # maximum size, in bits, of a modulus q^e
 BASE_GUARD = 1 << 32  # largest prime base q, and largest n tested by trial division
-ENUMERATION_GUARD = 10**8  # vmvt_count updates, erdos_turan_bound terms, walked primes
+ENUMERATION_GUARD = 10**8  # VmvtInstance updates, erdos_turan_bound terms, walked primes
 
 
 def _prime_factors(n: int) -> Iterator[int]:
@@ -54,12 +53,8 @@ def _prime_factors(n: int) -> Iterator[int]:
         yield n
 
 
-@lru_cache(maxsize=4096, typed=True)
 def is_prime(n: int) -> bool:
-    """Whether n is a prime int: its smallest prime factor is n itself.
-
-    Cached, as hot loops re-check the same primes; typed, so 7.0 is not 7.
-    """
+    """Whether n is a prime int: its smallest prime factor is n itself."""
     return isinstance(n, int) and n >= 2 and next(_prime_factors(n)) == n
 
 

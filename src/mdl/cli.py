@@ -22,11 +22,14 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import __version__
-from .digits import count_blocks, discrepancy, erdos_turan_bound, mersenne_residues
+from .digits import DigitCountReport, discrepancy, erdos_turan_bound, mersenne_residues
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 from .expsum import ExpSumResult, mangoldt_exp_sum, mersenne_prime_sum
-from .order import congruence_criterion, order_structure, valuation_difference
-from .vmvt import vmvt_count
+from .order import OrderStructure, congruence_criterion, valuation_difference
+from .vmvt import VmvtInstance
+
+# perfbench/tracer.py wraps these names in mdl.cli; ROADMAP item 2 retires them
+count_blocks, order_structure, vmvt_count = DigitCountReport, OrderStructure, VmvtInstance
 
 CSV_SCHEMA = "mdl v1"
 
@@ -78,7 +81,7 @@ def _one_row(results: dict) -> SubcommandOutput:
 
 def _run_digit_stats(q: int, X: int, r: int, s: int) -> SubcommandOutput:
     """count primes p <= X by a base-q digit window of 2^p - 1"""
-    report = count_blocks(q, X, r, s)
+    report = count_blocks(q, r, s, X)
 
     def results() -> dict:
         return {

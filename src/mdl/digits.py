@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DigitCountReport",
     "digit_block",
-    "count_blocks",
     "mersenne_residues",
     "discrepancy",
     "erdos_turan_bound",
@@ -79,7 +78,7 @@ class DigitCountReport(
             )
         counts = [0] * size
         divisor = q ** (r - s + 1)
-        for residue in chain.from_iterable(residues for _, residues in walk):
+        for residue in chain.from_iterable(walk):
             counts[residue // divisor] += 1
         pi_X, uniform = sum(counts), 1.0 / size  # pi_X >= 1: X >= 2 admits p = 2
         deviations = tuple(count / pi_X - uniform for count in counts)
@@ -110,8 +109,8 @@ def _check_work(X: int, modulus: int, items: str, name: str, guard: int) -> None
         raise ResourceGuardError(f"{msg} may exceed the {name} guard {guard}")
 
 
-def _mersenne_walk(modulus: int, X: int, a: int = 1) -> Iterator[tuple[list[int], list[int]]]:
-    """(primes, residues) batches: a * (2^p - 1) mod modulus for each prime p <= X.
+def _mersenne_walk(modulus: int, X: int, a: int = 1) -> Iterator[list[int]]:
+    """Residue batches: a * (2^p - 1) mod modulus for each prime p <= X.
 
     One stepped_powers pass from a over the prime batches, in p order: x - a
     for each x = a * 2^p.  X is checked at once; the sieve guard, then the
@@ -121,11 +120,11 @@ def _mersenne_walk(modulus: int, X: int, a: int = 1) -> Iterator[tuple[list[int]
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
 
-    def walk() -> Iterator[tuple[list[int], list[int]]]:
+    def walk() -> Iterator[list[int]]:
         prime_range, powers = PrimeRange(X), stepped_powers(2, modulus, a)
         _check_work(X, modulus, "walked primes", "enumeration", ENUMERATION_GUARD)
         for primes in prime_batches(prime_range):
-            yield primes, [(x - a) % modulus for x in powers(primes)]
+            yield [(x - a) % modulus for x in powers(primes)]
 
     return walk()
 
@@ -142,14 +141,6 @@ def digit_block(p: int, q: int, r: int, s: int) -> int:
     return (pow(2, p, modulus) - 1) % modulus // q ** (r - s + 1)
 
 
-def count_blocks(q: int, X: int, r: int, s: int) -> DigitCountReport:
-    """Count primes p <= X by the value of their digit window (q, r, s).
-
-    DigitCountReport(q, r, s, X), which counts along one Mersenne walk.
-    """
-    return DigitCountReport(q, r, s, X)
-
-
 def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
     """Residues of 2^p - 1 mod q^gamma for all primes p <= X, in p order.
 
@@ -159,7 +150,7 @@ def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
     modulus = prime_power(q, gamma)
     walk = _mersenne_walk(modulus, X)
     _check_work(X, modulus, f"residues mod {q}^{gamma}", "residue", RESIDUE_GUARD)
-    return list(chain.from_iterable(residues for _, residues in walk))
+    return list(chain.from_iterable(walk))
 
 
 def _checked_modulus(q: int, gamma: int, residues: Sequence[int]) -> int:

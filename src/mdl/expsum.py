@@ -154,5 +154,5 @@ def mersenne_prime_sum(q: int, gamma: int, a: int, X: int) -> ExpSumResult:
     Q = prime_power(q, gamma)
     walk = _mersenne_walk(Q, X, a)
     _check_unit(q, "a", a)
-    total, normalizer, count = _phase_sum(((repeat(1.0), xs) for _, xs in walk), Q)
+    total, normalizer, count = _phase_sum(((repeat(1.0), xs) for xs in walk), Q)
     return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))

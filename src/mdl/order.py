@@ -18,7 +18,6 @@ from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 __all__ = [
     "POWER_BIT_GUARD",
     "OrderStructure",
-    "order_structure",
     "order_mod_power",
     "excess_valuation",
     "valuation_difference",
@@ -62,11 +61,6 @@ class OrderStructure(namedtuple("OrderStructure", "q g order_mod_q lift_valuatio
 
     def __getnewargs__(self) -> tuple[int, int]:
         return self.q, self.g
-
-
-def order_structure(q: int, g: int) -> OrderStructure:
-    """The order structure of g modulo the odd prime q: OrderStructure(q, g)."""
-    return OrderStructure(q, g)
 
 
 def order_mod_power(structure: OrderStructure, n: int) -> int:

@@ -69,7 +69,7 @@ def _odd_mask(low: int, high: int, odd_primes: Iterable[int]) -> bytearray:
         if start % 2 == 0:
             start += p
         i = (start - low) // 2
-        mask[i::p] = bytes(len(range(i, count, p)))
+        mask[i::p] = bytearray(len(range(i, count, p)))
     return mask
 
 

@@ -26,7 +26,6 @@ from .errors import PreconditionError, ResourceGuardError
 
 __all__ = [
     "VmvtInstance",
-    "vmvt_count",
     "monotonicity_check",
 ]
 
@@ -34,9 +33,12 @@ __all__ = [
 class VmvtInstance(namedtuple("VmvtInstance", "r k P count")):
     """Box parameters (r, k, P) and the exact collision count they give.
 
-    count is computed at construction by _collision_counts, as vmvt_count
-    describes, so every instance holds a count the dynamic program found.
-    The field count shadows tuple.count.
+    count is computed at construction by r rounds of the power-sum dynamic
+    program with k clamped to min(k, r, P - 1); P = 1 gives a count of 1
+    with no round.  Raises ResourceGuardError, before any round, when
+    r * P times the smaller of the multiset count C(P+r-1, r) and the
+    power-sum box exceeds ENUMERATION_GUARD.  The field count shadows
+    tuple.count.
     """
 
     __slots__ = ()
@@ -90,18 +92,6 @@ def _collision_counts(rounds: int, k: int, P: int) -> tuple[int, int]:
         state = reached
         previous, count = count, sum(mult * mult for mult in state.values())
     return previous, count
-
-
-def vmvt_count(r: int, k: int, P: int) -> VmvtInstance:
-    """Exact count of power-sum collisions in [1, P]^(2r) for exponents 1..k.
-
-    Runs r rounds of the power-sum dynamic program with k clamped to
-    min(k, r, P - 1); P = 1 gives a count of 1 with no round.
-    Raises ResourceGuardError, before any round, when r * P times the
-    smaller of the multiset count C(P+r-1, r) and the power-sum box
-    exceeds ENUMERATION_GUARD.
-    """
-    return VmvtInstance(r, k, P)
 
 
 def monotonicity_check(r: int, k: int, P: int) -> bool:

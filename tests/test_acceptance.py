@@ -14,7 +14,7 @@ from itertools import product
 
 from mdl.arith import is_prime, padic_valuation
 from mdl.digits import (
-    count_blocks,
+    DigitCountReport,
     digit_block,
     discrepancy,
     erdos_turan_bound,
@@ -22,21 +22,21 @@ from mdl.digits import (
 )
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
 from mdl.order import (
+    OrderStructure,
     congruence_criterion,
     excess_valuation,
     order_mod_power,
-    order_structure,
     valuation_difference,
 )
 from mdl.primes import PrimeRange, primes_up_to
-from mdl.vmvt import monotonicity_check, vmvt_count
+from mdl.vmvt import VmvtInstance, monotonicity_check
 from oracles import (
     orders_by_stride_scan,
     vmvt_by_double_loop,
     window_hits_by_fractional_part,
 )
 
-# FROZEN: max_abs_deviation of count_blocks(q=3, X=10^6, r=25, s=1)
+# FROZEN: max_abs_deviation of DigitCountReport(q=3, r=25, s=1, X=10^6)
 DEVIATION_CEILING_AT_1E6 = 0.004242146296720928
 # FROZEN: (real, imag) of the sums mod 3^40 with a=1 (and g=2) at X=10^5, two
 # summation blocks; they pin the Kahan block order bit for bit
@@ -60,7 +60,7 @@ def test_criterion_01_order_closed_form_matches_exhaustive_scan():
     cases = 0
     for q, g in _box_pairs():
         oracle = orders_by_stride_scan(q, g, 5)
-        structure = order_structure(q, g)
+        structure = OrderStructure(q, g)
         for n in range(1, 6):
             assert order_mod_power(structure, n) == oracle[n - 1], (q, g, n)
             cases += 1
@@ -72,7 +72,7 @@ def test_criterion_01_order_closed_form_matches_exhaustive_scan():
 def test_criterion_02_lift_decomposition_is_exact():
     started = time.monotonic()
     for q, g in _box_pairs():
-        structure = order_structure(q, g)
+        structure = OrderStructure(q, g)
         for n in range(1, 6):
             t = order_mod_power(structure, n)
             v = n + excess_valuation(structure, n)
@@ -82,7 +82,7 @@ def test_criterion_02_lift_decomposition_is_exact():
             assert pow(g, t, q ** (v + 1)) != 1, (q, g, n)
     # small corner of the box spelled out with full integers
     for q, g in [(3, 2), (5, 7), (7, 10), (11, 3), (11, 12)]:
-        structure = order_structure(q, g)
+        structure = OrderStructure(q, g)
         for n in (1, 2, 3):
             t = order_mod_power(structure, n)
             diff = g**t - 1
@@ -98,7 +98,7 @@ def test_criterion_03_congruence_and_valuation_identities():
     started = time.monotonic()
     congruence_cases = 0
     for q, g in _box_pairs():
-        structure = order_structure(q, g)
+        structure = OrderStructure(q, g)
         G = structure.lift_valuation
         for r in range(1, 6):
             for s in range(G, r + 1):
@@ -109,7 +109,7 @@ def test_criterion_03_congruence_and_valuation_identities():
                         congruence_cases += 1
     valuation_cases = 0
     for q, g in _box_pairs():
-        structure = order_structure(q, g)
+        structure = OrderStructure(q, g)
         for m in range(1, 21):
             for x in range(21):
                 for y in range(21):
@@ -166,7 +166,7 @@ def test_criterion_06_deviation_shrinks_and_stays_below_frozen_ceiling():
     started = time.monotonic()
     deviations = {}
     for X in (10**4, 10**5, 10**6):
-        report = count_blocks(3, X, 25, 1)
+        report = DigitCountReport(3, 25, 1, X)
         deviations[X] = report.max_abs_deviation
         if X == 10**6:
             assert report.pi_X == 78498
@@ -194,7 +194,7 @@ def test_criterion_07_base7_position0_support_is_frozen():
     # coverage by p = 7 pins the support for every X in [7, 10^4]
     assert set(first_seen) == allowed
     assert max(first_seen.values()) <= 7
-    report = count_blocks(7, 10**4, 0, 1)
+    report = DigitCountReport(7, 0, 1, X=10**4)
     assert {v for v, c in enumerate(report.counts) if c} == allowed
     _report(7, "support at position 0 is exactly {0, 1, 3}", started)
 
@@ -204,13 +204,13 @@ def test_criterion_08_power_sum_counts_match_naive_loop():
     for r in (1, 2, 3):
         for k in (1, 2, 3):
             for P in range(1, 7):
-                fast = vmvt_count(r, k, P).count
+                fast = VmvtInstance(r, k, P).count
                 assert fast == vmvt_by_double_loop(r, k, P), (r, k, P)
                 assert monotonicity_check(r, k, P), (r, k, P)
                 if P == 1:
                     assert fast == 1
     for P in range(1, 7):
-        assert vmvt_count(1, 1, P).count == P
+        assert VmvtInstance(1, 1, P).count == P
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"budget 30s exceeded: {elapsed:.1f}s"
     _report(8, "54 boxes match the naive double loop; monotone everywhere", started)
@@ -243,7 +243,7 @@ def test_criterion_09_exp_sum_contracts_and_bit_determinism():
 
 def test_criterion_10_throughput_window_count_at_ten_million():
     started = time.monotonic()
-    report = count_blocks(3, 10**7, 100, 2)
+    report = DigitCountReport(3, 100, 2, X=10**7)
     elapsed = time.monotonic() - started
     assert report.pi_X == 664579
     assert sum(report.counts) == report.pi_X

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from mdl.digits import (
     DigitCountReport,
     _exact_row_sums,
-    count_blocks,
     digit_block,
     discrepancy,
     erdos_turan_bound,
@@ -69,11 +68,11 @@ def test_window_rejections(q, r, s):
     with pytest.raises(PreconditionError):
         digit_block(7, q, r, s)
     with pytest.raises(PreconditionError):
-        count_blocks(q, 10**13, r, s)
+        DigitCountReport(q, r, s, X=10**13)
 
 
 def test_count_blocks_small_reference():
-    rep = count_blocks(3, 7, 0, 1)
+    rep = DigitCountReport(3, 0, 1, X=7)
     assert rep.counts == (1, 3, 0)
     assert rep.pi_X == 4
     assert rep.expected == pytest.approx(4 / 3)
@@ -82,12 +81,12 @@ def test_count_blocks_small_reference():
 
 
 def test_count_blocks_q7_support():
-    rep = count_blocks(7, 100, 0, 1)
+    rep = DigitCountReport(7, 0, 1, X=100)
     assert {v for v, c in enumerate(rep.counts) if c} == {0, 1, 3}
 
 
 def test_count_blocks_single_prime():
-    rep = count_blocks(3, 2, 0, 1)
+    rep = DigitCountReport(3, 0, 1, X=2)
     assert rep.pi_X == 1 and sum(rep.counts) == 1
 
 
@@ -95,16 +94,15 @@ def test_count_blocks_checks_x_before_the_bin_guard():
     # 3^13 window values exceed BIN_GUARD, but the bad X is reported first;
     # the bin guard then comes before the sieve guard of the first draw
     with pytest.raises(PreconditionError, match="X must be >= 2"):
-        count_blocks(3, 1, 20, 13)
+        DigitCountReport(3, 20, 13, X=1)
     for X in (7, 10**13):
         with pytest.raises(ResourceGuardError, match="bin guard"):
-            count_blocks(3, X, 20, 13)
+            DigitCountReport(3, 20, 13, X)
 
 
 def test_count_blocks_matches_expansion_oracle():
     X, q, r, s = 300, 3, 4, 2
-    rep = count_blocks(q, X, r, s)
-    assert rep == DigitCountReport(q, r, s, X)
+    rep = DigitCountReport(q, r, s, X)
     manual = [0] * q**s
     for p in primes_by_trial_division(X):
         manual[digit_window_by_expansion(p, q, r, s)] += 1
@@ -129,9 +127,9 @@ def test_fractional_part_check_mismatch_is_false_false():
 
 def test_fractional_part_check_window_values_are_guarded():
     # 3^12 = 531,441 window values fit BIN_GUARD; 3^13 = 1,594,323 do not
-    assert sum(count_blocks(3, 7, 20, 12).counts) == 4
+    assert sum(DigitCountReport(3, 20, 12, X=7).counts) == 4
     with pytest.raises(ResourceGuardError, match="bin guard"):
-        count_blocks(3, 7, 20, 13)
+        DigitCountReport(3, 20, 13, X=7)
 
 
 @pytest.mark.parametrize(

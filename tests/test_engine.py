@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdl.arith import ENUMERATION_GUARD, stepped_powers
-from mdl.digits import _check_work, _mersenne_walk, count_blocks, mersenne_residues
+from mdl.digits import DigitCountReport, _check_work, _mersenne_walk, mersenne_residues
 from mdl.errors import PreconditionError, ResourceGuardError
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
 from mdl.primes import (
@@ -117,12 +117,12 @@ def test_mersenne_walk_matches_reduced_pow(q: int):
     primes = primes_by_trial_division(X)
     want = [(pow(2, p, q) - 1) % q for p in primes]
     assert mersenne_residues(q, 1, X) == want
-    assert count_blocks(q, X, 0, 1).counts == tuple(want.count(v) for v in range(q))
+    assert DigitCountReport(q, 0, 1, X).counts == tuple(want.count(v) for v in range(q))
     assert (q != 3) or want[0] == 0
     # from any multiplier a the walk gives the phase numerators a * (2^p - 1) mod q^e
     for a in (1, 2, q - 1, q + 1):
         for modulus in (q, q**3):
-            got = [x for _, xs in _mersenne_walk(modulus, X, a) for x in xs]
+            got = [x for xs in _mersenne_walk(modulus, X, a) for x in xs]
             assert got == [a * (pow(2, p, modulus) - 1) % modulus for p in primes], a
 
 
@@ -132,7 +132,7 @@ def test_count_blocks_matches_expansion_oracle_on_wide_moduli(q: int, r: int, s:
     manual = [0] * q**s
     for p in primes_by_trial_division(X):
         manual[digit_window_by_expansion(p, q, r, s)] += 1
-    assert count_blocks(q, X, r, s).counts == tuple(manual)
+    assert DigitCountReport(q, r, s, X).counts == tuple(manual)
 
 
 @pytest.mark.parametrize("q, gamma", [(3, 40), (11, 20)])
@@ -191,7 +191,7 @@ def _peak_bytes(run) -> int:
 
 @pytest.mark.parametrize(
     "walk",
-    [lambda X: mersenne_prime_sum(3, 40, 1, X), lambda X: count_blocks(3, X, 100, 2)],
+    [lambda X: mersenne_prime_sum(3, 40, 1, X), lambda X: DigitCountReport(3, 100, 2, X)],
     ids=["mersenne_prime_sum", "count_blocks"],
 )
 def test_walks_hold_one_batch_not_every_residue(walk):
@@ -224,7 +224,7 @@ def test_walk_charge_is_one_up_to_224_bits():
 @pytest.mark.parametrize(
     "walk",
     [
-        lambda: count_blocks(3, SIEVE_GUARD, 41000, 1),
+        lambda: DigitCountReport(3, 41000, 1, X=SIEVE_GUARD),
         lambda: mersenne_prime_sum(3, 41000, 1, SIEVE_GUARD),
         lambda: mangoldt_exp_sum(3, 41000, 1, 2, SIEVE_GUARD),
     ],

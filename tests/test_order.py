@@ -15,7 +15,6 @@ from mdl.order import (
     congruence_criterion,
     excess_valuation,
     order_mod_power,
-    order_structure,
     valuation_difference,
 )
 from oracles import order_full_scan, orders_by_stride_scan
@@ -26,8 +25,7 @@ from oracles import order_full_scan, orders_by_stride_scan
     [(3, 2, 2, 1), (11, 3, 5, 2), (5, 7, 4, 2)],
 )
 def test_order_structure_reference_values(q: int, g: int, tau: int, G: int):
-    s = order_structure(q, g)
-    assert s == OrderStructure(q, g)
+    s = OrderStructure(q, g)
     assert (s.order_mod_q, s.lift_valuation) == (tau, G)
     assert g**tau - 1 == s.cofactor * q**G
     assert math.gcd(s.cofactor, q) == 1
@@ -35,13 +33,13 @@ def test_order_structure_reference_values(q: int, g: int, tau: int, G: int):
 
 def test_order_structure_rejections():
     with pytest.raises(PreconditionError):
-        order_structure(3, 1)
+        OrderStructure(3, 1)
     with pytest.raises(PreconditionError):
-        order_structure(3, -1)
+        OrderStructure(3, -1)
     with pytest.raises(PreconditionError):
-        order_structure(3, 6)
+        OrderStructure(3, 6)
     with pytest.raises(PreconditionError):
-        order_structure(4, 3)
+        OrderStructure(4, 3)
 
 
 @pytest.mark.parametrize("q", [241, 2521, 65537])
@@ -54,23 +52,23 @@ def test_order_by_descent_matches_brute_force(q: int):
         if d * math.log2(g) > POWER_BIT_GUARD:
             # the guard message names g^order, so the descent is still checked
             with pytest.raises(ResourceGuardError, match=rf"^{g}\^{d} exceeds"):
-                order_structure(q, g)
+                OrderStructure(q, g)
         else:
-            assert order_structure(q, g).order_mod_q == d, (q, g)
+            assert OrderStructure(q, g).order_mod_q == d, (q, g)
 
 
 def test_power_guard_boundary():
     # 16 has order 3571 mod 64279: 16^3571 = 2^14284 sits exactly on the guard
-    s = order_structure(64279, 16)
+    s = OrderStructure(64279, 16)
     assert s.order_mod_q * 4 == POWER_BIT_GUARD
     assert len(str(abs(s.cofactor))) <= 4300  # the most digits Python prints
     # -32 has order 2857 mod 28571: (-32)^2857 has 14285 bits, one too many
     with pytest.raises(ResourceGuardError, match=r"^\(-32\)\^2857 exceeds the power guard"):
-        order_structure(28571, -32)
+        OrderStructure(28571, -32)
 
 
 def test_order_structure_negative_generator():
-    s = order_structure(7, -3)
+    s = OrderStructure(7, -3)
     assert pow(-3, s.order_mod_q, 7) == 1
     assert (-3) ** s.order_mod_q - 1 == s.cofactor * 7**s.lift_valuation
     assert order_mod_power(s, 2) == order_full_scan(-3, 49)
@@ -81,12 +79,12 @@ def test_order_structure_negative_generator():
     [(3, 2, 3, 18), (11, 3, 2, 5), (11, 3, 3, 55)],
 )
 def test_order_mod_power_reference_values(q: int, g: int, n: int, expected: int):
-    assert order_mod_power(order_structure(q, g), n) == expected
+    assert order_mod_power(OrderStructure(q, g), n) == expected
 
 
 def test_order_mod_power_modulus_guard_boundary():
     # 3^41348 has 65536 bits, 3^41349 has 65537: the modulus guard sits between them
-    s = order_structure(3, 2)  # order 2, lift valuation 1
+    s = OrderStructure(3, 2)  # order 2, lift valuation 1
     assert order_mod_power(s, 41348) == 2 * 3**41347
     with pytest.raises(ResourceGuardError, match="modulus guard"):
         order_mod_power(s, 41349)
@@ -94,7 +92,7 @@ def test_order_mod_power_modulus_guard_boundary():
 
 def test_order_powers_are_guarded_before_they_are_formed():
     # 11^(10^9) has about 3.5 * 10^9 bits; the guard reads its logarithm
-    s = order_structure(11, 3)
+    s = OrderStructure(11, 3)
     start = time.perf_counter()
     with pytest.raises(ResourceGuardError, match="modulus guard"):
         order_mod_power(s, 10**9)
@@ -104,7 +102,7 @@ def test_order_powers_are_guarded_before_they_are_formed():
 
 
 def test_congruence_criterion_modulus_guard_boundary():
-    s = order_structure(3, 2)  # order 2, lift valuation 1
+    s = OrderStructure(3, 2)  # order 2, lift valuation 1
     assert congruence_criterion(s, 41348, 1, 0, 1) == (False, False)
     with pytest.raises(ResourceGuardError, match="modulus guard"):
         congruence_criterion(s, 41349, 1, 0, 1)
@@ -112,7 +110,7 @@ def test_congruence_criterion_modulus_guard_boundary():
 
 def test_congruence_criterion_does_not_revalidate_q(monkeypatch):
     # q was checked when the structure was built; the sweep only sizes its moduli
-    s = order_structure(11, 3)  # lift valuation 2, so s > 2 lifts the order
+    s = OrderStructure(11, 3)  # lift valuation 2, so s > 2 lifts the order
     checked = []
     monkeypatch.setattr(mdl.arith, "_check_odd_prime", checked.append)
     for r in range(2, 6):
@@ -127,7 +125,7 @@ def test_order_mod_power_matches_full_scan_small_box():
         for g in range(2, 13):
             if g % q == 0:
                 continue
-            s = order_structure(q, g)
+            s = OrderStructure(q, g)
             for n in (1, 2, 3):
                 assert order_mod_power(s, n) == order_full_scan(g, q**n), (q, g, n)
 
@@ -144,7 +142,7 @@ def test_stride_oracle_agrees_with_full_scan():
 
 
 def test_excess_valuation_profile():
-    s = order_structure(11, 3)  # lift valuation 2
+    s = OrderStructure(11, 3)  # lift valuation 2
     assert [excess_valuation(s, n) for n in (1, 2, 3, 4)] == [1, 0, 0, 0]
     with pytest.raises(PreconditionError):
         excess_valuation(s, 0)
@@ -152,7 +150,7 @@ def test_excess_valuation_profile():
 
 def test_excess_valuation_consistent_with_order_decomposition():
     for q, g in ((3, 2), (11, 3), (5, 7), (7, 10)):
-        s = order_structure(q, g)
+        s = OrderStructure(q, g)
         for n in (1, 2, 3):
             t = order_mod_power(s, n)
             v = n + excess_valuation(s, n)
@@ -171,12 +169,12 @@ def test_excess_valuation_consistent_with_order_decomposition():
     ],
 )
 def test_valuation_difference_reference_values(q, g, m, x, y, expected):
-    assert valuation_difference(order_structure(q, g), m, x, y) == expected
+    assert valuation_difference(OrderStructure(q, g), m, x, y) == expected
 
 
 def test_valuation_difference_matches_big_integer_valuation():
     for q, g in ((3, 2), (5, 3), (11, 3)):
-        s = order_structure(q, g)
+        s = OrderStructure(q, g)
         for m in (1, 2, q):
             for x in range(8):
                 for y in range(8):
@@ -191,7 +189,7 @@ def test_valuation_difference_matches_big_integer_valuation():
 
 
 def test_valuation_difference_symmetry_and_rejection():
-    s = order_structure(3, 2)
+    s = OrderStructure(3, 2)
     assert valuation_difference(s, 5, 9, 2) == valuation_difference(s, 5, 2, 9)
     with pytest.raises(PreconditionError):
         valuation_difference(s, 1, 4, 4)
@@ -226,7 +224,7 @@ def test_forged_closed_form_is_sized_before_its_modulus_is_formed():
 @pytest.mark.parametrize("k", [100, 300, 1000])
 def test_valuation_difference_takes_one_residue(k: int):
     # 2^(2 * 3^k) - 1 has 3-adic valuation k + 1; one residue mod 3^(k+2) shows it
-    s = order_structure(3, 2)
+    s = OrderStructure(3, 2)
     start = time.perf_counter()
     assert valuation_difference(s, 2, 3**k, 0) == k + 1
     assert time.perf_counter() - start < 0.1
@@ -241,11 +239,11 @@ def test_valuation_difference_takes_one_residue(k: int):
     ],
 )
 def test_congruence_criterion_reference_values(q, g, r, s, n1, n2, expected):
-    assert congruence_criterion(order_structure(q, g), r, s, n1, n2) == expected
+    assert congruence_criterion(OrderStructure(q, g), r, s, n1, n2) == expected
 
 
 def test_congruence_criterion_window_rejections():
-    s = order_structure(11, 3)  # lift valuation 2
+    s = OrderStructure(11, 3)  # lift valuation 2
     with pytest.raises(PreconditionError):
         congruence_criterion(s, 1, 2, 0, 0)  # r < s
     with pytest.raises(PreconditionError):
@@ -256,7 +254,7 @@ def test_congruence_criterion_window_rejections():
 
 def test_congruence_criterion_sides_agree_on_sample_box():
     for q, g in ((3, 2), (7, 5), (11, 3)):
-        s = order_structure(q, g)
+        s = OrderStructure(q, g)
         G = s.lift_valuation
         for r in range(G, 5):
             for sv in range(G, r + 1):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import mdl
 from mdl import arith, digits, errors, expsum, order, primes, vmvt
 
 MODULES = (arith, digits, errors, expsum, order, primes, vmvt)
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def test_package_all_joins_the_module_lists():
@@ -35,3 +37,18 @@ def test_unit_circle_value_is_an_oracle_only():
     texts = [p.read_text(encoding="utf-8") for p in Path(mdl.__file__).parent.glob("*.py")]
     for name in ("unit_circle_value", "fractional_part_check"):
         assert not [text for text in texts if name in text], name
+
+
+def test_every_name_the_benchmark_wraps_or_probes_resolves():
+    # the tracer skips a missing name silently, so a rename would only lose spans
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    stale = {("mdl.cli", "cached_primes"), ("mdl.expsum", "mangoldt_terms")}  # ROADMAP item 1
+    names = [(module, attr) for module, attr, *_ in tracer.TARGETS if (module, attr) not in stale]
+    names += [  # what perfbench/run.py's probes read
+        ("mdl.primes", "PrimeRange"), ("mdl.primes", "primes_up_to"),
+        ("mdl.primes", "mangoldt_terms"), ("mdl.digits", "mersenne_residues"),
+    ]
+    for module, attr in names:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)

@@ -11,7 +11,7 @@ import pytest
 
 import mdl.primes
 from mdl.arith import is_prime
-from mdl.digits import count_blocks, mersenne_residues
+from mdl.digits import DigitCountReport, mersenne_residues
 from mdl.errors import PreconditionError, ResourceGuardError
 from mdl.expsum import mangoldt_exp_sum, mersenne_prime_sum
 from mdl.primes import (
@@ -103,6 +103,13 @@ def test_sieve_holds_one_segment_mask_at_a_time():
     assert run - one_segment < SEGMENT_SIZE // 4, (run, one_segment)
 
 
+def test_marking_holds_one_zero_buffer_at_a_time():
+    # a bytes right-hand side is copied into a fresh bytearray first: two buffers
+    mask = _odd_mask(0, 2**21, [3, 5, 7])
+    peak = _peak_bytes(lambda: _odd_mask(0, 2**21, [3, 5, 7]))
+    assert peak < 1.5 * len(mask), (peak, len(mask))
+
+
 def test_sieve_yields_plain_ints():
     assert all(type(p) is int for p in primes_up_to(PrimeRange(10**5)))
 
@@ -124,7 +131,7 @@ def test_prime_range_validation():
     "call",
     [
         lambda: PrimeRange(1000.0),
-        lambda: count_blocks(3, 1e4, 2, 1),
+        lambda: DigitCountReport(3, 2, 1, X=1e4),
         lambda: mersenne_residues(3, 5, 1e4),
         lambda: mersenne_prime_sum(3, 5, 1, 1e4),
         lambda: mangoldt_exp_sum(3, 5, 1, 2, 1e4),
