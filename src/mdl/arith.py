@@ -15,6 +15,7 @@ expsum._phase_sum and digits.erdos_turan_bound.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import PreconditionError, ResourceGuardError
@@ -53,8 +54,12 @@ def _prime_factors(n: int) -> Iterator[int]:
         yield n
 
 
+@lru_cache(maxsize=4096, typed=True)
 def is_prime(n: int) -> bool:
-    """Whether n is a prime int: its smallest prime factor is n itself."""
+    """Whether n is a prime int: its smallest prime factor is n itself.
+
+    Cached, as hot loops re-check the same primes; typed, so 7.0 is not 7.
+    """
     return isinstance(n, int) and n >= 2 and next(_prime_factors(n)) == n
 
 

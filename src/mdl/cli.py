@@ -28,7 +28,8 @@ from .expsum import ExpSumResult, mangoldt_exp_sum, mersenne_prime_sum
 from .order import OrderStructure, congruence_criterion, valuation_difference
 from .vmvt import VmvtInstance
 
-# perfbench/tracer.py wraps these names in mdl.cli; ROADMAP item 2 retires them
+# perfbench/tracer.py wraps these names in mdl.cli; ROADMAP item 2 retires them.
+# count_blocks takes the record's order (q, r, s, X), not the old (q, X, r, s).
 count_blocks, order_structure, vmvt_count = DigitCountReport, OrderStructure, VmvtInstance
 
 CSV_SCHEMA = "mdl v1"

@@ -54,6 +54,7 @@ class _Int(int):
 def test_is_prime_is_false_for_non_ints():
     for n in (7.5, 9.5, 7.0):
         assert is_prime(n) is False, n
+    # equal to the cached 7.0, and an int: the cache must key it apart
     assert is_prime(_Int(7)) is True
 
 
@@ -69,8 +70,22 @@ def test_is_prime_stops_at_the_smallest_factor():
     # each has a prime cofactor near 2^31: factoring it fully takes ~23,000 divisions
     for n in (2 * (2**31 - 1), 3 * 715827883):
         start = time.perf_counter()
-        assert not is_prime(n)
+        assert not is_prime.__wrapped__(n)  # past the cache
         assert time.perf_counter() - start < 1e-3
+
+
+def test_a_large_q_is_trial_divided_once_not_per_call():
+    # one test of q near BASE_GUARD is ~32,000 divisions (a few ms); a lemma sweep
+    # re-checks q in every valuation, and each digit_block call checks it again
+    q = 4294967291
+    structure = OrderStructure(q, q - 1)
+    start = time.perf_counter()
+    for m in range(1, 11):
+        for x in range(21):
+            valuation_difference(structure, m, x, 21)
+    for p in primes_up_to(PrimeRange(250)):
+        digit_block(p, q, 0, 1)
+    assert time.perf_counter() - start < 0.2
 
 
 def test_is_prime_agrees_with_the_sieve():
