@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from mdl import ResourceGuardError, VmvtInstance, monotonicity_check
+from mdl import ResourceGuardError, VmvtInstance
 
 
 def main() -> None:
@@ -28,7 +28,8 @@ def main() -> None:
 
     print("\nnormalized counts can only shrink when r grows:")
     for r, k, P in [(1, 1, 8), (2, 2, 8), (3, 3, 8)]:
-        print(f"  r={r} -> r+1, k={k}, P={P}: {monotonicity_check(r, k, P)}")
+        bounded = VmvtInstance(r + 1, k, P).count <= P * P * VmvtInstance(r, k, P).count
+        print(f"  r={r} -> r+1, k={k}, P={P}: {bounded}")
 
     print("\ncount exponent against the mean value exponent:")
     print(f"{'r':>2} {'k':>2} {'P':>3} {'log J/log P':>11} {'max(r, 2r-k(k+1)/2)':>20}")

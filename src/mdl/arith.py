@@ -2,14 +2,14 @@
 
 Every modulus q^e is a plain int formed by prime_power, which checks q and
 e and the size of the power before it is formed; code that holds an
-already validated q checks only the size, with _check_power_size.  The
-guards shared by several modules sit here too: ENUMERATION_GUARD bounds
-the vmvt dynamic program, the Erdos-Turan phase terms and the walks.  The
-residue engine, stepped_powers, turns batches of positive, ascending
-exponents (the blocks of mdl.primes) into the orbit start * base^e.
-Everything here is exact integer arithmetic; floating point enters where
-a canonical residue over its modulus becomes a double: in
-expsum._phase_sum and digits.erdos_turan_bound.
+already validated q checks only the size, with _check_power_size.  Checks
+shared by several modules sit here too: _check_int, the one test of an int
+argument, and ENUMERATION_GUARD, which bounds the vmvt dynamic program,
+the Erdos-Turan phase terms and the walks.  The residue engine,
+stepped_powers, turns batches of positive, ascending exponents (the blocks
+of mdl.primes) into the orbit start * base^e.  All of it is exact integer
+arithmetic; floating point enters where a canonical residue over its
+modulus becomes a double: in expsum._phase_sum and digits.erdos_turan_bound.
 """
 
 from __future__ import annotations
@@ -71,12 +71,17 @@ def _check_odd_prime(q: int) -> None:
         raise PreconditionError(f"q must be an odd prime >= 3, got {q}")
 
 
+def _check_int(name: str, value: int, rule: str = "") -> None:
+    """Reject value unless it is an int, a bool included; rule extends the message."""
+    if not isinstance(value, int):
+        raise PreconditionError(f"{name} must be an int{rule}, got {value!r}")
+
+
 def _check_unit(q: int, name: str, value: int) -> None:
     """Reject value unless it is an int that q does not divide."""
-    if not isinstance(value, int) or value % q == 0:
-        raise PreconditionError(
-            f"{name}={value!r} must be an int and must not be divisible by q={q}"
-        )
+    _check_int(name, value, f" and must not be divisible by q={q}")
+    if value % q == 0:
+        raise PreconditionError(f"{name}={value} must not be divisible by q={q}")
 
 
 def _check_unit_base(q: int, g: int) -> None:
@@ -92,8 +97,7 @@ def _check_power_size(q: int, e: int) -> None:
 
     The size is read from e * log2(q); e must be an int, q is not validated.
     """
-    if not isinstance(e, int):
-        raise PreconditionError(f"exponent must be an int, got {e!r}")
+    _check_int("exponent", e)
     if e * math.log2(q) > MODULUS_BIT_GUARD:
         raise ResourceGuardError(
             f"modulus {q}^{e} exceeds the modulus guard of {MODULUS_BIT_GUARD} bits"
@@ -122,8 +126,9 @@ def padic_valuation(q: int, n: int) -> int:
     """
     if not is_prime(q):
         raise PreconditionError(f"q must be prime, got {q}")
-    if not isinstance(n, int) or n == 0:
-        raise PreconditionError(f"valuation needs a nonzero int, got {n!r}")
+    _check_int("n", n)
+    if n == 0:
+        raise PreconditionError("valuation needs a nonzero n, got 0")
     n = abs(n)
     k = 0
     while n % q == 0:
@@ -143,6 +148,8 @@ def stepped_powers(base: int, modulus: int, start: int = 1) -> Callable[[list[in
     of powers at a time, beside whatever else their batch carries, such as
     von Mangoldt weights.
     """
+    for name, value in zip(("base", "modulus", "start"), (base, modulus, start)):
+        _check_int(name, value)
     if modulus < 1:
         raise PreconditionError(f"modulus must be >= 1, got {modulus}")
     steps: dict[int, int] = {}

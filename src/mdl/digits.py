@@ -17,7 +17,8 @@ from collections import Counter, namedtuple
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .arith import ENUMERATION_GUARD, _check_odd_prime, is_prime, prime_power, stepped_powers
+from .arith import (
+    ENUMERATION_GUARD, _check_int, _check_odd_prime, is_prime, prime_power, stepped_powers)
 from .errors import PreconditionError, ResourceGuardError
 from .primes import PrimeRange, prime_batches
 
@@ -94,6 +95,8 @@ class DigitCountReport(
 def _window_checks(q: int, r: int, s: int) -> int:
     """q^(r+1), the modulus of window (q, r, s), once q, r and s are valid."""
     _check_odd_prime(q)  # a bad q is reported before a bad r or s
+    for name, value in zip("rs", (r, s)):
+        _check_int(name, value)
     if r < 0:
         raise PreconditionError(f"r must be >= 0, got {r}")
     if s < 1 or s > r + 1:
@@ -228,6 +231,7 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     residue, or 8 + bits // 128 for a q^gamma >= 2^53 of that many bits
     (Python-int numerators, whose cost grows with their size).
     """
+    _check_int("H", H)
     if H < 1:
         raise PreconditionError(f"H must be >= 1, got {H}")
     modulus = _checked_modulus(q, gamma, residues)

@@ -21,7 +21,8 @@ from collections import namedtuple
 from itertools import repeat
 from typing import Iterable
 
-from .arith import ENUMERATION_GUARD, _check_unit, _check_unit_base, prime_power, stepped_powers
+from .arith import (
+    ENUMERATION_GUARD, _check_int, _check_unit, _check_unit_base, prime_power, stepped_powers)
 from .digits import _check_work, _mersenne_walk
 from .errors import PreconditionError, SelfCheckError
 from .primes import PrimeRange, mangoldt_batches
@@ -65,6 +66,7 @@ class ExpSumResult(namedtuple("ExpSumResult", "real imag term_count normalizer r
 def log_ratio(X: int, q: int, gamma: int) -> float:
     """log(X) / log(q^gamma), the scale of X against the modulus."""
     prime_power(q, gamma)
+    _check_int("X", X)
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
     return math.log(X) / (gamma * math.log(q))

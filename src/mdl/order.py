@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import log2
 
-from .arith import _check_power_size, _check_unit_base, _prime_factors, padic_valuation
+from .arith import _check_int, _check_power_size, _check_unit_base, _prime_factors, padic_valuation
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 
 __all__ = [
@@ -70,6 +70,7 @@ def order_mod_power(structure: OrderStructure, n: int) -> int:
     of q per extra power.  Raises ResourceGuardError, before q**n is
     formed, when it exceeds MODULUS_BIT_GUARD bits.
     """
+    _check_int("n", n)
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     if n <= structure.lift_valuation:
@@ -84,6 +85,7 @@ def excess_valuation(structure: OrderStructure, n: int) -> int:
     The valuation is exactly n + excess; the excess is lift_valuation - n
     until n reaches lift_valuation and zero afterwards.
     """
+    _check_int("n", n)
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     return max(structure.lift_valuation - n, 0)
@@ -99,6 +101,8 @@ def valuation_difference(
     its one residue mod q**(F+1), behind the modulus guard of arith.
     Disagreement raises SelfCheckError: the structure would be wrong.
     """
+    for name, value in zip("mxy", (m, x, y)):
+        _check_int(name, value)
     if x == y:
         raise PreconditionError("x and y must differ")
     if m < 1 or x < 0 or y < 0:
@@ -134,6 +138,8 @@ def congruence_criterion(
     ResourceGuardError, before it is formed, when q**r exceeds
     MODULUS_BIT_GUARD bits.
     """
+    _check_int("n1", n1)
+    _check_int("n2", n2)  # r as the exponent of q^r, s in order_mod_power
     if n1 < 0 or n2 < 0:
         raise PreconditionError(f"n1, n2 must be >= 0, got {n1}, {n2}")
     if not r >= s >= structure.lift_valuation:

@@ -21,6 +21,7 @@ from collections import namedtuple
 from itertools import chain, compress
 from typing import Iterable, Iterator
 
+from .arith import _check_int
 from .errors import PreconditionError, ResourceGuardError
 
 __all__ = [
@@ -43,8 +44,7 @@ class PrimeRange(namedtuple("PrimeRange", "limit")):
     __slots__ = ()
 
     def __new__(cls, limit: int) -> PrimeRange:
-        if not isinstance(limit, int):
-            raise PreconditionError(f"limit must be an int, got {limit!r}")
+        _check_int("limit", limit)
         if limit < 2:
             raise PreconditionError(f"limit must be >= 2, got {limit}")
         if limit > SIEVE_GUARD:

@@ -21,13 +21,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .arith import ENUMERATION_GUARD
+from .arith import ENUMERATION_GUARD, _check_int
 from .errors import PreconditionError, ResourceGuardError
 
-__all__ = [
-    "VmvtInstance",
-    "monotonicity_check",
-]
+__all__ = ["VmvtInstance"]
 
 
 class VmvtInstance(namedtuple("VmvtInstance", "r k P count")):
@@ -44,7 +41,25 @@ class VmvtInstance(namedtuple("VmvtInstance", "r k P count")):
     __slots__ = ()
 
     def __new__(cls, r: int, k: int, P: int) -> VmvtInstance:
-        return super().__new__(cls, r, k, P, _collision_counts(r, k, P)[1])
+        for name, value in zip("rkP", (r, k, P)):
+            _check_int(name, value)
+        if min(r, k, P) < 1:
+            raise PreconditionError(f"r, k, P must all be >= 1, got {r}, {k}, {P}")
+        if P == 1:  # the box [1, 1]^(2r) holds one tuple, for every r
+            return super().__new__(cls, r, k, P, 1)
+        top = min(k, r, P - 1)  # the highest power compared: a larger k changes no count
+        _check_guard(r, top, P)
+        radix = r * P**top + 1  # above every coordinate sum after r rounds
+        steps = [sum(n**j * radix ** (j - 1) for j in range(1, top + 1)) for n in range(1, P + 1)]
+        state = {0: 1}
+        for _ in range(r):
+            reached: dict[int, int] = {}
+            for key, mult in state.items():
+                for step in steps:
+                    vector = key + step
+                    reached[vector] = reached.get(vector, 0) + mult
+            state = reached
+        return super().__new__(cls, r, k, P, sum(mult * mult for mult in state.values()))
 
     def __getnewargs__(self) -> tuple[int, int, int]:
         return self.r, self.k, self.P
@@ -69,38 +84,3 @@ def _check_guard(rounds: int, k: int, P: int) -> None:
                 f"r * P * live vectors for r={rounds}, k={k}, P={P} exceeds the "
                 f"enumeration guard {ENUMERATION_GUARD} dictionary updates"
             )
-
-
-def _collision_counts(rounds: int, k: int, P: int) -> tuple[int, int]:
-    """Collision counts with rounds - 1 and with rounds variables per side."""
-    if min(rounds, k, P) < 1:
-        raise PreconditionError(f"r, k, P must all be >= 1, got {rounds}, {k}, {P}")
-    if P == 1:  # the box [1, 1]^(2r) holds one tuple, for every r
-        return 1, 1
-    k = min(k, rounds, P - 1)  # larger k changes no count
-    _check_guard(rounds, k, P)
-    radix = rounds * P**k + 1  # above every coordinate sum after `rounds` rounds
-    steps = [sum(n**j * radix ** (j - 1) for j in range(1, k + 1)) for n in range(1, P + 1)]
-    state = {0: 1}
-    previous = count = 1  # no variables: the empty tuples collide once
-    for _ in range(rounds):
-        reached: dict[int, int] = {}
-        for key, mult in state.items():
-            for step in steps:
-                vector = key + step
-                reached[vector] = reached.get(vector, 0) + mult
-        state = reached
-        previous, count = count, sum(mult * mult for mult in state.values())
-    return previous, count
-
-
-def monotonicity_check(r: int, k: int, P: int) -> bool:
-    """Whether adding one variable pair grows the count by at most P^2.
-
-    Compares the exact counts at r and r+1, taken from the same r+1
-    rounds, via integer arithmetic; the r+1 rounds must pass the guard.
-    """
-    if r < 1:
-        raise PreconditionError(f"r must be >= 1, got {r}")
-    base, wider = _collision_counts(r + 1, k, P)
-    return wider <= P * P * base

@@ -20,6 +20,7 @@ from mdl.arith import (
     is_prime,
     padic_valuation,
     prime_power,
+    stepped_powers,
 )
 from mdl.digits import (
     DigitCountReport,
@@ -29,10 +30,11 @@ from mdl.digits import (
     mersenne_residues,
 )
 from mdl.errors import PreconditionError, ResourceGuardError
-from mdl.expsum import ExpSumResult, mangoldt_exp_sum, mersenne_prime_sum
+from mdl.expsum import ExpSumResult, log_ratio, mangoldt_exp_sum, mersenne_prime_sum
 from mdl.order import (
     OrderStructure,
     congruence_criterion,
+    excess_valuation,
     order_mod_power,
     valuation_difference,
 )
@@ -196,6 +198,40 @@ def test_trial_division_guard_boundary():
 def test_every_base_taker_rejects_the_same_g(call, g):
     with pytest.raises(PreconditionError, match=r"\|g\| >= 2|must not be divisible by q"):
         call(g)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: VmvtInstance(2.5, 1, 3),
+        lambda: VmvtInstance(2, 1.5, 3),
+        lambda: VmvtInstance(2, 1, 3.0),
+        lambda: DigitCountReport(3, 2, 1.0, 100),
+        lambda: digit_block(5, 3, 2, 1.0),
+        lambda: congruence_criterion(OrderStructure(11, 3), 2, 1, 1.5, 2),
+        lambda: valuation_difference(OrderStructure(11, 3), 1.5, 2, 1),
+        lambda: order_mod_power(OrderStructure(11, 3), 1.0),
+        lambda: excess_valuation(OrderStructure(11, 3), 1.5),
+        lambda: erdos_turan_bound(3, 2, [1, 2], 2.5),
+        lambda: stepped_powers(2, 9.0)([1]),
+        lambda: log_ratio(100.0, 3, 2),
+    ],
+    ids=[
+        "VmvtInstance_r", "VmvtInstance_k", "VmvtInstance_P", "DigitCountReport",
+        "digit_block", "congruence_criterion", "valuation_difference",
+        "order_mod_power", "excess_valuation", "erdos_turan_bound", "stepped_powers",
+        "log_ratio",
+    ],
+)
+def test_every_non_int_argument_is_a_precondition_error(call):
+    # neither a leaked TypeError nor a silent answer from float arithmetic
+    with pytest.raises(PreconditionError, match=r"must be an int, got \d+\.\d+$"):
+        call()
+
+
+def test_bools_pass_the_int_check():
+    assert VmvtInstance(True, 1, 3).count == 3
+    assert order_mod_power(OrderStructure(11, 3), True) == 5
 
 
 @pytest.mark.parametrize("a", [3, 6, 2.5], ids=["q", "2q", "non-int"])

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from mdl.errors import PreconditionError, ResourceGuardError
-from mdl.vmvt import VmvtInstance, monotonicity_check
+from mdl.vmvt import VmvtInstance
 from oracles import vmvt_by_double_loop, vmvt_k1_by_polynomial_coefficients
 
 
@@ -52,7 +52,7 @@ def test_vmvt_p_one_counts_one_without_rounds():
     # [1, 1]^(2r) holds one tuple; r = 10^8 rounds would take minutes
     start = time.perf_counter()
     assert VmvtInstance(10**8, 1, 1).count == 1
-    assert monotonicity_check(10**8, 1, 1)
+    assert VmvtInstance(10**8 + 1, 1, 1).count == 1
     assert time.perf_counter() - start < 1.0
 
 
@@ -105,16 +105,11 @@ def test_vmvt_more_equations_never_add_solutions():
 
 @pytest.mark.parametrize("r, k, P", [(1, 1, 2), (1, 2, 2), (2, 1, 3), (3, 3, 4)])
 def test_monotonicity_reference_instances(r, k, P):
-    assert monotonicity_check(r, k, P) is True
-
-
-def test_monotonicity_propagates_guard():
-    assert VmvtInstance(5, 2, 30).count > 0  # r itself is inside the guard
-    with pytest.raises(ResourceGuardError):
-        monotonicity_check(5, 2, 30)  # r+1 = 6 rounds exceed the guard at P=30
+    # one more variable pair grows the count by at most P^2, in integers
+    assert VmvtInstance(r + 1, k, P).count <= P * P * VmvtInstance(r, k, P).count
 
 
 def test_monotonicity_rejects_r_below_one():
     with pytest.raises(PreconditionError):
-        monotonicity_check(0, 1, 3)
+        VmvtInstance(0, 1, 3)
 
