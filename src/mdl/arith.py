@@ -64,11 +64,9 @@ def is_prime(n: int) -> bool:
 
 
 def _check_odd_prime(q: int) -> None:
-    """Reject q unless it is an odd prime int <= BASE_GUARD; the guard comes first."""
-    if q > BASE_GUARD:
-        raise ResourceGuardError(f"q = {q} exceeds the base guard {BASE_GUARD}")
-    if not is_prime(q) or q < 3:
-        raise PreconditionError(f"q must be an odd prime >= 3, got {q}")
+    """Reject q unless it is an odd prime int; is_prime applies BASE_GUARD first."""
+    if not (isinstance(q, int) and q >= 3 and is_prime(q)):
+        raise PreconditionError(f"q must be an odd prime >= 3, got {q!r}")
 
 
 def _check_int(name: str, value: int, rule: str = "") -> None:
@@ -113,9 +111,9 @@ def prime_power(q: int, e: int) -> int:
     is formed (_check_power_size).
     """
     _check_odd_prime(q)
+    _check_power_size(q, e)
     if e < 1:
         raise PreconditionError(f"gamma must be >= 1, got {e}")
-    _check_power_size(q, e)
     return q**e
 
 

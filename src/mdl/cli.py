@@ -7,10 +7,9 @@ self-describing.  The output path never appears in report bytes:
 identical parameters give byte-identical reports, once the optional
 timestamp is suppressed with --no-timestamp.
 
-Exit codes: 0 success, 2 precondition violation (also malformed flags),
-3 resource-guard rejection, 4 internal self-check failure (a dual-route
-computation disagreed: a bug, never a user error), 5 the report could not
-be written (an OSError from --output or standard output).
+Exit codes: 0 success, the exit_code of each mdl.errors class (2, 3, 4),
+2 also for malformed flags, 5 the report could not be written (an OSError
+from --output or standard output).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 from . import __version__
 from .digits import DigitCountReport, discrepancy, erdos_turan_bound, mersenne_residues
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
-from .expsum import ExpSumResult, mangoldt_exp_sum, mersenne_prime_sum
+from .expsum import mangoldt_exp_sum, mersenne_prime_sum
 from .order import OrderStructure, congruence_criterion, valuation_difference
 from .vmvt import VmvtInstance
 
@@ -80,6 +79,14 @@ def _one_row(results: dict) -> SubcommandOutput:
     return results, list(results), [tuple(map(_cell, results.values()))]
 
 
+def _fields(record: tuple, names: Iterable[str]) -> SubcommandOutput:
+    """One row of the record's named attributes, in the order given."""
+    return _one_row({name: getattr(record, name) for name in names})
+
+
+_SUM_FIELDS = ("real", "imag", "magnitude", "term_count", "normalizer", "rho")
+
+
 def _run_digit_stats(q: int, X: int, r: int, s: int) -> SubcommandOutput:
     """count primes p <= X by a base-q digit window of 2^p - 1"""
     report = count_blocks(q, r, s, X)
@@ -96,40 +103,24 @@ def _run_digit_stats(q: int, X: int, r: int, s: int) -> SubcommandOutput:
     return results, ["block", "count", "deviation"], rows
 
 
-def _sum_row(result: ExpSumResult) -> SubcommandOutput:
-    return _one_row({
-        "real": result.real,
-        "imag": result.imag,
-        "magnitude": result.magnitude,
-        "term_count": result.term_count,
-        "normalizer": result.normalizer,
-        "rho": result.rho,
-    })
-
-
 def _run_expsum(q: int, gamma: int, a: int, g: int, X: int) -> SubcommandOutput:
     """log-weighted exponential sum of a*g^n over prime powers n <= X"""
-    return _sum_row(mangoldt_exp_sum(q, gamma, a, g, X))
+    return _fields(mangoldt_exp_sum(q, gamma, a, g, X), _SUM_FIELDS)
 
 
 def _run_mersenne_sum(q: int, gamma: int, a: int, X: int) -> SubcommandOutput:
     """exponential sum of a*(2^p - 1) over primes p <= X"""
-    return _sum_row(mersenne_prime_sum(q, gamma, a, X))
+    return _fields(mersenne_prime_sum(q, gamma, a, X), _SUM_FIELDS)
 
 
 def _run_order_structure(q: int, g: int) -> SubcommandOutput:
     """multiplicative order of g mod q and its lifting data"""
-    structure = order_structure(q, g)
-    return _one_row({
-        "order_mod_q": structure.order_mod_q,
-        "lift_valuation": structure.lift_valuation,
-        "cofactor": structure.cofactor,
-    })
+    return _fields(order_structure(q, g), ("order_mod_q", "lift_valuation", "cofactor"))
 
 
 def _run_vmvt(r: int, k: int, P: int) -> SubcommandOutput:
     """exact power-sum collision count over [1, P]^(2r)"""
-    return _one_row({"count": vmvt_count(r, k, P).count})
+    return _fields(vmvt_count(r, k, P), ("count",))
 
 
 def _run_discrepancy(q: int, gamma: int, X: int, H: int = 100) -> SubcommandOutput:
@@ -260,15 +251,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = parse_config(argv)
         report = run(config)
-    except PreconditionError as exc:
-        print(f"mdl: precondition violated: {exc}", file=sys.stderr)
-        return 2
-    except ResourceGuardError as exc:
-        print(f"mdl: resource guard: {exc}", file=sys.stderr)
-        return 3
-    except SelfCheckError as exc:
-        print(f"mdl: internal self-check failed: {exc}", file=sys.stderr)
-        return 4
+    except (PreconditionError, ResourceGuardError, SelfCheckError) as exc:
+        print(f"mdl: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     try:
         if config.output is not None:
             config.output.write_text(report)

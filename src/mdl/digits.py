@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING
 
 from .arith import (
     ENUMERATION_GUARD, _check_int, _check_odd_prime, is_prime, prime_power, stepped_powers)
@@ -120,6 +121,7 @@ def _mersenne_walk(modulus: int, X: int, a: int = 1) -> Iterator[list[int]]:
     walk's charge against ENUMERATION_GUARD, when the first batch is drawn,
     so callers can finish their own checks first.
     """
+    _check_int("limit", X)
     if X < 2:
         raise PreconditionError(f"X must be >= 2, got {X}")
 
@@ -157,8 +159,10 @@ def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
 
 
 def _checked_modulus(q: int, gamma: int, residues: Sequence[int]) -> int:
-    """q^gamma, once residues is known to be a non-empty list of residues mod it."""
+    """q^gamma, once residues is known to be a non-empty sequence of residues mod it."""
     modulus = prime_power(q, gamma)
+    if not isinstance(residues, Sequence):  # callers read it again: no one-shot streams
+        raise PreconditionError(f"residues must be a sequence, got {type(residues).__name__}")
     if not residues:
         raise PreconditionError("residues must not be empty")
     for value in residues:
@@ -172,10 +176,10 @@ def _checked_modulus(q: int, gamma: int, residues: Sequence[int]) -> int:
 def discrepancy(q: int, gamma: int, residues: Sequence[int]) -> float:
     """Exact star discrepancy of the points residue / q^gamma.
 
-    residues is the list mersenne_residues returns, or any non-empty list
-    of integers in [0, q^gamma).  The maximum over sample positions is
-    taken with integer arithmetic on the sorted residues; the single
-    division at the end is the only floating-point operation.
+    residues is the list mersenne_residues returns, or any non-empty
+    sequence of integers in [0, q^gamma).  The maximum over sample
+    positions is taken with integer arithmetic on the sorted residues;
+    the single division at the end is the only floating-point operation.
     """
     modulus = _checked_modulus(q, gamma, residues)
     residues = sorted(residues)

@@ -1,8 +1,9 @@
 """Exception types shared across the library.
 
-The CLI maps these onto exit codes (precondition violations -> 2,
-resource-guard rejections -> 3, self-check failures -> 4), so library
-code should raise the most specific class that applies.
+Each class carries the CLI's exit code and stderr label for it:
+precondition violations exit 2, resource-guard rejections 3 and
+self-check failures 4.  Library code should raise the most specific
+class that applies.
 """
 
 __all__ = ["PreconditionError", "ResourceGuardError", "SelfCheckError"]
@@ -11,9 +12,13 @@ __all__ = ["PreconditionError", "ResourceGuardError", "SelfCheckError"]
 class PreconditionError(ValueError):
     """An operation was invoked with arguments outside its contract."""
 
+    exit_code, label = 2, "precondition violated"
+
 
 class ResourceGuardError(RuntimeError):
     """An allocation or enumeration was rejected because it exceeds its guard."""
+
+    exit_code, label = 3, "resource guard"
 
 
 class SelfCheckError(RuntimeError):
@@ -23,3 +28,5 @@ class SelfCheckError(RuntimeError):
     identity and from a direct definition-level computation; disagreement
     means a bug, never a user error.
     """
+
+    exit_code, label = 4, "internal self-check failed"

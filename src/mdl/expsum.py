@@ -136,11 +136,12 @@ def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult
     weight sum over the same n.  X=1 gives the empty sum.
     """
     Q = prime_power(q, gamma)
+    _check_int("limit", X)
     if X < 1:
         raise PreconditionError(f"X must be >= 1, got {X}")
     _check_unit(q, "a", a)
     _check_unit_base(q, g)
-    if X == 1 and isinstance(X, int):  # 1.0 goes on to PrimeRange's int check
+    if X == 1:
         return ExpSumResult(0.0, 0.0, 0, 0.0, 0.0)
     powers, batches = stepped_powers(g, Q, a), mangoldt_batches(PrimeRange(X))
     _check_work(X, Q, f"prime powers mod {q}^{gamma}", "enumeration", ENUMERATION_GUARD)

@@ -138,8 +138,10 @@ def congruence_criterion(
     ResourceGuardError, before it is formed, when q**r exceeds
     MODULUS_BIT_GUARD bits.
     """
+    _check_int("r", r)
+    _check_int("s", s)
     _check_int("n1", n1)
-    _check_int("n2", n2)  # r as the exponent of q^r, s in order_mod_power
+    _check_int("n2", n2)
     if n1 < 0 or n2 < 0:
         raise PreconditionError(f"n1, n2 must be >= 0, got {n1}, {n2}")
     if not r >= s >= structure.lift_valuation:

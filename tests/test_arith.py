@@ -229,6 +229,34 @@ def test_every_non_int_argument_is_a_precondition_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: prime_power("3", 2),
+        lambda: prime_power(3, "2"),
+        lambda: DigitCountReport(3, 2, 1, "100"),
+        lambda: DigitCountReport(None, 2, 1, 100),
+        lambda: mersenne_residues(3, 2, "100"),
+        lambda: mersenne_prime_sum(3, 5, 1, "100"),
+        lambda: mangoldt_exp_sum(3, 5, 1, 2, None),
+        lambda: OrderStructure("11", 3),
+        lambda: congruence_criterion(OrderStructure(11, 3), "2", 1, 1, 2),
+        lambda: congruence_criterion(OrderStructure(11, 3), 2, "1", 1, 2),
+    ],
+    ids=[
+        "prime_power_q", "prime_power_e", "DigitCountReport_X", "DigitCountReport_q",
+        "mersenne_residues", "mersenne_prime_sum", "mangoldt_exp_sum", "OrderStructure",
+        "congruence_criterion_r", "congruence_criterion_s",
+    ],
+)
+def test_every_argument_is_checked_before_it_is_compared(call):
+    # a str or None reaches no comparison that would leak a TypeError
+    with pytest.raises(
+        PreconditionError, match=r"(must be an int|must be an odd prime >= 3), got ('\d+'|None)$"
+    ):
+        call()
+
+
 def test_bools_pass_the_int_check():
     assert VmvtInstance(True, 1, 3).count == 3
     assert order_mod_power(OrderStructure(11, 3), True) == 5

@@ -21,7 +21,7 @@ import mdl.cli
 from mdl import __version__
 from mdl.cli import main
 from mdl.digits import erdos_turan_bound
-from mdl.errors import PreconditionError, SelfCheckError
+from mdl.errors import PreconditionError, ResourceGuardError, SelfCheckError
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -488,6 +488,23 @@ def test_self_check_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "order-structure", "--q", "11", "--g", "3")
     assert code == 4 and out == ""
     assert "self-check" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "error, code, label",
+    [
+        (PreconditionError, 2, "precondition violated"),
+        (ResourceGuardError, 3, "resource guard"),
+        (SelfCheckError, 4, "internal self-check failed"),
+    ],
+)
+def test_each_error_class_gives_its_label_and_exit_code(capsys, monkeypatch, error, code, label):
+    def raising(q, g):
+        raise error("the message")
+
+    monkeypatch.setitem(mdl.cli._HANDLERS, "order-structure", raising)
+    got, out, err = run_cli(capsys, "order-structure", "--q", "11", "--g", "3")
+    assert (got, out, err) == (code, "", f"mdl: {label}: the message\n")
 
 
 def test_unwritable_output_exit_code(tmp_path: Path, capsys):

@@ -409,6 +409,26 @@ def test_residues_keyword_rejects_values_outside_the_modulus(residues):
         erdos_turan_bound(3, 5, residues, 10)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: (x for x in [1, 2]), lambda: iter([1, 2]), lambda: {1, 2}],
+    ids=["generator", "iterator", "set"],
+)
+def test_residues_must_be_a_sequence_read_once(make):
+    # both functions read residues more than once; a one-shot stream is
+    # rejected before any item is drawn, not drained by the checks
+    for call in (lambda r: discrepancy(3, 2, r), lambda r: erdos_turan_bound(3, 2, r, 1)):
+        residues = make()
+        with pytest.raises(PreconditionError, match=r"^residues must be a sequence, got \w+$"):
+            call(residues)
+        assert sorted(residues) == [1, 2]
+
+
+def test_residues_sequences_agree_with_the_list():
+    for residues in (range(9), tuple(range(9))):
+        assert discrepancy(3, 2, residues) == discrepancy(3, 2, list(range(9)))
+        assert erdos_turan_bound(3, 2, residues, 3) == erdos_turan_bound(3, 2, list(range(9)), 3)
+
+
 def test_residues_keyword_excludes_primes():
     # residues is the only input; there is no primes keyword and no X
     with pytest.raises(TypeError):
