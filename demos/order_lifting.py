@@ -38,12 +38,13 @@ def main() -> None:
         shown = "unit (no factor 11)" if v is None else f"11^{v} exactly"
         print(f"  m={m:2d}, x={x:2d}, y={y:2d}: 3^(mx) - 3^(my) carries {shown}")
 
-    print("\nPower congruence vs plain divisibility (both sides computed)")
+    print("\nPower congruence, checked against plain divisibility")
     print("=" * 60)
     for r, sv, n1, n2 in [(3, 2, 13, 2), (3, 2, 13, 4), (4, 2, 130, 9)]:
-        lhs, rhs = congruence_criterion(s, r, sv, n1, n2)
-        print(f"  r={r}, s={sv}, n1={n1}, n2={n2}: congruence {lhs}, "
-              f"divisibility {rhs}")
+        t = order_mod_power(s, sv)
+        agree = congruence_criterion(s, r, sv, n1, n2)
+        print(f"  r={r}, s={sv}: 3^({n1}*{t}) = 3^({n2}*{t}) mod 11^{r} is {agree}, "
+              f"as is 11^{r - sv} | {n1} - {n2}")
 
 
 if __name__ == "__main__":

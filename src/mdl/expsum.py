@@ -38,21 +38,11 @@ class ExpSumResult(namedtuple("ExpSumResult", "real imag term_count normalizer r
     """Value and context of one evaluated exponential sum.
 
     normalizer is the sum of the absolute term weights (so the trivial
-    estimate is |sum| <= normalizer); rho is log X over log q^gamma.  The
-    triangle inequality is re-checked at construction.
+    estimate is |sum| <= normalizer, which the sums check when they build
+    the record); rho is log X over log q^gamma.
     """
 
     __slots__ = ()
-
-    def __new__(
-        cls, real: float, imag: float, term_count: int, normalizer: float, rho: float
-    ) -> ExpSumResult:
-        self = super().__new__(cls, real, imag, term_count, normalizer, rho)
-        if self.magnitude > normalizer * (1.0 + 1e-9):
-            raise SelfCheckError(
-                f"sum magnitude {self.magnitude} exceeds normalizer {normalizer}"
-            )
-        return self
 
     @property
     def value(self) -> complex:
@@ -84,8 +74,8 @@ def kahan_sum(values: Iterable[complex]) -> complex:
 
 
 def _phase_sum(
-    batches: Iterable[tuple[Iterable[float], list[int]]], modulus: int
-) -> tuple[complex, float, int]:
+    batches: Iterable[tuple[Iterable[float], list[int]]], modulus: int, rho: float
+) -> ExpSumResult:
     """Sum weight * e(numerator / modulus) over (weights, numerators) batches, by block.
 
     Each numerator is an exact residue in [0, modulus), stepped, not formed
@@ -99,7 +89,7 @@ def _phase_sum(
     complex(cos, sin) is (weight * cos, weight * sin), since cos of a finite
     double is never 0 and the angle is never -0.0.  The numerators set each
     batch's length; its weights may run longer, as a repeat does.  Returns
-    the sum, the weight total and the number of terms.
+    an ExpSumResult with rho, and raises SelfCheckError if |sum| > normalizer.
     """
     cos, sin, tau = math.cos, math.sin, math.tau
     sums: list[complex] = []
@@ -126,7 +116,11 @@ def _phase_sum(
             wt = t
         sums.append(complex(re, im))
         weights.append(wt)
-    return kahan_sum(sums), kahan_sum(weights).real, count
+    total, normalizer = kahan_sum(sums), kahan_sum(weights).real
+    result = ExpSumResult(total.real, total.imag, count, normalizer, rho)
+    if result.magnitude > normalizer * (1.0 + 1e-9):
+        raise SelfCheckError(f"sum magnitude {result.magnitude} exceeds normalizer {normalizer}")
+    return result
 
 
 def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult:
@@ -145,8 +139,7 @@ def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult
         return ExpSumResult(0.0, 0.0, 0, 0.0, 0.0)
     powers, batches = stepped_powers(g, Q, a), mangoldt_batches(PrimeRange(X))
     _check_work(X, Q, f"prime powers mod {q}^{gamma}", "enumeration", ENUMERATION_GUARD)
-    total, normalizer, count = _phase_sum(((ws, powers(ns)) for ns, ws in batches), Q)
-    return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))
+    return _phase_sum(((ws, powers(ns)) for ns, ws in batches), Q, log_ratio(X, q, gamma))
 
 
 def mersenne_prime_sum(q: int, gamma: int, a: int, X: int) -> ExpSumResult:
@@ -157,5 +150,4 @@ def mersenne_prime_sum(q: int, gamma: int, a: int, X: int) -> ExpSumResult:
     Q = prime_power(q, gamma)
     walk = _mersenne_walk(Q, X, a)
     _check_unit(q, "a", a)
-    total, normalizer, count = _phase_sum(((repeat(1.0), xs) for xs in walk), Q)
-    return ExpSumResult(total.real, total.imag, count, normalizer, log_ratio(X, q, gamma))
+    return _phase_sum(((repeat(1.0), xs) for xs in walk), Q, log_ratio(X, q, gamma))

@@ -3,8 +3,8 @@
 Once the order of g mod q and the valuation of g^order - 1 are known, the
 order of g modulo every higher power q^n follows from a closed form, as
 does the exact power of q dividing differences g^a - g^b.  This module
-computes that structure and provides checkable forms of the two underlying
-congruence facts, each evaluated by two independent routes.
+computes that structure and the two underlying congruence facts, each
+evaluated by two independent routes that must agree (SelfCheckError).
 """
 
 from __future__ import annotations
@@ -128,13 +128,12 @@ def valuation_difference(
 
 def congruence_criterion(
     structure: OrderStructure, r: int, s: int, n1: int, n2: int
-) -> tuple[bool, bool]:
-    """Evaluate both sides of the power-congruence equivalence.
+) -> bool:
+    """Whether g**(n1*t) and g**(n2*t) agree mod q**r, t the order of g mod q**s.
 
-    With t the order of g mod q**s and r >= s >= lift_valuation, the claim
-    is that g**(n1*t) and g**(n2*t) agree mod q**r exactly when q**(r-s)
-    divides n1 - n2.  Returns (left, right), each side computed on its own:
-    the left by modular exponentiation, the right by divisibility.  Raises
+    With r >= s >= lift_valuation, they agree exactly when q**(r-s) divides
+    n1 - n2.  Both sides are computed on their own, by modular exponentiation
+    and by divisibility; disagreement raises SelfCheckError.  Raises
     ResourceGuardError, before it is formed, when q**r exceeds
     MODULUS_BIT_GUARD bits.
     """
@@ -155,4 +154,9 @@ def congruence_criterion(
     t = order_mod_power(structure, s)
     lhs = pow(structure.g, n1 * t, modulus) == pow(structure.g, n2 * t, modulus)
     rhs = (n1 - n2) % q ** (r - s) == 0
-    return lhs, rhs
+    if lhs != rhs:
+        raise SelfCheckError(
+            f"congruence mismatch for q={q}, g={structure.g}, r={r}, s={s}, "
+            f"n1={n1}, n2={n2}: power congruence {lhs}, divisibility {rhs}"
+        )
+    return lhs

@@ -7,7 +7,7 @@ import math
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mdl.expsum import _phase_sum, kahan_sum
+from mdl.expsum import ExpSumResult, _phase_sum, kahan_sum
 from mdl.primes import BLOCK_WIDTH
 from oracles import phase_sum_by_blocked_kahan, unit_circle_value
 
@@ -57,12 +57,14 @@ def test_phase_sum_restarts_kahan_at_every_block():
     batches = _batches(terms)
     assert [len(ws) for ws, _ in batches] == [3, 1, 0, 2]  # block 2 gives an empty batch
     for padded in (batches, [([], []), *batches, ([], [])]):
-        assert _phase_sum(padded, modulus) == (want, weights.real, len(terms))
+        assert _phase_sum(padded, modulus, 0.5) == ExpSumResult(
+            want.real, want.imag, len(terms), weights.real, 0.5
+        )
 
 
 def test_phase_sum_of_no_terms_is_zero():
-    assert _phase_sum([], 9) == (0j, 0.0, 0)
-    assert _phase_sum([([], [])] * 3, 9) == (0j, 0.0, 0)
+    assert _phase_sum([], 9, 0.5) == ExpSumResult(0.0, 0.0, 0, 0.0, 0.5)
+    assert _phase_sum([([], [])] * 3, 9, 0.5) == ExpSumResult(0.0, 0.0, 0, 0.0, 0.5)
 
 
 def _bits(total: complex, normalizer: float, count: int) -> tuple[str, str, str, int]:
@@ -99,4 +101,5 @@ def test_phase_sum_matches_blocked_complex_kahan_bit_for_bit(case):
     terms, a, modulus = case
     numerators = [(n, w, a * r % modulus) for n, w, r in terms]
     want = phase_sum_by_blocked_kahan(numerators, modulus)
-    assert _bits(*_phase_sum(_batches(numerators), modulus)) == _bits(*want)
+    got = _phase_sum(_batches(numerators), modulus, 0.5)
+    assert _bits(got.value, got.normalizer, got.term_count) == _bits(*want)

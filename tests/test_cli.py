@@ -6,18 +6,21 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdl.cli
+import mdl.expsum
 from mdl import __version__
 from mdl.cli import main
 from mdl.digits import erdos_turan_bound
@@ -286,16 +289,11 @@ def test_verify_lemmas_reports_a_disagreement_in_band(capsys, monkeypatch):
     _, out, _ = run_cli(capsys, *args)
     clean = json.loads(out)["results"]
 
-    def forged_valuation(*args):
-        raise SelfCheckError("closed form disagrees with the direct residue")
+    def forged(*args):
+        raise SelfCheckError("the two routes disagree")
 
-    monkeypatch.setattr(
-        mdl.cli, "congruence_criterion",
-        _once(lambda *args: (True, False), mdl.cli.congruence_criterion),
-    )
-    monkeypatch.setattr(
-        mdl.cli, "valuation_difference", _once(forged_valuation, mdl.cli.valuation_difference)
-    )
+    for name in ("congruence_criterion", "valuation_difference"):
+        monkeypatch.setattr(mdl.cli, name, _once(forged, getattr(mdl.cli, name)))
     code, out, err = run_cli(capsys, *args)
     assert code == 0 and err == ""
     results = json.loads(out)["results"]
@@ -478,6 +476,24 @@ def test_output_flag_writes_file(tmp_path: Path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["results"]["count"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mersenne-sum", "--q", "3", "--gamma", "5", "--a", "1", "--X", "100"),
+        ("expsum", "--q", "3", "--gamma", "5", "--a", "1", "--g", "2", "--X", "100"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_phase_sum_self_check_exits_4(capsys, monkeypatch, argv):
+    # a cosine of 2 puts the real part of each sum at twice its weight total
+    broken = SimpleNamespace(**{**vars(math), "cos": lambda angle: 2.0})
+    monkeypatch.setattr(mdl.expsum, "math", broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("mdl: internal self-check failed: sum magnitude ")
+    assert "exceeds normalizer" in err
 
 
 def test_self_check_exit_code(capsys, monkeypatch):

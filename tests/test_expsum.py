@@ -7,7 +7,7 @@ import math
 import pytest
 
 from mdl.errors import PreconditionError, SelfCheckError
-from mdl.expsum import ExpSumResult, log_ratio, mangoldt_exp_sum, mersenne_prime_sum
+from mdl.expsum import ExpSumResult, _phase_sum, log_ratio, mangoldt_exp_sum, mersenne_prime_sum
 from oracles import mangoldt_sum_by_direct_powers, mersenne_sum_by_direct_powers
 
 # (q, gamma) of each modulus q^gamma
@@ -80,10 +80,18 @@ def test_triangle_inequality(a: int):
 
 
 def test_expsum_result_rechecks_the_triangle_inequality():
-    # |3 + 4i| = 5 exceeds a normalizer of 4.9 by more than the 1e-9 headroom
-    with pytest.raises(SelfCheckError):
-        ExpSumResult(3.0, 4.0, 1, 4.9, 0.5)
-    assert ExpSumResult(3.0, 4.0, 1, 5.0, 0.5).magnitude == 5.0
+    # weights 2 and -1 on the phases 1 and -1 (numerators 0 and 4/2) sum to
+    # 3, above the weight total 1; with weights 2 and 1 the sum is 1 of 3
+    with pytest.raises(SelfCheckError, match="exceeds normalizer 1.0$"):
+        _phase_sum([([2.0, -1.0], [0, 2])], 4, 0.5)
+    within = _phase_sum([([2.0, 1.0], [0, 2])], 4, 0.5)
+    assert (within.magnitude, within.normalizer) == (pytest.approx(1.0), 3.0)
+
+
+def test_expsum_result_only_holds_values():
+    # building a record does no arithmetic: the sums check what they build
+    assert ExpSumResult(3.0, 4.0, 1, 4.9, 0.5).magnitude == 5.0
+    assert ExpSumResult("1", 0.0, 1, 1.0, 1.0).real == "1"
 
 
 def test_conjugation_symmetry():

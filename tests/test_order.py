@@ -103,7 +103,7 @@ def test_order_powers_are_guarded_before_they_are_formed():
 
 def test_congruence_criterion_modulus_guard_boundary():
     s = OrderStructure(3, 2)  # order 2, lift valuation 1
-    assert congruence_criterion(s, 41348, 1, 0, 1) == (False, False)
+    assert congruence_criterion(s, 41348, 1, 0, 1) is False
     with pytest.raises(ResourceGuardError, match="modulus guard"):
         congruence_criterion(s, 41349, 1, 0, 1)
 
@@ -239,7 +239,10 @@ def test_valuation_difference_takes_one_residue(k: int):
     ],
 )
 def test_congruence_criterion_reference_values(q, g, r, s, n1, n2, expected):
-    assert congruence_criterion(OrderStructure(q, g), r, s, n1, n2) == expected
+    # expected is (power congruence, divisibility), each side worked by hand
+    congruence, divisibility = expected
+    assert congruence == divisibility
+    assert congruence_criterion(OrderStructure(q, g), r, s, n1, n2) is congruence
 
 
 def test_congruence_criterion_window_rejections():
@@ -260,5 +263,17 @@ def test_congruence_criterion_sides_agree_on_sample_box():
             for sv in range(G, r + 1):
                 for n1 in range(0, 12):
                     for n2 in range(0, 12):
-                        lhs, rhs = congruence_criterion(s, r, sv, n1, n2)
-                        assert lhs == rhs, (q, g, r, sv, n1, n2)
+                        # the power side is checked against this inside the call
+                        divides = (n1 - n2) % q ** (r - sv) == 0
+                        assert congruence_criterion(s, r, sv, n1, n2) is divides, (
+                            q, g, r, sv, n1, n2
+                        )
+
+
+def test_congruence_criterion_raises_on_forged_structure():
+    # the true lift valuation of 3 mod 11 is 2.  With 9, the order mod 11^9
+    # is taken as 5, so 3^5 and 3^0 differ mod 11^9 while 11^0 divides 1;
+    # with 1, 3^5 = 1 mod 11^2 while 11^1 does not divide 1
+    for lift_valuation, r in ((9, 9), (1, 2)):
+        with pytest.raises(SelfCheckError, match="^congruence mismatch for q=11, g=3"):
+            congruence_criterion(_forged(lift_valuation), r, lift_valuation, 1, 0)
