@@ -2,9 +2,10 @@
 
 Every modulus q^e is a plain int formed by prime_power, which checks q and
 e and the size of the power before it is formed; code that holds an
-already validated q checks only the size, with _check_power_size.  Checks
-shared by several modules sit here too: _check_int, the one test of an int
-argument, and ENUMERATION_GUARD, which bounds the vmvt dynamic program,
+already validated q and int e checks only the size, with _check_power_size.
+Checks shared by several modules sit here too: _check_int, the one test of
+an int argument and of its lower bound, which names the argument as its
+caller does, and ENUMERATION_GUARD, which bounds the vmvt dynamic program,
 the Erdos-Turan phase terms and the walks.  The residue engine,
 stepped_powers, turns batches of positive, ascending exponents (the blocks
 of mdl.primes) into the orbit start * base^e.  All of it is exact integer
@@ -69,10 +70,12 @@ def _check_odd_prime(q: int) -> None:
         raise PreconditionError(f"q must be an odd prime >= 3, got {q!r}")
 
 
-def _check_int(name: str, value: int, rule: str = "") -> None:
-    """Reject value unless it is an int, a bool included; rule extends the message."""
+def _check_int(name: str, value: int, rule: str = "", least: int | None = None) -> None:
+    """Reject value unless it is an int (bools pass) >= least, if set; rule extends the message."""
     if not isinstance(value, int):
         raise PreconditionError(f"{name} must be an int{rule}, got {value!r}")
+    if least is not None and value < least:
+        raise PreconditionError(f"{name} must be >= {least}, got {value}")
 
 
 def _check_unit(q: int, name: str, value: int) -> None:
@@ -93,17 +96,16 @@ def _check_unit_base(q: int, g: int) -> None:
 def _check_power_size(q: int, e: int) -> None:
     """Reject q^e, before it is formed, when it exceeds MODULUS_BIT_GUARD bits.
 
-    The size is read from e * log2(q); e must be an int, q is not validated.
+    The size is read from e * log2(q); callers check e with _check_int, q is not validated.
     """
-    _check_int("exponent", e)
     if e * math.log2(q) > MODULUS_BIT_GUARD:
         raise ResourceGuardError(
             f"modulus {q}^{e} exceeds the modulus guard of {MODULUS_BIT_GUARD} bits"
         )
 
 
-def prime_power(q: int, e: int) -> int:
-    """q**e for an odd prime q <= BASE_GUARD and an exponent e >= 1.
+def prime_power(q: int, gamma: int) -> int:
+    """q**gamma for an odd prime q <= BASE_GUARD and an exponent gamma >= 1.
 
     The power routinely exceeds the 53-bit float significand, so callers
     reduce by it in exact integer arithmetic.  A power beyond
@@ -111,10 +113,9 @@ def prime_power(q: int, e: int) -> int:
     is formed (_check_power_size).
     """
     _check_odd_prime(q)
-    _check_power_size(q, e)
-    if e < 1:
-        raise PreconditionError(f"gamma must be >= 1, got {e}")
-    return q**e
+    _check_int("gamma", gamma, least=1)
+    _check_power_size(q, gamma)
+    return q**gamma
 
 
 def padic_valuation(q: int, n: int) -> int:
@@ -146,10 +147,9 @@ def stepped_powers(base: int, modulus: int, start: int = 1) -> Callable[[list[in
     of powers at a time, beside whatever else their batch carries, such as
     von Mangoldt weights.
     """
-    for name, value in zip(("base", "modulus", "start"), (base, modulus, start)):
-        _check_int(name, value)
-    if modulus < 1:
-        raise PreconditionError(f"modulus must be >= 1, got {modulus}")
+    _check_int("base", base)
+    _check_int("modulus", modulus, least=1)
+    _check_int("start", start)
     steps: dict[int, int] = {}
     previous, value = 0, start % modulus
 

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import __version__
+from .arith import _check_int
 from .digits import DigitCountReport, discrepancy, erdos_turan_bound, mersenne_residues
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 from .expsum import mangoldt_exp_sum, mersenne_prime_sum
@@ -125,11 +126,10 @@ def _run_vmvt(r: int, k: int, P: int) -> SubcommandOutput:
 
 def _run_discrepancy(q: int, gamma: int, X: int, H: int = 100) -> SubcommandOutput:
     """star discrepancy of (2^p - 1)/q^gamma points, with its certified bound"""
-    if H < 1:  # before the residue walk, whose cost grows with X
-        raise PreconditionError(f"H must be >= 1, got {H}")
+    _check_int("H", H, least=1)  # before the residue walk, whose cost grows with X
     residues = mersenne_residues(q, gamma, X)
+    bound = erdos_turan_bound(q, gamma, residues, H)  # its guard before the exact D* loop
     observed = discrepancy(q, gamma, residues)
-    bound = erdos_turan_bound(q, gamma, residues, H)
     return _one_row({
         "discrepancy": observed,
         "erdos_turan_bound": bound,

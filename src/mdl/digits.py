@@ -96,11 +96,9 @@ class DigitCountReport(
 def _window_checks(q: int, r: int, s: int) -> int:
     """q^(r+1), the modulus of window (q, r, s), once q, r and s are valid."""
     _check_odd_prime(q)  # a bad q is reported before a bad r or s
-    for name, value in zip("rs", (r, s)):
-        _check_int(name, value)
-    if r < 0:
-        raise PreconditionError(f"r must be >= 0, got {r}")
-    if s < 1 or s > r + 1:
+    _check_int("r", r, least=0)
+    _check_int("s", s, least=1)
+    if s > r + 1:
         raise PreconditionError(f"need 1 <= s <= r+1, got s={s}, r={r}")
     return prime_power(q, r + 1)
 
@@ -121,9 +119,7 @@ def _mersenne_walk(modulus: int, X: int, a: int = 1) -> Iterator[list[int]]:
     walk's charge against ENUMERATION_GUARD, when the first batch is drawn,
     so callers can finish their own checks first.
     """
-    _check_int("limit", X)
-    if X < 2:
-        raise PreconditionError(f"X must be >= 2, got {X}")
+    _check_int("X", X, least=2)
 
     def walk() -> Iterator[list[int]]:
         prime_range, powers = PrimeRange(X), stepped_powers(2, modulus, a)
@@ -235,9 +231,7 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     residue, or 8 + bits // 128 for a q^gamma >= 2^53 of that many bits
     (Python-int numerators, whose cost grows with their size).
     """
-    _check_int("H", H)
-    if H < 1:
-        raise PreconditionError(f"H must be >= 1, got {H}")
+    _check_int("H", H, least=1)
     modulus = _checked_modulus(q, gamma, residues)
     n = len(residues)
     # integer multiplicities keep the per-h pass cheap and deterministic

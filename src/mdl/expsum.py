@@ -24,7 +24,7 @@ from typing import Iterable
 from .arith import (
     ENUMERATION_GUARD, _check_int, _check_unit, _check_unit_base, prime_power, stepped_powers)
 from .digits import _check_work, _mersenne_walk
-from .errors import PreconditionError, SelfCheckError
+from .errors import SelfCheckError
 from .primes import PrimeRange, mangoldt_batches
 
 __all__ = [
@@ -56,9 +56,7 @@ class ExpSumResult(namedtuple("ExpSumResult", "real imag term_count normalizer r
 def log_ratio(X: int, q: int, gamma: int) -> float:
     """log(X) / log(q^gamma), the scale of X against the modulus."""
     prime_power(q, gamma)
-    _check_int("X", X)
-    if X < 2:
-        raise PreconditionError(f"X must be >= 2, got {X}")
+    _check_int("X", X, least=2)
     return math.log(X) / (gamma * math.log(q))
 
 
@@ -130,9 +128,7 @@ def mangoldt_exp_sum(q: int, gamma: int, a: int, g: int, X: int) -> ExpSumResult
     weight sum over the same n.  X=1 gives the empty sum.
     """
     Q = prime_power(q, gamma)
-    _check_int("limit", X)
-    if X < 1:
-        raise PreconditionError(f"X must be >= 1, got {X}")
+    _check_int("X", X, least=1)
     _check_unit(q, "a", a)
     _check_unit_base(q, g)
     if X == 1:

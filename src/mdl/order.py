@@ -70,9 +70,7 @@ def order_mod_power(structure: OrderStructure, n: int) -> int:
     of q per extra power.  Raises ResourceGuardError, before q**n is
     formed, when it exceeds MODULUS_BIT_GUARD bits.
     """
-    _check_int("n", n)
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
+    _check_int("n", n, least=1)
     if n <= structure.lift_valuation:
         return structure.order_mod_q
     _check_power_size(structure.q, n)  # q was validated with the structure
@@ -85,9 +83,7 @@ def excess_valuation(structure: OrderStructure, n: int) -> int:
     The valuation is exactly n + excess; the excess is lift_valuation - n
     until n reaches lift_valuation and zero afterwards.
     """
-    _check_int("n", n)
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
+    _check_int("n", n, least=1)
     return max(structure.lift_valuation - n, 0)
 
 
@@ -101,12 +97,11 @@ def valuation_difference(
     its one residue mod q**(F+1), behind the modulus guard of arith.
     Disagreement raises SelfCheckError: the structure would be wrong.
     """
-    for name, value in zip("mxy", (m, x, y)):
-        _check_int(name, value)
+    _check_int("m", m, least=1)
+    _check_int("x", x, least=0)
+    _check_int("y", y, least=0)
     if x == y:
         raise PreconditionError("x and y must differ")
-    if m < 1 or x < 0 or y < 0:
-        raise PreconditionError(f"need m >= 1 and x, y >= 0, got m={m}, x={x}, y={y}")
     q, g = structure.q, structure.g
     if (pow(g, m * x, q) - pow(g, m * y, q)) % q != 0:
         return None
@@ -139,10 +134,8 @@ def congruence_criterion(
     """
     _check_int("r", r)
     _check_int("s", s)
-    _check_int("n1", n1)
-    _check_int("n2", n2)
-    if n1 < 0 or n2 < 0:
-        raise PreconditionError(f"n1, n2 must be >= 0, got {n1}, {n2}")
+    _check_int("n1", n1, least=0)
+    _check_int("n2", n2, least=0)
     if not r >= s >= structure.lift_valuation:
         raise PreconditionError(
             f"need r >= s >= lift_valuation, got r={r}, s={s}, "

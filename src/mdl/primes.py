@@ -22,7 +22,7 @@ from itertools import chain, compress
 from typing import Iterable, Iterator
 
 from .arith import _check_int
-from .errors import PreconditionError, ResourceGuardError
+from .errors import ResourceGuardError
 
 __all__ = [
     "PrimeRange",
@@ -44,9 +44,7 @@ class PrimeRange(namedtuple("PrimeRange", "limit")):
     __slots__ = ()
 
     def __new__(cls, limit: int) -> PrimeRange:
-        _check_int("limit", limit)
-        if limit < 2:
-            raise PreconditionError(f"limit must be >= 2, got {limit}")
+        _check_int("limit", limit, least=2)
         if limit > SIEVE_GUARD:
             raise ResourceGuardError(
                 f"sieve limit {limit} exceeds the sieve guard {SIEVE_GUARD}"

@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 
 from .arith import ENUMERATION_GUARD, _check_int
-from .errors import PreconditionError, ResourceGuardError
+from .errors import ResourceGuardError
 
 __all__ = ["VmvtInstance"]
 
@@ -41,10 +41,9 @@ class VmvtInstance(namedtuple("VmvtInstance", "r k P count")):
     __slots__ = ()
 
     def __new__(cls, r: int, k: int, P: int) -> VmvtInstance:
-        for name, value in zip("rkP", (r, k, P)):
-            _check_int(name, value)
-        if min(r, k, P) < 1:
-            raise PreconditionError(f"r, k, P must all be >= 1, got {r}, {k}, {P}")
+        _check_int("r", r, least=1)
+        _check_int("k", k, least=1)
+        _check_int("P", P, least=1)
         if P == 1:  # the box [1, 1]^(2r) holds one tuple, for every r
             return super().__new__(cls, r, k, P, 1)
         top = min(k, r, P - 1)  # the highest power compared: a larger k changes no count

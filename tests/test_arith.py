@@ -6,6 +6,7 @@ import cmath
 import copy
 import math
 import pickle
+import re
 import time
 
 import pytest
@@ -254,6 +255,47 @@ def test_every_argument_is_checked_before_it_is_compared(call):
     with pytest.raises(
         PreconditionError, match=r"(must be an int|must be an odd prime >= 3), got ('\d+'|None)$"
     ):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name, least, value",
+    [
+        (lambda: prime_power(3, 0), "gamma", 1, 0),
+        (lambda: stepped_powers(2, 0), "modulus", 1, 0),
+        (lambda: PrimeRange(1), "limit", 2, 1),
+        (lambda: DigitCountReport(3, -1, 1, 100), "r", 0, -1),
+        (lambda: digit_block(5, 3, 2, 0), "s", 1, 0),
+        (lambda: DigitCountReport(3, 2, 1, 1), "X", 2, 1),
+        (lambda: mersenne_prime_sum(3, 2, 1, 1), "X", 2, 1),
+        (lambda: mangoldt_exp_sum(3, 2, 1, 2, 0), "X", 1, 0),
+        (lambda: log_ratio(1, 3, 2), "X", 2, 1),
+        (lambda: erdos_turan_bound(3, 2, [0, 1], 0), "H", 1, 0),
+        (lambda: mdl.cli._run_discrepancy(3, 2, 100, 0), "H", 1, 0),
+        (lambda: order_mod_power(OrderStructure(11, 3), 0), "n", 1, 0),
+        (lambda: excess_valuation(OrderStructure(11, 3), -1), "n", 1, -1),
+        (lambda: valuation_difference(OrderStructure(11, 3), 0, 2, 1), "m", 1, 0),
+        (lambda: valuation_difference(OrderStructure(11, 3), 1, -1, 1), "x", 0, -1),
+        (lambda: valuation_difference(OrderStructure(11, 3), 1, 2, -1), "y", 0, -1),
+        (lambda: congruence_criterion(OrderStructure(11, 3), 2, 1, -1, 2), "n1", 0, -1),
+        (lambda: congruence_criterion(OrderStructure(11, 3), 2, 1, 1, -2), "n2", 0, -2),
+        (lambda: VmvtInstance(0, 1, 3), "r", 1, 0),
+        (lambda: VmvtInstance(1, 0, 3), "k", 1, 0),
+        (lambda: VmvtInstance(1, 1, 0), "P", 1, 0),
+    ],
+    ids=[
+        "prime_power", "stepped_powers", "PrimeRange", "window_r", "window_s",
+        "DigitCountReport_X", "mersenne_prime_sum", "mangoldt_exp_sum", "log_ratio",
+        "erdos_turan_bound", "cli_discrepancy", "order_mod_power", "excess_valuation",
+        "valuation_difference_m", "valuation_difference_x", "valuation_difference_y",
+        "congruence_criterion_n1", "congruence_criterion_n2",
+        "VmvtInstance_r", "VmvtInstance_k", "VmvtInstance_P",
+    ],
+)
+def test_every_lower_bound_names_its_parameter(call, name, least, value):
+    # one rule and one message, under the name of the caller's own parameter
+    message = f"{name} must be >= {least}, got {value}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         call()
 
 

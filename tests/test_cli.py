@@ -562,6 +562,18 @@ def test_discrepancy_rejects_h_below_one_before_the_residue_walk(capsys, monkeyp
     assert "Traceback" not in err
 
 
+def test_discrepancy_checks_the_bound_guard_before_the_exact_discrepancy(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the exact D* loop ran before the enumeration guard")
+
+    monkeypatch.setattr(mdl.cli, "discrepancy", fail)
+    code, out, err = run_cli(
+        capsys, "discrepancy", "--q", "3", "--gamma", "2", "--X", "100", "--H", "1000000",
+    )
+    assert code == 3 and out == ""
+    assert "enumeration guard" in err
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     args = (
         "digit-stats", "--q", "3", "--X", "4000", "--r", "10", "--s", "2",

@@ -128,22 +128,23 @@ def test_prime_range_validation():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, name",
     [
-        lambda: PrimeRange(1000.0),
-        lambda: DigitCountReport(3, 2, 1, X=1e4),
-        lambda: mersenne_residues(3, 5, 1e4),
-        lambda: mersenne_prime_sum(3, 5, 1, 1e4),
-        lambda: mangoldt_exp_sum(3, 5, 1, 2, 1e4),
-        lambda: mangoldt_exp_sum(3, 5, 1, 2, 1.0),
+        (lambda: PrimeRange(1000.0), "limit"),
+        (lambda: DigitCountReport(3, 2, 1, X=1e4), "X"),
+        (lambda: mersenne_residues(3, 5, 1e4), "X"),
+        (lambda: mersenne_prime_sum(3, 5, 1, 1e4), "X"),
+        (lambda: mangoldt_exp_sum(3, 5, 1, 2, 1e4), "X"),
+        (lambda: mangoldt_exp_sum(3, 5, 1, 2, 1.0), "X"),
     ],
     ids=[
         "PrimeRange", "count_blocks", "mersenne_residues", "mersenne_prime_sum",
         "mangoldt_exp_sum", "mangoldt_exp_sum_at_1",
     ],
 )
-def test_every_sieve_caller_rejects_a_non_int_limit(call):
-    with pytest.raises(PreconditionError, match=r"^limit must be an int, got (1|1000|10000)\.0$"):
+def test_every_sieve_caller_rejects_a_non_int_limit(call, name):
+    # each names the limit as its own signature does, before any sieve
+    with pytest.raises(PreconditionError, match=rf"^{name} must be an int, got (1|1000|10000)\.0$"):
         call()
 
 
