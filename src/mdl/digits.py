@@ -6,8 +6,8 @@ exactly from 2^p - 1 mod q^(r+1).  On top of that sit per-window prime
 counts, an exact star-discrepancy of the scaled residues, and an
 Erdos-Turan upper bound for that discrepancy built from exponential sums.
 Everything float is a single rounding away from exact integer or rational
-arithmetic.  numpy is imported by the Erdos-Turan bound once its guard
-admits the run, not with this module.
+arithmetic.  numpy is imported by the exact discrepancy below 2^63 and by
+the Erdos-Turan bound once its guard admits the run, not with this module.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
 
 BIN_GUARD = 10**6  # maximum number of digit-window values q^s
 # Most residues mersenne_residues holds, each charged max(1, (800 + bits) / 1024): a
-# residue took 136-214 B to 3^101, 584 B mod 3^1000 and 7.0 KB mod 3^20000 on the
+# residue took 137-215 B to 3^101, 585 B mod 3^1000 and 7.0 KB mod 3^20000 on the
 # discrepancy path, within (800 + bits) / 4 B.  Walks charge primes the same against
 # ENUMERATION_GUARD: a step and phase took 0.9-1.3 us to 224 bits, 51 us at 64,984 bits.
 RESIDUE_GUARD = 5 * 10**6
@@ -173,21 +173,25 @@ def discrepancy(q: int, gamma: int, residues: Sequence[int]) -> float:
     """Exact star discrepancy of the points residue / q^gamma.
 
     residues is the list mersenne_residues returns, or any non-empty
-    sequence of integers in [0, q^gamma).  The maximum over sample
-    positions is taken with integer arithmetic on the sorted residues;
-    the single division at the end is the only floating-point operation.
+    sequence of integers in [0, q^gamma).  With x_(i) the i-th smallest
+    of the N residues and u_i = i * q^gamma - x_(i) * N, it is the largest
+    u_i or q^gamma - u_i (that is x_(i) * N - (i - 1) * q^gamma) over
+    N * q^gamma.  The u_i are exact: one int64 numpy pass while
+    N * q^gamma < 2^63, Python ints one at a time above, where an array
+    would hold a wide product per residue.  The single division at the
+    end is the only rounding.
     """
     modulus = _checked_modulus(q, gamma, residues)
-    residues = sorted(residues)
     n = len(residues)
-    best = 0
-    for i, residue in enumerate(residues, start=1):
-        up = i * modulus - residue * n
-        down = residue * n - (i - 1) * modulus
-        if up > best:
-            best = up
-        if down > best:
-            best = down
+    points = sorted(residues)
+    if n * modulus < 2**63:
+        import numpy as np
+
+        ups = np.arange(1, n + 1, dtype=np.int64) * modulus - np.array(points, np.int64) * n
+        best = max(int(ups.max()), modulus - int(ups.min()))
+    else:
+        ups = (i * modulus - x * n for i, x in enumerate(points, start=1))
+        best = max(max(up, modulus - up) for up in ups)
     return best / (n * modulus)
 
 

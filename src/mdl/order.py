@@ -10,6 +10,7 @@ evaluated by two independent routes that must agree (SelfCheckError).
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from math import log2
 
 from .arith import _check_int, _check_power_size, _check_unit_base, _prime_factors, padic_valuation
@@ -21,6 +22,7 @@ __all__ = [
     "order_mod_power",
     "excess_valuation",
     "valuation_difference",
+    "congruence_table",
     "congruence_criterion",
 ]
 
@@ -121,35 +123,53 @@ def valuation_difference(
     return formula
 
 
-def congruence_criterion(
-    structure: OrderStructure, r: int, s: int, n1: int, n2: int
-) -> bool:
-    """Whether g**(n1*t) and g**(n2*t) agree mod q**r, t the order of g mod q**s.
+def congruence_table(
+    structure: OrderStructure, r: int, s: int, n1: Sequence[int], n2: Sequence[int]
+) -> list[list[bool]]:
+    """Whether g**(a*t) and g**(b*t) agree mod q**r, for each a in n1 and b in n2.
 
-    With r >= s >= lift_valuation, they agree exactly when q**(r-s) divides
-    n1 - n2.  Both sides are computed on their own, by modular exponentiation
-    and by divisibility; disagreement raises SelfCheckError.  Raises
-    ResourceGuardError, before it is formed, when q**r exceeds
-    MODULUS_BIT_GUARD bits.
+    t is the order of g mod q**s.  With r >= s >= lift_valuation, they agree
+    exactly when q**(r-s) divides a - b.  Both sides are computed on their
+    own: one modular power per distinct exponent, compared pair by pair, and
+    divisibility; the first disagreement raises SelfCheckError.  Row i holds
+    the pairs of n1[i].  Raises ResourceGuardError, before it is formed,
+    when q**r exceeds MODULUS_BIT_GUARD bits.
     """
     _check_int("r", r)
     _check_int("s", s)
-    _check_int("n1", n1, least=0)
-    _check_int("n2", n2, least=0)
+    for a in n1:
+        _check_int("n1", a, least=0)
+    for b in n2:
+        _check_int("n2", b, least=0)
     if not r >= s >= structure.lift_valuation:
         raise PreconditionError(
             f"need r >= s >= lift_valuation, got r={r}, s={s}, "
             f"lift_valuation={structure.lift_valuation}"
         )
-    q = structure.q
+    q, g = structure.q, structure.g
     _check_power_size(q, r)  # q was validated with the structure
-    modulus = q**r
-    t = order_mod_power(structure, s)
-    lhs = pow(structure.g, n1 * t, modulus) == pow(structure.g, n2 * t, modulus)
-    rhs = (n1 - n2) % q ** (r - s) == 0
-    if lhs != rhs:
-        raise SelfCheckError(
-            f"congruence mismatch for q={q}, g={structure.g}, r={r}, s={s}, "
-            f"n1={n1}, n2={n2}: power congruence {lhs}, divisibility {rhs}"
-        )
-    return lhs
+    modulus, t, step = q**r, order_mod_power(structure, s), q ** (r - s)
+    powers = {n: pow(g, n * t, modulus) for n in {*n1, *n2}}
+    table = []
+    for a in n1:
+        row = []
+        for b in n2:
+            lhs = powers[a] == powers[b]
+            if lhs != ((a - b) % step == 0):
+                raise SelfCheckError(
+                    f"congruence mismatch for q={q}, g={g}, r={r}, s={s}, "
+                    f"n1={a}, n2={b}: power congruence {lhs}, divisibility {not lhs}"
+                )
+            row.append(lhs)
+        table.append(row)
+    return table
+
+
+def congruence_criterion(
+    structure: OrderStructure, r: int, s: int, n1: int, n2: int
+) -> bool:
+    """Whether g**(n1*t) and g**(n2*t) agree mod q**r, t the order of g mod q**s.
+
+    The one-pair case of congruence_table, with its checks and errors.
+    """
+    return congruence_table(structure, r, s, (n1,), (n2,))[0][0]

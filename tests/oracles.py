@@ -154,6 +154,27 @@ def star_discrepancy_by_threshold_sweep(residues: list[int], modulus: int) -> Fr
     return best
 
 
+def star_discrepancy_by_max_formula(residues: list[int], modulus: int) -> float:
+    """Exact star discrepancy by the maximum formula, one Python int pair per point.
+
+    With x_(i) the i-th smallest of the N residues, the largest of
+    i * modulus - x_(i) * N and x_(i) * N - (i - 1) * modulus, over
+    N * modulus: the scalar loop that the library's numpy arrays replaced,
+    one correctly rounded int / int at the end.
+    """
+    residues = sorted(residues)
+    n = len(residues)
+    best = 0
+    for i, residue in enumerate(residues, start=1):
+        up = i * modulus - residue * n
+        down = residue * n - (i - 1) * modulus
+        if up > best:
+            best = up
+        if down > best:
+            best = down
+    return best / (n * modulus)
+
+
 def mangoldt_sum_by_direct_powers(Q: int, a: int, g: int, X: int) -> complex:
     """Weighted phase sum with exact integer powers and cmath, no blocking."""
     total = 0j

@@ -306,6 +306,21 @@ def test_verify_lemmas_reports_a_disagreement_in_band(capsys, monkeypatch):
     }
 
 
+def test_verify_lemmas_takes_one_congruence_table_per_window(capsys, monkeypatch):
+    # 2 mod 13 lifts at valuation 1: 15 windows 1 <= s <= r <= 5, 31 x 31 pairs each
+    calls, table = [], mdl.cli.congruence_criterion
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return table(*args)
+
+    monkeypatch.setattr(mdl.cli, "congruence_criterion", counted)
+    code, out, _ = run_cli(capsys, "verify-lemmas", "--q", "13", "--g", "2", "--no-timestamp")
+    assert code == 0
+    assert calls == [(r, s) for r in range(1, 6) for s in range(1, r + 1)]
+    assert json.loads(out)["results"]["congruence_cases"] == 15 * 31 * 31
+
+
 def test_precondition_exit_code(capsys):
     code, _, err = run_cli(capsys, "order-structure", "--q", "4", "--g", "3")
     assert code == 2

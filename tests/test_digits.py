@@ -26,6 +26,7 @@ from oracles import (
     erdos_turan_by_fsum,
     erdos_turan_by_unreduced_phases,
     primes_by_trial_division,
+    star_discrepancy_by_max_formula,
     star_discrepancy_by_threshold_sweep,
     window_hits_by_fractional_part,
 )
@@ -210,6 +211,89 @@ def test_discrepancy_of_perfectly_uniform_points():
     exact = star_discrepancy_by_threshold_sweep(residues, 9)
     assert float(exact) == pytest.approx(1 / 9, abs=1e-15)
     assert discrepancy(3, 2, residues) == float(exact)
+
+
+@pytest.mark.parametrize("gamma, n", [(33, 1659), (33, 1660), (40, 1), (40, 1700)])
+def test_discrepancy_matches_max_formula_across_the_int64_switch(gamma, n):
+    # N * 3^33 < 2^63 at N = 1659 (int64) and not at 1660; N * 3^40 >= 2^63 for
+    # every N, so its points are Python ints; walk order is not sorted
+    modulus = 3**gamma
+    assert (n * modulus < 2**63) == (gamma == 33 and n == 1659)
+    residues = mersenne_residues(3, gamma, 15000)[: n - 1] + [modulus - 1]
+    assert residues != sorted(residues) or n == 1
+    got = discrepancy(3, gamma, residues)
+    assert got.hex() == star_discrepancy_by_max_formula(residues, modulus).hex()
+
+
+@pytest.mark.parametrize("gamma", [2, 5, 33, 40])
+def test_discrepancy_of_duplicates_and_single_points(gamma):
+    modulus = 3**gamma
+    for residues in ([0], [modulus - 1], [modulus // 2], [5, 5, 0, 5, 0], [modulus - 1] * 7):
+        got = discrepancy(3, gamma, residues)
+        assert got.hex() == star_discrepancy_by_max_formula(residues, modulus).hex(), residues
+    assert discrepancy(3, gamma, [0]) == 1.0
+    assert discrepancy(3, gamma, [modulus - 1]) == (modulus - 1) / modulus
+
+
+# N of 3^33 straddle N * 3^33 = 2^63, the switch from int64 to Python-int points
+_MAX_FORMULA_N = {
+    5: st.integers(1, 60), 20: st.integers(1, 60), 33: st.integers(1600, 1700),
+    34: st.integers(1, 60), 40: st.integers(1, 60),
+}
+
+
+@settings(deadline=None)
+@given(
+    gamma=st.sampled_from(sorted(_MAX_FORMULA_N)),
+    data=st.data(),
+    rng=st.randoms(use_true_random=False),
+)
+def test_discrepancy_matches_max_formula_property(gamma, data, rng):
+    modulus = 3**gamma
+    n = data.draw(_MAX_FORMULA_N[gamma], label="N")
+    support = data.draw(
+        st.lists(
+            st.integers(0, modulus - 1) | st.sampled_from([0, 1, modulus - 1]),
+            min_size=1, max_size=12,
+        ),
+        label="support",
+    )
+    residues = (support * n)[:n]  # repeats whenever N exceeds the support
+    rng.shuffle(residues)
+    got = discrepancy(3, gamma, residues)
+    assert got.hex() == star_discrepancy_by_max_formula(residues, modulus).hex()
+
+
+@pytest.mark.parametrize(
+    "gamma, X, H, frozen",
+    [
+        (20, 10**5, 100, float.fromhex("0x1.24c24343c9286p-3")),
+        (34, 10**4, 60, float.fromhex("0x1.9173988c119b6p-2")),  # object numerators
+    ],
+)
+def test_erdos_turan_bound_is_free_of_residue_order(gamma, X, H, frozen):
+    # each per-h sum is exact and rounded once, so the order of the support
+    # cannot reach the bits; the CLI sorts the residues for faster cos and sin
+    walk = mersenne_residues(3, gamma, X)
+    shuffled = random.Random(gamma).sample(walk, len(walk))
+    for residues in (walk, sorted(walk), sorted(walk, reverse=True), shuffled):
+        assert erdos_turan_bound(3, gamma, residues, H).hex() == frozen.hex()
+
+
+@settings(deadline=None)
+@given(
+    gamma=st.sampled_from([5, 20, 33, 34, 40]),
+    H=st.integers(1, 30),
+    support=st.lists(st.integers(0, 3**40 - 1), min_size=1, max_size=12),
+    rng=st.randoms(use_true_random=False),
+)
+def test_erdos_turan_bound_is_order_free_property(gamma, H, support, rng):
+    residues = [x % 3**gamma for x in support * 3]
+    want = erdos_turan_bound(3, gamma, residues, H)
+    rng.shuffle(residues)
+    assert erdos_turan_bound(3, gamma, residues, H).hex() == want.hex()
+    residues.sort()
+    assert erdos_turan_bound(3, gamma, residues, H).hex() == want.hex()
 
 
 def test_erdos_turan_matches_unreduced_oracle():

@@ -6,6 +6,8 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdl.arith
 from mdl.errors import PreconditionError, ResourceGuardError, SelfCheckError
@@ -13,6 +15,7 @@ from mdl.order import (
     POWER_BIT_GUARD,
     OrderStructure,
     congruence_criterion,
+    congruence_table,
     excess_valuation,
     order_mod_power,
     valuation_difference,
@@ -277,3 +280,59 @@ def test_congruence_criterion_raises_on_forged_structure():
     for lift_valuation, r in ((9, 9), (1, 2)):
         with pytest.raises(SelfCheckError, match="^congruence mismatch for q=11, g=3"):
             congruence_criterion(_forged(lift_valuation), r, lift_valuation, 1, 0)
+
+
+@pytest.mark.parametrize("q, g", [(13, 2), (11, 3), (19, 2)])
+def test_congruence_table_matches_divisibility_on_the_sweep_box(q, g):
+    # the box verify-lemmas sweeps: r <= 5, exponents 0..30; the power side is
+    # rebuilt from orbit-walked orders and plain pow, the other by divisibility
+    structure = OrderStructure(q, g)
+    orders = orders_by_stride_scan(q, g, 5)
+    exponents = range(31)
+    for r in range(1, 6):
+        for s in range(structure.lift_valuation, r + 1):
+            powers = [pow(g, n * orders[s - 1], q**r) for n in exponents]
+            table = congruence_table(structure, r, s, exponents, exponents)
+            assert table == [[x == y for y in powers] for x in powers], (r, s)
+            assert table == [
+                [(a - b) % q ** (r - s) == 0 for b in exponents] for a in exponents
+            ], (r, s)
+
+
+def test_congruence_table_raises_on_forged_structure():
+    # as in the one-pair test; the message names the first disagreeing pair,
+    # (0, 1) when the forged order is too short for 11^9
+    with pytest.raises(SelfCheckError, match=(
+        r"^congruence mismatch for q=11, g=3, r=9, s=9, n1=0, n2=1: "
+        r"power congruence False, divisibility True$"
+    )):
+        congruence_table(_forged(9), 9, 9, range(3), range(3))
+    with pytest.raises(SelfCheckError, match="^congruence mismatch for q=11, g=3"):
+        congruence_table(_forged(1), 2, 1, range(3), range(3))
+
+
+def test_congruence_table_rows_follow_the_first_exponents():
+    s = OrderStructure(3, 2)
+    assert congruence_table(s, 2, 1, [4, 2], [1, 2, 7]) == [
+        [True, False, True], [False, True, False]
+    ]
+    assert congruence_table(s, 2, 1, [], [1]) == []
+    with pytest.raises(PreconditionError, match="^n2 must be >= 0, got -1$"):
+        congruence_table(s, 2, 1, [0, 1], [3, -1])
+
+
+@settings(deadline=None)
+@given(
+    qg=st.sampled_from([(3, 2), (5, 7), (7, 5), (11, 3), (13, 2), (19, 2)]),
+    r=st.integers(1, 6),
+    data=st.data(),
+)
+def test_congruence_table_equals_each_pair_property(qg, r, data):
+    structure = OrderStructure(*qg)
+    r = max(r, structure.lift_valuation)
+    s = data.draw(st.integers(structure.lift_valuation, r), label="s")
+    n1 = data.draw(st.lists(st.integers(0, 10**6), max_size=6), label="n1")
+    n2 = data.draw(st.lists(st.integers(0, 10**6), max_size=6), label="n2")
+    table = congruence_table(structure, r, s, n1, n2)
+    assert table == [[congruence_criterion(structure, r, s, a, b) for b in n2] for a in n1]
+    assert table == [[(a - b) % qg[0] ** (r - s) == 0 for b in n2] for a in n1]
