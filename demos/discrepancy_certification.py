@@ -24,7 +24,8 @@ def main() -> None:
         (7, 1, 10**4, 10),
     ]
     for q, gamma, X, H in configs:
-        residues = mersenne_residues(q, gamma, X)
+        # ascending, as the CLI has them: the bound's cosines run faster in order
+        residues = sorted(mersenne_residues(q, gamma, X))
         observed = discrepancy(q, gamma, residues)
         bound = erdos_turan_bound(q, gamma, residues, H)
         print(f"{q:>3} {gamma:>5} {X:>7} {H:>4} "

@@ -6,13 +6,19 @@ exactly from 2^p - 1 mod q^(r+1).  On top of that sit per-window prime
 counts, an exact star-discrepancy of the scaled residues, and an
 Erdos-Turan upper bound for that discrepancy built from exponential sums.
 Everything float is a single rounding away from exact integer or rational
-arithmetic.  numpy is imported by the exact discrepancy below 2^63 and by
-the Erdos-Turan bound once its guard admits the run, not with this module.
+arithmetic.  numpy is loaded by the exact discrepancy below 2^63 and by
+the Erdos-Turan bound once its guard admits the run, only through _numpy,
+which holds numpy's OpenBLAS to one thread unless the caller set
+OPENBLAS_NUM_THREADS: mdl makes no BLAS call, and an idle OpenBLAS worker
+cost 60 ms of a 240 ms discrepancy run on 2 vCPUs.  For threaded BLAS,
+set that variable (OMP_NUM_THREADS alone is overridden) or import numpy first.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import chain
@@ -24,6 +30,8 @@ from .errors import PreconditionError, ResourceGuardError
 from .primes import PrimeRange, prime_batches
 
 if TYPE_CHECKING:
+    from types import ModuleType
+
     import numpy as np
 
 __all__ = [
@@ -169,6 +177,20 @@ def _checked_modulus(q: int, gamma: int, residues: Sequence[int]) -> int:
     return modulus
 
 
+def _numpy() -> ModuleType:
+    """numpy, imported with OpenBLAS on this thread unless OPENBLAS_NUM_THREADS is set."""
+    # OpenBLAS reads the variable once, as numpy loads it; os.environ is left as found
+    pin = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+    if pin:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return numpy
+
+
 def discrepancy(q: int, gamma: int, residues: Sequence[int]) -> float:
     """Exact star discrepancy of the points residue / q^gamma.
 
@@ -185,8 +207,7 @@ def discrepancy(q: int, gamma: int, residues: Sequence[int]) -> float:
     n = len(residues)
     points = sorted(residues)
     if n * modulus < 2**63:
-        import numpy as np
-
+        np = _numpy()
         ups = np.arange(1, n + 1, dtype=np.int64) * modulus - np.array(points, np.int64) * n
         best = max(int(ups.max()), modulus - int(ups.min()))
     else:
@@ -204,8 +225,7 @@ def _exact_row_sums(rows: np.ndarray, bound: int) -> list[float]:
     order without rounding.  Python ints gather the pass totals, and one
     int / int rounds half-even, as fsum does.  rows is overwritten.
     """
-    import numpy as np
-
+    np = _numpy()
     w = 53 - (max(bound, rows.shape[1]) - 1).bit_length()
     parts = np.empty_like(rows)
     totals, shift = [0] * len(rows), 0
@@ -249,8 +269,7 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
             f"({charge} * {len(multiplicity)} + {_PER_H_TERMS}) exceeds the "
             f"enumeration guard {ENUMERATION_GUARD}"
         )
-    import numpy as np
-
+    np = _numpy()
     support = np.array(list(multiplicity), np.int64 if small else object)
     numerators = np.zeros_like(support)  # h * x mod modulus, stepped by addition
     weights = np.array(list(multiplicity.values()), dtype=float)

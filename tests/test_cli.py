@@ -155,6 +155,39 @@ def test_numpy_is_loaded_only_by_the_commands_that_use_it():
     }
 
 
+_THREAD_PROBE = """
+import contextlib, io, json, os
+import mdl.cli
+{setup}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = mdl.cli.main(["discrepancy", "--q", "3", "--gamma", "2", "--X", "100", "--H", "2"])
+linux = os.path.isdir("/proc/self/task")
+print(json.dumps({{
+    "code": code,
+    "threads": len(os.listdir("/proc/self/task")) if linux else None,
+    "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+    "openblas": linux and "openblas" in open("/proc/self/maps").read().lower(),
+    "env": os.environ.get("OPENBLAS_NUM_THREADS"),
+}}))
+"""
+
+
+def test_numpy_loads_with_openblas_on_this_thread_and_leaves_the_environment():
+    # mdl makes no BLAS call; OpenBLAS's worker would spin beside the main thread
+    done = _run_probe(_THREAD_PROBE.format(setup='os.environ.pop("OPENBLAS_NUM_THREADS", None)'))
+    seen = json.loads(done.stdout)
+    assert seen["code"] == 0 and seen["env"] is None, done.stderr
+    assert seen["threads"] in (1, None)
+
+
+def test_a_callers_openblas_thread_count_is_honoured():
+    done = _run_probe(_THREAD_PROBE.format(setup='os.environ["OPENBLAS_NUM_THREADS"] = "2"'))
+    seen = json.loads(done.stdout)
+    assert seen["code"] == 0 and seen["env"] == "2", done.stderr
+    if seen["threads"] is not None and seen["cpus"] >= 2 and seen["openblas"]:
+        assert seen["threads"] == 2
+
+
 _GUARD_PROBE = """
 import json, sys
 import mdl.cli

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -37,6 +38,40 @@ def test_unit_circle_value_is_an_oracle_only():
     texts = [p.read_text(encoding="utf-8") for p in Path(mdl.__file__).parent.glob("*.py")]
     for name in ("unit_circle_value", "fractional_part_check"):
         assert not [text for text in texts if name in text], name
+
+
+def _numpy_import_places(path: Path) -> list[str]:
+    """Where each `import numpy` of a module sits: its loader, a TYPE_CHECKING block or a line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    places = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and (
+            node.test.id == "TYPE_CHECKING"
+        ):
+            places.update((id(inner), "TYPE_CHECKING") for s in node.body for inner in ast.walk(s))
+        elif isinstance(node, ast.FunctionDef) and node.name == "_numpy":
+            places.update((id(inner), f"{path.stem}._numpy") for inner in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.partition(".")[0] == "numpy" for name in names):
+            found.append(places.get(id(node), f"{path.name}:{node.lineno}"))
+    return found
+
+
+def test_numpy_is_imported_only_by_the_loader():
+    # mdl.digits._numpy holds OpenBLAS to one thread; an import elsewhere would skip it
+    places = [
+        place for path in sorted(Path(mdl.__file__).parent.glob("*.py"))
+        for place in _numpy_import_places(path)
+    ]
+    assert set(places) == {"TYPE_CHECKING", "digits._numpy"}, places
+    assert places.count("digits._numpy") == 1
 
 
 def test_every_name_the_benchmark_wraps_or_probes_resolves():
