@@ -1,16 +1,17 @@
 """Certify equidistribution: exact star discrepancy vs its analytic ceiling.
 
 The star discrepancy of the points (2^p - 1 mod q^gamma) / q^gamma is
-computed exactly from sorted integer residues; the Erdos-Turan inequality
-then gives an unconditional upper bound from finitely many exponential
-sums.  The certificate is the pair (observed, bound) with observed <= bound.
+computed exactly from one PointSet, the residues checked once and sorted;
+the Erdos-Turan inequality then gives an unconditional upper bound for the
+same PointSet from finitely many exponential sums.  The certificate is the
+pair (observed, bound) with observed <= bound.
 
 Run:  python3 demos/discrepancy_certification.py
 """
 
 from __future__ import annotations
 
-from mdl import discrepancy, erdos_turan_bound, mersenne_residues
+from mdl import PointSet, discrepancy, erdos_turan_bound, mersenne_residues
 
 
 def main() -> None:
@@ -24,10 +25,9 @@ def main() -> None:
         (7, 1, 10**4, 10),
     ]
     for q, gamma, X, H in configs:
-        # ascending, as the CLI has them: the bound's cosines run faster in order
-        residues = sorted(mersenne_residues(q, gamma, X))
-        observed = discrepancy(q, gamma, residues)
-        bound = erdos_turan_bound(q, gamma, residues, H)
+        points = PointSet(q, gamma, mersenne_residues(q, gamma, X))
+        observed = discrepancy(points)
+        bound = erdos_turan_bound(points, H)
         print(f"{q:>3} {gamma:>5} {X:>7} {H:>4} "
               f"{observed:>12.6f} {bound:>10.6f} {str(observed <= bound):>9}")
 

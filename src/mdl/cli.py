@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .arith import _check_int
-from .digits import DigitCountReport, discrepancy, erdos_turan_bound, mersenne_residues
+from .digits import DigitCountReport, PointSet, discrepancy, erdos_turan_bound, mersenne_residues
 from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 from .expsum import mangoldt_exp_sum, mersenne_prime_sum
 from .order import OrderStructure, congruence_table, valuation_difference
@@ -129,10 +129,9 @@ def _run_vmvt(r: int, k: int, P: int) -> SubcommandOutput:
 def _run_discrepancy(q: int, gamma: int, X: int, H: int = 100) -> SubcommandOutput:
     """star discrepancy of (2^p - 1)/q^gamma points, with its certified bound"""
     _check_int("H", H, least=1)  # before the residue walk, whose cost grows with X
-    residues = mersenne_residues(q, gamma, X)
-    residues.sort()  # libm's cos and sin run faster on the bound's ascending angles
-    bound = erdos_turan_bound(q, gamma, residues, H)  # its guard before the exact D*
-    observed = discrepancy(q, gamma, residues)
+    points = PointSet(q, gamma, mersenne_residues(q, gamma, X))
+    bound = erdos_turan_bound(points, H)  # its guard before the exact D*
+    observed = discrepancy(points)
     return _one_row({
         "discrepancy": observed,
         "erdos_turan_bound": bound,

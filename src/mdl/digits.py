@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DigitCountReport",
+    "PointSet",
     "digit_block",
     "mersenne_residues",
     "discrepancy",
@@ -162,19 +163,27 @@ def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
     return list(chain.from_iterable(walk))
 
 
-def _checked_modulus(q: int, gamma: int, residues: Sequence[int]) -> int:
-    """q^gamma, once residues is known to be a non-empty sequence of residues mod it."""
-    modulus = prime_power(q, gamma)
-    if not isinstance(residues, Sequence):  # callers read it again: no one-shot streams
-        raise PreconditionError(f"residues must be a sequence, got {type(residues).__name__}")
-    if not residues:
-        raise PreconditionError("residues must not be empty")
-    for value in residues:
-        if not (isinstance(value, int) and 0 <= value < modulus):
-            raise PreconditionError(
-                f"residue {value!r} is not an integer in [0, {q}^{gamma})"
-            )
-    return modulus
+class PointSet(namedtuple("PointSet", "q gamma points")):
+    """Residues x mod q^gamma, the points x / q^gamma, checked once and sorted.
+
+    residues is the list mersenne_residues returns, or any non-empty sequence
+    of ints in [0, q^gamma); points holds them as a tuple fixed after the check,
+    in ascending order: discrepancy reads order statistics off it, and libm's
+    cos and sin run faster on erdos_turan_bound's ascending angles.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, gamma: int, residues: Sequence[int]) -> PointSet:
+        modulus = prime_power(q, gamma)
+        if not isinstance(residues, Sequence):  # no one-shot streams to drain
+            raise PreconditionError(f"residues must be a sequence, got {type(residues).__name__}")
+        if not residues:
+            raise PreconditionError("residues must not be empty")
+        for x in residues:
+            if not (isinstance(x, int) and 0 <= x < modulus):
+                raise PreconditionError(f"residue {x!r} is not an integer in [0, {q}^{gamma})")
+        return super().__new__(cls, q, gamma, tuple(sorted(residues)))
 
 
 def _numpy() -> ModuleType:
@@ -191,27 +200,24 @@ def _numpy() -> ModuleType:
     return numpy
 
 
-def discrepancy(q: int, gamma: int, residues: Sequence[int]) -> float:
-    """Exact star discrepancy of the points residue / q^gamma.
+def discrepancy(points: PointSet) -> float:
+    """Exact star discrepancy of the points x / q^gamma of a PointSet.
 
-    residues is the list mersenne_residues returns, or any non-empty
-    sequence of integers in [0, q^gamma).  With x_(i) the i-th smallest
-    of the N residues and u_i = i * q^gamma - x_(i) * N, it is the largest
-    u_i or q^gamma - u_i (that is x_(i) * N - (i - 1) * q^gamma) over
-    N * q^gamma.  The u_i are exact: one int64 numpy pass while
-    N * q^gamma < 2^63, Python ints one at a time above, where an array
-    would hold a wide product per residue.  The single division at the
-    end is the only rounding.
+    With x_(i) the i-th smallest of the N residues and u_i = i * q^gamma -
+    x_(i) * N, it is the largest u_i or q^gamma - u_i (that is x_(i) * N -
+    (i - 1) * q^gamma) over N * q^gamma.  The u_i are exact: one int64
+    numpy pass while N * q^gamma < 2^63, Python ints one at a time above,
+    where an array would hold a wide product per residue.  The single
+    division at the end is the only rounding.
     """
-    modulus = _checked_modulus(q, gamma, residues)
-    n = len(residues)
-    points = sorted(residues)
+    modulus, xs = points.q**points.gamma, points.points
+    n = len(xs)
     if n * modulus < 2**63:
         np = _numpy()
-        ups = np.arange(1, n + 1, dtype=np.int64) * modulus - np.array(points, np.int64) * n
+        ups = np.arange(1, n + 1, dtype=np.int64) * modulus - np.array(xs, np.int64) * n
         best = max(int(ups.max()), modulus - int(ups.min()))
     else:
-        ups = (i * modulus - x * n for i, x in enumerate(points, start=1))
+        ups = (i * modulus - x * n for i, x in enumerate(xs, start=1))
         best = max(max(up, modulus - up) for up in ups)
     return best / (n * modulus)
 
@@ -238,8 +244,8 @@ def _exact_row_sums(rows: np.ndarray, bound: int) -> list[float]:
     return [total / (1 << shift) for total in totals]
 
 
-def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> float:
-    """Erdos-Turan upper bound for the star discrepancy of the same points.
+def erdos_turan_bound(points: PointSet, H: int) -> float:
+    """Erdos-Turan upper bound for the star discrepancy of a PointSet.
 
     Evaluates 1/(H+1) + 3 * sum over h <= H of |S_h| / (h * N), where S_h
     sums the phase h * residue / q^gamma over the N residues.  One array
@@ -249,17 +255,15 @@ def erdos_turan_bound(q: int, gamma: int, residues: Sequence[int], H: int) -> fl
     ratio is a numerator over q^gamma, one correctly rounded division.
     For each h, numpy takes cos and sin of those ratios, and _exact_row_sums
     adds the multiplicity-weighted parts exactly, rounding each once.
-    residues is taken as in discrepancy.  Raises ResourceGuardError, before
-    numpy is imported, when H times the terms charged per h exceeds
-    ENUMERATION_GUARD: 512 for its fixed numpy calls, plus one per distinct
-    residue, or 8 + bits // 128 for a q^gamma >= 2^53 of that many bits
-    (Python-int numerators, whose cost grows with their size).
+    Raises ResourceGuardError, before numpy is imported, when H times the terms
+    charged per h exceeds ENUMERATION_GUARD: 512 for its fixed numpy calls, plus
+    one per distinct residue, or 8 + bits // 128 for a q^gamma >= 2^53 of that
+    many bits (Python-int numerators, whose cost grows with their size).
     """
     _check_int("H", H, least=1)
-    modulus = _checked_modulus(q, gamma, residues)
-    n = len(residues)
+    modulus, n = points.q**points.gamma, len(points.points)
     # integer multiplicities keep the per-h pass cheap and deterministic
-    multiplicity = Counter(residues)
+    multiplicity = Counter(points.points)
     # below 2^53, 2 * modulus fits in int64 and modulus is an exact double
     small = modulus < 2**53
     charge = 1 if small else _OBJECT_TERMS + modulus.bit_length() // 128

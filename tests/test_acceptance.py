@@ -15,6 +15,7 @@ from itertools import product
 from mdl.arith import is_prime, padic_valuation
 from mdl.digits import (
     DigitCountReport,
+    PointSet,
     digit_block,
     discrepancy,
     erdos_turan_bound,
@@ -156,9 +157,9 @@ def test_criterion_05_discrepancy_certified_by_erdos_turan():
         for gamma, X, H in product((5, 20), (10**4, 10**5), (10, 100))
     ] + [(7, 1, 10**4, 10)]
     for q, gamma, X, H in configs:
-        residues = mersenne_residues(q, gamma, X)
-        observed = discrepancy(q, gamma, residues)
-        bound = erdos_turan_bound(q, gamma, residues, H)
+        points = PointSet(q, gamma, mersenne_residues(q, gamma, X))
+        observed = discrepancy(points)
+        bound = erdos_turan_bound(points, H)
         assert observed <= bound * (1 + 1e-9), (q, gamma, X, H, observed, bound)
     elapsed = time.monotonic() - started
     assert elapsed < 300.0, f"budget 5min exceeded: {elapsed:.1f}s"

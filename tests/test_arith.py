@@ -25,6 +25,7 @@ from mdl.arith import (
 )
 from mdl.digits import (
     DigitCountReport,
+    PointSet,
     digit_block,
     discrepancy,
     erdos_turan_bound,
@@ -145,8 +146,9 @@ def test_caller_sized_powers_are_guarded_before_they_are_formed(call, error, mat
         lambda: OrderStructure(11, 3, order_mod_q=5, lift_valuation=2, cofactor=2),
         lambda: DigitCountReport(3, 1, 1, 7, counts=(1, 2, 1), pi_X=4),
         lambda: VmvtInstance(1, 1, 3, count=3),
+        lambda: PointSet(3, 2, [5, 0, 5, 8], points=(0, 5, 5, 8)),
     ],
-    ids=["OrderStructure", "DigitCountReport", "VmvtInstance"],
+    ids=["OrderStructure", "DigitCountReport", "VmvtInstance", "PointSet"],
 )
 def test_records_take_only_their_parameters(call):
     # each call passes the true results, but a record derives them itself
@@ -162,12 +164,21 @@ def test_records_take_only_their_parameters(call):
         ExpSumResult(3.0, 4.0, 1, 5.0, 0.5),
         OrderStructure(11, 3),
         VmvtInstance(2, 1, 3),
+        PointSet(3, 2, [5, 0, 5, 8]),
     ],
     ids=lambda record: type(record).__name__,
 )
 def test_records_survive_copy_and_pickle(record):
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(clone) is type(record) and clone == record
+
+
+def test_point_set_keeps_its_points_from_the_callers_list():
+    residues = [5, 0, 5, 8]
+    points = PointSet(3, 2, residues)
+    residues.append(1)
+    residues.sort(reverse=True)
+    assert type(points.points) is tuple and points.points == (0, 5, 5, 8)
 
 
 def test_copied_records_derive_their_results_again():
@@ -213,7 +224,7 @@ def test_every_base_taker_rejects_the_same_g(call, g):
         lambda: valuation_difference(OrderStructure(11, 3), 1.5, 2, 1),
         lambda: order_mod_power(OrderStructure(11, 3), 1.0),
         lambda: excess_valuation(OrderStructure(11, 3), 1.5),
-        lambda: erdos_turan_bound(3, 2, [1, 2], 2.5),
+        lambda: erdos_turan_bound(PointSet(3, 2, [1, 2]), 2.5),
         lambda: stepped_powers(2, 9.0)([1]),
         lambda: log_ratio(100.0, 3, 2),
     ],
@@ -270,7 +281,7 @@ def test_every_argument_is_checked_before_it_is_compared(call):
         (lambda: mersenne_prime_sum(3, 2, 1, 1), "X", 2, 1),
         (lambda: mangoldt_exp_sum(3, 2, 1, 2, 0), "X", 1, 0),
         (lambda: log_ratio(1, 3, 2), "X", 2, 1),
-        (lambda: erdos_turan_bound(3, 2, [0, 1], 0), "H", 1, 0),
+        (lambda: erdos_turan_bound(PointSet(3, 2, [0, 1]), 0), "H", 1, 0),
         (lambda: mdl.cli._run_discrepancy(3, 2, 100, 0), "H", 1, 0),
         (lambda: order_mod_power(OrderStructure(11, 3), 0), "n", 1, 0),
         (lambda: excess_valuation(OrderStructure(11, 3), -1), "n", 1, -1),
@@ -397,8 +408,8 @@ def test_base_guard_boundary():
     "call",
     [
         lambda q, gamma: mersenne_residues(q, gamma, 100),
-        lambda q, gamma: discrepancy(q, gamma, [0]),
-        lambda q, gamma: erdos_turan_bound(q, gamma, [0], 1),
+        lambda q, gamma: discrepancy(PointSet(q, gamma, [0])),
+        lambda q, gamma: erdos_turan_bound(PointSet(q, gamma, [0]), 1),
         lambda q, gamma: mangoldt_exp_sum(q, gamma, 1, 2, 100),
         lambda q, gamma: mersenne_prime_sum(q, gamma, 1, 100),
         lambda q, gamma: order_mod_power(OrderStructure(q, 2), gamma),

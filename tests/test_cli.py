@@ -23,7 +23,7 @@ import mdl.cli
 import mdl.expsum
 from mdl import __version__
 from mdl.cli import main
-from mdl.digits import erdos_turan_bound
+from mdl.digits import PointSet, erdos_turan_bound
 from mdl.errors import PreconditionError, ResourceGuardError, SelfCheckError
 
 
@@ -213,10 +213,10 @@ def test_erdos_turan_guard_rejects_before_numpy_loads():
 
 _H_PROBE = """
 import json, sys
-from mdl.digits import erdos_turan_bound
+from mdl.digits import PointSet, erdos_turan_bound
 from mdl.errors import PreconditionError
 try:
-    erdos_turan_bound(3, 2, [0, 1], 0)
+    erdos_turan_bound(PointSet(3, 2, [0, 1]), 0)
 except PreconditionError as exc:
     print(json.dumps({"error": str(exc), "numpy": "numpy" in sys.modules}))
 """
@@ -225,7 +225,7 @@ except PreconditionError as exc:
 def test_erdos_turan_bound_rejects_h_below_one_before_numpy_loads():
     # the discrepancy subcommand checks H first, so only a library call gets here
     with pytest.raises(PreconditionError, match="H must be >= 1, got 0"):
-        erdos_turan_bound(3, 2, [0, 1], 0)
+        erdos_turan_bound(PointSet(3, 2, [0, 1]), 0)
     done = _run_probe(_H_PROBE)
     assert json.loads(done.stdout) == {"error": "H must be >= 1, got 0", "numpy": False}, (
         done.stderr

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from mdl.digits import (
     DigitCountReport,
+    PointSet,
     _exact_row_sums,
     digit_block,
     discrepancy,
@@ -193,24 +194,25 @@ def test_residue_guard_charges_wide_residues_by_size():
 
 
 def test_discrepancy_trivial_cases():
-    assert discrepancy(3, 1, mersenne_residues(3, 1, 2)) == 1.0  # single point at zero
-    assert discrepancy(3, 1, mersenne_residues(3, 1, 10)) == pytest.approx(2 / 3, abs=1e-15)
+    assert discrepancy(PointSet(3, 1, mersenne_residues(3, 1, 2))) == 1.0  # one point at zero
+    ten = PointSet(3, 1, mersenne_residues(3, 1, 10))
+    assert discrepancy(ten) == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_discrepancy_matches_threshold_sweep_oracle():
     for q, gamma, X in [(3, 1, 10), (3, 2, 50), (5, 2, 100), (7, 1, 40), (3, 3, 80)]:
         residues = mersenne_residues(q, gamma, X)
         exact = star_discrepancy_by_threshold_sweep(residues, q**gamma)
-        assert discrepancy(q, gamma, residues) == float(exact), (q, gamma, X)
+        assert discrepancy(PointSet(q, gamma, residues)) == float(exact), (q, gamma, X)
 
 
 def test_discrepancy_of_perfectly_uniform_points():
     # injected residue list covering every class once
-    assert discrepancy(3, 2, mersenne_residues(3, 2, 10**6)) > 0  # smoke: real points exist
+    assert discrepancy(PointSet(3, 2, mersenne_residues(3, 2, 10**6))) > 0  # smoke: real points
     residues = list(range(9))
     exact = star_discrepancy_by_threshold_sweep(residues, 9)
     assert float(exact) == pytest.approx(1 / 9, abs=1e-15)
-    assert discrepancy(3, 2, residues) == float(exact)
+    assert discrepancy(PointSet(3, 2, residues)) == float(exact)
 
 
 @pytest.mark.parametrize("gamma, n", [(33, 1659), (33, 1660), (40, 1), (40, 1700)])
@@ -221,7 +223,7 @@ def test_discrepancy_matches_max_formula_across_the_int64_switch(gamma, n):
     assert (n * modulus < 2**63) == (gamma == 33 and n == 1659)
     residues = mersenne_residues(3, gamma, 15000)[: n - 1] + [modulus - 1]
     assert residues != sorted(residues) or n == 1
-    got = discrepancy(3, gamma, residues)
+    got = discrepancy(PointSet(3, gamma, residues))
     assert got.hex() == star_discrepancy_by_max_formula(residues, modulus).hex()
 
 
@@ -229,10 +231,10 @@ def test_discrepancy_matches_max_formula_across_the_int64_switch(gamma, n):
 def test_discrepancy_of_duplicates_and_single_points(gamma):
     modulus = 3**gamma
     for residues in ([0], [modulus - 1], [modulus // 2], [5, 5, 0, 5, 0], [modulus - 1] * 7):
-        got = discrepancy(3, gamma, residues)
+        got = discrepancy(PointSet(3, gamma, residues))
         assert got.hex() == star_discrepancy_by_max_formula(residues, modulus).hex(), residues
-    assert discrepancy(3, gamma, [0]) == 1.0
-    assert discrepancy(3, gamma, [modulus - 1]) == (modulus - 1) / modulus
+    assert discrepancy(PointSet(3, gamma, [0])) == 1.0
+    assert discrepancy(PointSet(3, gamma, [modulus - 1])) == (modulus - 1) / modulus
 
 
 # N of 3^33 straddle N * 3^33 = 2^63, the switch from int64 to Python-int points
@@ -260,7 +262,7 @@ def test_discrepancy_matches_max_formula_property(gamma, data, rng):
     )
     residues = (support * n)[:n]  # repeats whenever N exceeds the support
     rng.shuffle(residues)
-    got = discrepancy(3, gamma, residues)
+    got = discrepancy(PointSet(3, gamma, residues))
     assert got.hex() == star_discrepancy_by_max_formula(residues, modulus).hex()
 
 
@@ -272,12 +274,17 @@ def test_discrepancy_matches_max_formula_property(gamma, data, rng):
     ],
 )
 def test_erdos_turan_bound_is_free_of_residue_order(gamma, X, H, frozen):
-    # each per-h sum is exact and rounded once, so the order of the support
-    # cannot reach the bits; the CLI sorts the residues for faster cos and sin
+    # PointSet sorts the residues, so every order gives one record; each per-h
+    # sum is exact and rounded once, so a support forged past that sort, in
+    # any other order, gives the same bits
     walk = mersenne_residues(3, gamma, X)
+    points = PointSet(3, gamma, walk)
+    assert erdos_turan_bound(points, H).hex() == frozen.hex()
     shuffled = random.Random(gamma).sample(walk, len(walk))
-    for residues in (walk, sorted(walk), sorted(walk, reverse=True), shuffled):
-        assert erdos_turan_bound(3, gamma, residues, H).hex() == frozen.hex()
+    for residues in (walk, sorted(walk, reverse=True), shuffled):
+        assert PointSet(3, gamma, residues) == points
+        forged = tuple.__new__(PointSet, (3, gamma, tuple(residues)))
+        assert erdos_turan_bound(forged, H).hex() == frozen.hex()
 
 
 @settings(deadline=None)
@@ -289,22 +296,23 @@ def test_erdos_turan_bound_is_free_of_residue_order(gamma, X, H, frozen):
 )
 def test_erdos_turan_bound_is_order_free_property(gamma, H, support, rng):
     residues = [x % 3**gamma for x in support * 3]
-    want = erdos_turan_bound(3, gamma, residues, H)
+    want = erdos_turan_bound(PointSet(3, gamma, residues), H)
+    # supports forged past the record's sort: the exact per-h sums keep the bits
     rng.shuffle(residues)
-    assert erdos_turan_bound(3, gamma, residues, H).hex() == want.hex()
-    residues.sort()
-    assert erdos_turan_bound(3, gamma, residues, H).hex() == want.hex()
+    for order in (residues, sorted(residues, reverse=True)):
+        forged = tuple.__new__(PointSet, (3, gamma, tuple(order)))
+        assert erdos_turan_bound(forged, H).hex() == want.hex()
 
 
 def test_erdos_turan_matches_unreduced_oracle():
     for q, gamma, X, H in [(3, 2, 200, 12), (5, 2, 150, 10), (7, 1, 300, 15)]:
-        lib = erdos_turan_bound(q, gamma, mersenne_residues(q, gamma, X), H)
+        lib = erdos_turan_bound(PointSet(q, gamma, mersenne_residues(q, gamma, X)), H)
         oracle = erdos_turan_by_unreduced_phases(q, gamma, X, H)
         assert lib == pytest.approx(oracle, rel=1e-9), (q, gamma, X, H)
 
 
 def test_erdos_turan_frozen_golden_value():
-    got = erdos_turan_bound(3, 20, mersenne_residues(3, 20, 10**5), 100)
+    got = erdos_turan_bound(PointSet(3, 20, mersenne_residues(3, 20, 10**5)), 100)
     assert got == 0.14294865179649124
 
 
@@ -327,7 +335,7 @@ def test_erdos_turan_frozen_golden_value():
     ],
 )
 def test_erdos_turan_frozen_scalar_route_values(q, gamma, X, H, frozen):
-    assert erdos_turan_bound(q, gamma, mersenne_residues(q, gamma, X), H) == frozen
+    assert erdos_turan_bound(PointSet(q, gamma, mersenne_residues(q, gamma, X)), H) == frozen
 
 
 def test_int64_ratios_would_round_twice_above_2_53():
@@ -348,7 +356,7 @@ def test_erdos_turan_bound_across_the_int64_product_switch(H):
     modulus = 3**33
     assert 1659 * modulus < 2**63 <= 1660 * modulus
     residues = mersenne_residues(3, 33, 2000) + [modulus - 1]
-    assert erdos_turan_bound(3, 33, residues, H) == erdos_turan_by_fsum(
+    assert erdos_turan_bound(PointSet(3, 33, residues), H) == erdos_turan_by_fsum(
         residues, modulus, H
     )
 
@@ -381,7 +389,7 @@ def test_erdos_turan_bound_equals_fsum_route(gamma, data):
         label="multiplicities",
     )
     residues = [x for x, count in zip(support, counts) for _ in range(count)]
-    got = erdos_turan_bound(3, gamma, residues, H)
+    got = erdos_turan_bound(PointSet(3, gamma, residues), H)
     assert got.hex() == erdos_turan_by_fsum(residues, modulus, H).hex()
 
 
@@ -468,10 +476,8 @@ def test_exact_row_sums_reference_values(row, want):
 
 def test_erdos_turan_certifies_discrepancy_spot_checks():
     for q, gamma, X, H in [(3, 5, 2000, 10), (7, 1, 2000, 10), (3, 2, 500, 25)]:
-        residues = mersenne_residues(q, gamma, X)
-        assert discrepancy(q, gamma, residues) <= erdos_turan_bound(
-            q, gamma, residues, H
-        ) * (1 + 1e-9)
+        points = PointSet(q, gamma, mersenne_residues(q, gamma, X))
+        assert discrepancy(points) <= erdos_turan_bound(points, H) * (1 + 1e-9)
 
 
 def test_erdos_turan_h_one_formula():
@@ -482,15 +488,13 @@ def test_erdos_turan_h_one_formula():
 
     inner = sum(cmath.exp(2j * cmath.pi * x / 9) for x in residues)
     want = 0.5 + 3.0 * abs(inner) / len(residues)
-    assert erdos_turan_bound(q, gamma, residues, 1) == pytest.approx(want, rel=1e-12)
+    assert erdos_turan_bound(PointSet(q, gamma, residues), 1) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("residues", [[0, 243], [5, -1], [], [1.5]])
 def test_residues_keyword_rejects_values_outside_the_modulus(residues):
-    with pytest.raises(PreconditionError):
-        discrepancy(3, 5, residues)
-    with pytest.raises(PreconditionError):
-        erdos_turan_bound(3, 5, residues, 10)
+    with pytest.raises(PreconditionError, match=r"^residues? "):
+        PointSet(3, 5, residues)
 
 
 @pytest.mark.parametrize(
@@ -498,26 +502,28 @@ def test_residues_keyword_rejects_values_outside_the_modulus(residues):
     ids=["generator", "iterator", "set"],
 )
 def test_residues_must_be_a_sequence_read_once(make):
-    # both functions read residues more than once; a one-shot stream is
-    # rejected before any item is drawn, not drained by the checks
-    for call in (lambda r: discrepancy(3, 2, r), lambda r: erdos_turan_bound(3, 2, r, 1)):
-        residues = make()
-        with pytest.raises(PreconditionError, match=r"^residues must be a sequence, got \w+$"):
-            call(residues)
-        assert sorted(residues) == [1, 2]
+    # PointSet reads residues twice, to check and to sort them; a one-shot
+    # stream is rejected before any item is drawn, not drained by the checks
+    residues = make()
+    with pytest.raises(PreconditionError, match=r"^residues must be a sequence, got \w+$"):
+        PointSet(3, 2, residues)
+    assert sorted(residues) == [1, 2]
 
 
 def test_residues_sequences_agree_with_the_list():
-    for residues in (range(9), tuple(range(9))):
-        assert discrepancy(3, 2, residues) == discrepancy(3, 2, list(range(9)))
-        assert erdos_turan_bound(3, 2, residues, 3) == erdos_turan_bound(3, 2, list(range(9)), 3)
+    want = PointSet(3, 2, list(range(9)))
+    for residues in (range(9), tuple(range(9)), list(range(8, -1, -1))):
+        assert PointSet(3, 2, residues) == want
 
 
 def test_residues_keyword_excludes_primes():
     # residues is the only input; there is no primes keyword and no X
     with pytest.raises(TypeError):
-        discrepancy(3, 2, [0, 7, 4, 1], primes=[2, 3, 5, 7])
+        PointSet(3, 2, [0, 7, 4, 1], primes=[2, 3, 5, 7])
     with pytest.raises(TypeError):
-        erdos_turan_bound(3, 2, [0, 7, 4, 1], 5, primes=[2, 3, 5, 7])
+        PointSet(3, 2, 10, residues=[0, 7, 4, 1])
+    points = PointSet(3, 2, [0, 7, 4, 1])
     with pytest.raises(TypeError):
-        discrepancy(3, 2, 10, residues=[0, 7, 4, 1])
+        discrepancy(points, primes=[2, 3, 5, 7])
+    with pytest.raises(TypeError):
+        erdos_turan_bound(points, 5, primes=[2, 3, 5, 7])
