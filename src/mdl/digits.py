@@ -17,11 +17,12 @@ set that variable (OMP_NUM_THREADS alone is overridden) or import numpy first.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from .arith import (
@@ -46,9 +47,9 @@ __all__ = [
 ]
 
 BIN_GUARD = 10**6  # maximum number of digit-window values q^s
-# Most residues mersenne_residues holds, each charged max(1, (800 + bits) / 1024): a
-# residue took 137-215 B to 3^101, 585 B mod 3^1000 and 7.0 KB mod 3^20000 on the
-# discrepancy path, within (800 + bits) / 4 B.  Walks charge primes the same against
+# Most residues mersenne_residues holds, each charged max(1, (800 + bits) / 1024): on the
+# discrepancy path a residue took 130-209 B to 3^101, 579 B mod 3^1000, 1.4 KB mod 3^3000
+# and 7.0 KB mod 3^20000, within (800 + bits) / 4 B.  Walks charge primes the same against
 # ENUMERATION_GUARD: a step and phase took 0.9-1.3 us to 224 bits, 51 us at 64,984 bits.
 RESIDUE_GUARD = 5 * 10**6
 # Phase terms charged per h of erdos_turan_bound on top of one per distinct residue
@@ -186,6 +187,13 @@ class PointSet(namedtuple("PointSet", "q gamma points")):
         return super().__new__(cls, q, gamma, tuple(sorted(residues)))
 
 
+def _modulus(points: PointSet) -> int:
+    """q^gamma of a PointSet; any other argument is a PreconditionError."""
+    if not isinstance(points, PointSet):
+        raise PreconditionError(f"points must be a PointSet, got {type(points).__name__}")
+    return points.q**points.gamma
+
+
 def _numpy() -> ModuleType:
     """numpy, imported with OpenBLAS on this thread unless OPENBLAS_NUM_THREADS is set."""
     # OpenBLAS reads the variable once, as numpy loads it; os.environ is left as found
@@ -210,7 +218,7 @@ def discrepancy(points: PointSet) -> float:
     where an array would hold a wide product per residue.  The single
     division at the end is the only rounding.
     """
-    modulus, xs = points.q**points.gamma, points.points
+    modulus, xs = _modulus(points), points.points
     n = len(xs)
     if n * modulus < 2**63:
         np = _numpy()
@@ -248,35 +256,36 @@ def erdos_turan_bound(points: PointSet, H: int) -> float:
     """Erdos-Turan upper bound for the star discrepancy of a PointSet.
 
     Evaluates 1/(H+1) + 3 * sum over h <= H of |S_h| / (h * N), where S_h
-    sums the phase h * residue / q^gamma over the N residues.  One array
-    holds the numerators (h * residue) mod q^gamma of the distinct
-    residues, stepped from h to h + 1 by adding the residues and reducing;
-    it is int64 when q^gamma < 2^53 and Python ints above.  Each phase
-    ratio is a numerator over q^gamma, one correctly rounded division.
-    For each h, numpy takes cos and sin of those ratios, and _exact_row_sums
-    adds the multiplicity-weighted parts exactly, rounding each once.
-    Raises ResourceGuardError, before numpy is imported, when H times the terms
-    charged per h exceeds ENUMERATION_GUARD: 512 for its fixed numpy calls, plus
-    one per distinct residue, or 8 + bits // 128 for a q^gamma >= 2^53 of that
-    many bits (Python-int numerators, whose cost grows with their size).
+    sums the phase h * residue / q^gamma over the N residues.  Equal residues
+    are neighbours in the sorted points: each run is one distinct residue, its
+    length the multiplicity.  Their numerators (h * residue) mod q^gamma are
+    stepped from h to h + 1 by adding the residues and reducing, in int64 when
+    q^gamma < 2^53 and Python ints above; each over q^gamma is one correctly
+    rounded phase ratio.  For each h, numpy takes cos and sin of the ratios, and
+    _exact_row_sums adds the multiplicity-weighted parts exactly, rounding each
+    once.  Raises ResourceGuardError, before numpy is imported, when H times the
+    terms charged per h exceeds ENUMERATION_GUARD: 512 for its fixed numpy calls,
+    plus one per distinct residue, or 8 + bits // 128 for a q^gamma >= 2^53 of
+    that many bits (Python-int numerators, whose cost grows with their size).
     """
+    modulus, xs, n = _modulus(points), points.points, len(points.points)
     _check_int("H", H, least=1)
-    modulus, n = points.q**points.gamma, len(points.points)
-    # integer multiplicities keep the per-h pass cheap and deterministic
-    multiplicity = Counter(points.points)
+    distinct = 1 + sum(map(operator.ne, xs, islice(xs, 1, None)))  # equal residues are neighbours
     # below 2^53, 2 * modulus fits in int64 and modulus is an exact double
     small = modulus < 2**53
     charge = 1 if small else _OBJECT_TERMS + modulus.bit_length() // 128
-    if H * (charge * len(multiplicity) + _PER_H_TERMS) > ENUMERATION_GUARD:
+    if H * (charge * distinct + _PER_H_TERMS) > ENUMERATION_GUARD:
         raise ResourceGuardError(
             f"H * ({charge} * distinct residues + {_PER_H_TERMS}) = {H} * "
-            f"({charge} * {len(multiplicity)} + {_PER_H_TERMS}) exceeds the "
+            f"({charge} * {distinct} + {_PER_H_TERMS}) exceeds the "
             f"enumeration guard {ENUMERATION_GUARD}"
         )
     np = _numpy()
-    support = np.array(list(multiplicity), np.int64 if small else object)
+    xs = np.array(xs, np.int64 if small else object)
+    xs.sort(kind="stable")  # for records built past __new__; pages in less code than quicksort
+    starts = np.flatnonzero(np.diff(xs, prepend=-1))  # where each run of equal residues begins
+    support, weights = xs[starts], np.diff(starts, append=n)
     numerators = np.zeros_like(support)  # h * x mod modulus, stepped by addition
-    weights = np.array(list(multiplicity.values()), dtype=float)
     angles = np.empty(len(weights))
     products = np.empty((2, len(weights)))  # weight * cos, weight * sin
 

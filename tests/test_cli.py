@@ -197,6 +197,7 @@ codes = [mdl.cli.main(argv.split()) for argv in (
     "discrepancy --q 3 --gamma 20 --X 1000000000 --H 1",
     "discrepancy --q 3 --gamma 20000 --X 70000000 --H 1",
     "discrepancy --q 3 --gamma 20000 --X 100000 --H 1294",
+    "discrepancy --q 3 --gamma 1 --X 100000 --H 194553",
 )]
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
@@ -206,8 +207,8 @@ def test_erdos_turan_guard_rejects_before_numpy_loads():
     # so does the residue guard, which stops the walk to X = 10^9 before the sieve;
     # mod 3^20000 both guards charge each residue by its size
     done = _run_probe(_GUARD_PROBE)
-    assert json.loads(done.stdout) == {"codes": [3] * 5, "numpy": False}, done.stderr
-    assert done.stderr.count("enumeration guard") == 3
+    assert json.loads(done.stdout) == {"codes": [3] * 6, "numpy": False}, done.stderr
+    assert done.stderr.count("enumeration guard") == 4
     assert done.stderr.count("residue guard") == 2
 
 
@@ -403,10 +404,12 @@ def test_erdos_turan_terms_are_guarded(capsys):
     # over one residue, which a charge of 64 admitted (some 7 s of phases).
     # Mod 3^40 >= 2^53 a residue is charged 8 terms: that rejects H = 192,308
     # over one residue, and H = 5,000 over 9,592 residues (some 16 s of
-    # phases), both of which a charge of one admitted
+    # phases), both of which a charge of one admitted. Mod 3 the 9,592
+    # residues to 10^5 take 2 values, counted from the equal neighbours of the
+    # sorted points: H = 194,553 is the smallest H rejected over those two
     for gamma, X, H in [
         ("30", "100", "10000000"), ("1", "2", "100000000"), ("1", "2", "194932"),
-        ("40", "2", "192308"), ("40", "100000", "5000"),
+        ("40", "2", "192308"), ("40", "100000", "5000"), ("1", "100000", "194553"),
     ]:
         start = time.perf_counter()
         code, _, err = run_cli(

@@ -510,6 +510,39 @@ def test_residues_must_be_a_sequence_read_once(make):
     assert sorted(residues) == [1, 2]
 
 
+@pytest.mark.parametrize("points", [[0, 1], (3, 1, (0, 1))], ids=["list", "tuple"])
+@pytest.mark.parametrize(
+    "call", [discrepancy, lambda points: erdos_turan_bound(points, 3)],
+    ids=["discrepancy", "erdos_turan_bound"],
+)
+def test_points_must_be_a_point_set(call, points):
+    # a PreconditionError naming points, not an AttributeError from reading q;
+    # a record forged past PointSet's checks is still a PointSet
+    with pytest.raises(PreconditionError, match=r"^points must be a PointSet, got (list|tuple)$"):
+        call(points)
+    assert call(tuple.__new__(PointSet, (3, 1, (0, 1)))) == call(PointSet(3, 1, [1, 0]))
+
+
+def test_erdos_turan_guard_counts_each_run_of_equal_neighbours_once(monkeypatch):
+    # mod 3 the 9,592 residues to 10^5 take 2 values, and
+    # 194,553 * (2 + 512) > 10^8 >= 194,552 * (2 + 512); a count of one per
+    # point, or any count above 2, rejects H = 194,552 as well
+    points = PointSet(3, 1, mersenne_residues(3, 1, 10**5))
+    assert len(points.points) == 9592
+    with pytest.raises(ResourceGuardError, match=r"= 194553 \* \(1 \* 2 \+ 512\) exceeds"):
+        erdos_turan_bound(points, 194553)
+
+    class Admitted(Exception):
+        pass
+
+    def admitted() -> None:
+        raise Admitted  # numpy is loaded only once the guard has admitted the run
+
+    monkeypatch.setattr("mdl.digits._numpy", admitted)
+    with pytest.raises(Admitted):
+        erdos_turan_bound(points, 194552)
+
+
 def test_residues_sequences_agree_with_the_list():
     want = PointSet(3, 2, list(range(9)))
     for residues in (range(9), tuple(range(9)), list(range(8, -1, -1))):
