@@ -9,12 +9,15 @@ timestamp is suppressed with --no-timestamp.
 
 Exit codes: 0 success, the exit_code of each mdl.errors class (2, 3, 4),
 2 also for malformed flags, 5 the report could not be written (an OSError
-from --output or standard output).
+from --output or standard output).  gc.freeze runs at exit in the mdl command
+and in any process that imports mdl.cli, not in one that imports mdl alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 from pathlib import Path
@@ -27,6 +30,8 @@ from .errors import PreconditionError, ResourceGuardError, SelfCheckError
 from .expsum import mangoldt_exp_sum, mersenne_prime_sum
 from .order import OrderStructure, congruence_table, valuation_difference
 from .vmvt import VmvtInstance
+
+atexit.register(gc.freeze)  # the interpreter's final collections then skip what it holds
 
 # perfbench/tracer.py wraps these names in mdl.cli; ROADMAP item 2 retires them.
 # count_blocks takes the record's order (q, r, s, X), not the old (q, X, r, s), and

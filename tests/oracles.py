@@ -142,16 +142,21 @@ def star_discrepancy_by_threshold_sweep(residues: list[int], modulus: int) -> Fr
 
     The points are residue/modulus; the empirical-vs-uniform gap is
     piecewise linear between grid points, so its sup is attained at a
-    threshold v/modulus approached from one side or the other.
+    threshold v/modulus approached from one side or the other.  One merge
+    walk over the sorted residues and the modulus + 1 thresholds counts the
+    residues below v and at or below v, and compares count * modulus with
+    v * N in integers: O(modulus + N).
     """
+    residues = sorted(residues)
     n = len(residues)
-    best = Fraction(0)
+    best = 0
+    i = 0
     for v in range(modulus + 1):
-        t = Fraction(v, modulus)
-        below = sum(1 for x in residues if Fraction(x, modulus) < t)
-        at_or_below = sum(1 for x in residues if Fraction(x, modulus) <= t)
-        best = max(best, abs(Fraction(below, n) - t), abs(Fraction(at_or_below, n) - t))
-    return best
+        below = i
+        while i < n and residues[i] <= v:
+            i += 1
+        best = max(best, abs(below * modulus - v * n), abs(i * modulus - v * n))
+    return Fraction(best, n * modulus)
 
 
 def star_discrepancy_by_max_formula(residues: list[int], modulus: int) -> float:

@@ -250,6 +250,55 @@ def test_cold_start_loads_no_dataclasses_inspect_datetime_or_numpy():
     assert json.loads(done.stdout) == {"code": 0, "loaded": []}, done.stderr
 
 
+# atexit runs its handlers last in, first out: this one, registered before any
+# import, reads the freeze count after every handler that the body registered
+_EXIT_PROBE = """
+import atexit, gc
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+{body}
+"""
+
+_AS_MAIN = """
+import runpy, sys
+sys.argv = ["mdl", {argv}]
+runpy.run_module("mdl.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["vmvt", "--r", "2", "--k", "1", "--P", "3", "--no-timestamp"], 0), (["vmvt", "--r", "2"], 2)],
+)
+def test_the_cli_process_exits_frozen(capsys, argv, code):
+    # python -m mdl.cli, argparse's exit 2 included: the report is written in full first
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    report = capsys.readouterr().out
+    done = _run_probe(_EXIT_PROBE.format(body=_AS_MAIN.format(argv=", ".join(map(repr, argv)))))
+    assert done.returncode == code, done.stderr
+    assert done.stdout == report + "frozen at exit: True\n"
+
+
+def test_importing_mdl_alone_leaves_the_exit_unchanged():
+    body = "import mdl, sys\nprint(mdl.VmvtInstance(2, 1, 3).count, 'mdl.cli' in sys.modules)"
+    done = _run_probe(_EXIT_PROBE.format(body=body))
+    assert done.stdout == "19 False\nfrozen at exit: False\n", done.stderr
+
+
+def test_main_in_process_freezes_nothing():
+    # tests and the traced benchmark pass call main() many times in one process,
+    # whose cyclic garbage must stay collectable
+    body = """
+import contextlib, io
+import mdl.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [mdl.cli.main(["vmvt", "--r", "2", "--k", "1", "--P", "3"]) for _ in range(3)]
+print(codes, gc.get_freeze_count())
+"""
+    done = _run_probe(_EXIT_PROBE.format(body=body))
+    assert done.stdout == "[0, 0, 0] 0\nfrozen at exit: True\n", done.stderr
+
+
 def test_timestamp_present_by_default_and_suppressible(capsys):
     _, out, _ = run_cli(capsys, "order-structure", "--q", "11", "--g", "3")
     assert "timestamp" in json.loads(out)

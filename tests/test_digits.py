@@ -215,6 +215,12 @@ def test_discrepancy_of_perfectly_uniform_points():
     assert discrepancy(PointSet(3, 2, residues)) == float(exact)
 
 
+def test_threshold_sweep_takes_left_limits():
+    # one point at 8/9: the gap 8/9 is approached just below the point, never reached
+    assert star_discrepancy_by_threshold_sweep([8], 9) == Fraction(8, 9)
+    assert discrepancy(PointSet(3, 2, [8])) == 8 / 9
+
+
 @pytest.mark.parametrize("gamma, n", [(33, 1659), (33, 1660), (40, 1), (40, 1700)])
 def test_discrepancy_matches_max_formula_across_the_int64_switch(gamma, n):
     # N * 3^33 < 2^63 at N = 1659 (int64) and not at 1660; N * 3^40 >= 2^63 for

@@ -69,11 +69,17 @@ def test_erdos_turan_bound_bit_for_bit_against_fsum(q, gamma):
 
 @pytest.mark.parametrize("q, X", [(1093, 1000), (3511, 300)])
 def test_discrepancy_matches_threshold_sweep_mod_q(q, X):
-    # to 1,000 the 168 residues mod 1093 take 122 values; the sweep visits all
-    # q + 1 thresholds, so it is run mod q alone
+    # to 1,000 the 168 residues mod 1093 take 122 values
     residues = mersenne_residues(q, 1, X)
     exact = star_discrepancy_by_threshold_sweep(residues, q)
     assert discrepancy(PointSet(q, 1, residues)) == float(exact)
+
+
+def test_discrepancy_matches_threshold_sweep_mod_1093_squared():
+    # 1,194,649 thresholds against the 9,592 residues to 10^5, which take 147 values
+    residues = mersenne_residues(1093, 2, 10**5)
+    exact = star_discrepancy_by_threshold_sweep(residues, 1093**2)
+    assert discrepancy(PointSet(1093, 2, residues)) == float(exact)
 
 
 @pytest.mark.parametrize("gamma", [1, 2, 3])
