@@ -48,12 +48,12 @@ __all__ = [
 
 BIN_GUARD = 10**6  # maximum number of digit-window values q^s
 # Most residues mersenne_residues holds, each charged max(1, (800 + bits) / 1024): on the
-# discrepancy path a residue took 130-209 B to 3^101, 579 B mod 3^1000, 1.4 KB mod 3^3000
+# discrepancy path a residue took 98-185 B to 3^101, 555 B mod 3^1000, 1.4 KB mod 3^3000
 # and 7.0 KB mod 3^20000, within (800 + bits) / 4 B.  Walks charge primes the same against
 # ENUMERATION_GUARD: a step and phase took 0.9-1.3 us to 224 bits, 51 us at 64,984 bits.
 RESIDUE_GUARD = 5 * 10**6
 # Phase terms charged per h of erdos_turan_bound on top of one per distinct residue
-# for its fixed numpy calls: 25-37 us, 405-515 terms at 60-76 ns (2-vCPU AVX-512).
+# for its fixed numpy calls: 18-25 us, 630-700 terms at 29-36 ns (2-vCPU AVX-512).
 _PER_H_TERMS = 512
 # Python-int numerators (q^gamma >= 2^53) charge _OBJECT_TERMS + bits // 128 terms: a
 # residue cost 310-420 ns from 3^34 to 3^101, 0.85 us mod 3^1000, 2.6 us mod 3^3000 and
@@ -222,10 +222,12 @@ def discrepancy(points: PointSet) -> float:
     n = len(xs)
     if n * modulus < 2**63:
         np = _numpy()
-        ups = np.arange(1, n + 1, dtype=np.int64) * modulus - np.array(xs, np.int64) * n
+        xs = np.array(xs, np.int64)
+        xs.sort(kind="stable")  # for records built past __new__; one run on a real one
+        ups = np.arange(1, n + 1, dtype=np.int64) * modulus - xs * n
         best = max(int(ups.max()), modulus - int(ups.min()))
     else:
-        ups = (i * modulus - x * n for i, x in enumerate(xs, start=1))
+        ups = (i * modulus - x * n for i, x in enumerate(sorted(xs), start=1))
         best = max(max(up, modulus - up) for up in ups)
     return best / (n * modulus)
 
@@ -234,22 +236,23 @@ def _exact_row_sums(rows: np.ndarray, bound: int) -> list[float]:
     """Each row's exact sum, rounded once: math.fsum of the row, bit for bit.
 
     bound, an integer below 2^52, caps each finite row's sum of absolute
-    values.  Each pass scales by 2^w and moves out the integer parts, both
-    exact; with max(bound, row length) * 2^w <= 2^53 numpy adds those in any
-    order without rounding.  Python ints gather the pass totals, and one
-    int / int rounds half-even, as fsum does.  rows is overwritten.
+    values.  Row by row, each pass scales by 2^w and moves the integer parts
+    to one scratch row, both exact; with max(bound, row length) * 2^w <= 2^53
+    numpy adds those in any order without rounding.  A Python int gathers the
+    pass totals, one int / int rounds half-even, as fsum does.  rows is overwritten.
     """
     np = _numpy()
     w = 53 - (max(bound, rows.shape[1]) - 1).bit_length()
-    parts = np.empty_like(rows)
-    totals, shift = [0] * len(rows), 0
-    while rows.any():
-        rows *= 2.0**w
-        np.trunc(rows, out=parts)
-        rows -= parts
-        totals = [(t << w) + int(s) for t, s in zip(totals, parts.sum(axis=1).tolist())]
-        shift += w
-    return [total / (1 << shift) for total in totals]
+    parts, sums = np.empty(rows.shape[1]), []
+    for row in rows:
+        total, shift = 0, 0
+        while row.any():
+            row *= 2.0**w
+            np.trunc(row, out=parts)
+            row -= parts
+            total, shift = (total << w) + int(parts.sum()), shift + w
+        sums.append(total / (1 << shift))
+    return sums
 
 
 def erdos_turan_bound(points: PointSet, H: int) -> float:
@@ -258,15 +261,15 @@ def erdos_turan_bound(points: PointSet, H: int) -> float:
     Evaluates 1/(H+1) + 3 * sum over h <= H of |S_h| / (h * N), where S_h
     sums the phase h * residue / q^gamma over the N residues.  Equal residues
     are neighbours in the sorted points: each run is one distinct residue, its
-    length the multiplicity.  Their numerators (h * residue) mod q^gamma are
-    stepped from h to h + 1 by adding the residues and reducing, in int64 when
-    q^gamma < 2^53 and Python ints above; each over q^gamma is one correctly
-    rounded phase ratio.  For each h, numpy takes cos and sin of the ratios, and
-    _exact_row_sums adds the multiplicity-weighted parts exactly, rounding each
-    once.  Raises ResourceGuardError, before numpy is imported, when H times the
-    terms charged per h exceeds ENUMERATION_GUARD: 512 for its fixed numpy calls,
-    plus one per distinct residue, or 8 + bits // 128 for a q^gamma >= 2^53 of
-    that many bits (Python-int numerators, whose cost grows with their size).
+    length the multiplicity.  Their numerators (h * residue) mod q^gamma step
+    from h to h + 1 by adding the residues and reducing, in int64 when q^gamma
+    < 2^53 and Python ints above; each over q^gamma is one correctly rounded
+    phase ratio.  Per h, numpy takes sin and cos in place and _exact_row_sums
+    adds the weighted parts exactly, rounding each once; the loop holds support,
+    weights, numerators, two product rows and one scratch row.  Raises
+    ResourceGuardError, before numpy is imported, when H times the terms charged
+    per h exceeds ENUMERATION_GUARD: 512 for its fixed numpy calls, plus one per
+    distinct residue, or 8 + bits // 128 once q^gamma >= 2^53 has that many bits.
     """
     modulus, xs, n = _modulus(points), points.points, len(points.points)
     _check_int("H", H, least=1)
@@ -285,19 +288,19 @@ def erdos_turan_bound(points: PointSet, H: int) -> float:
     xs.sort(kind="stable")  # for records built past __new__; pages in less code than quicksort
     starts = np.flatnonzero(np.diff(xs, prepend=-1))  # where each run of equal residues begins
     support, weights = xs[starts], np.diff(starts, append=n)
+    del xs, starts  # the loop reads neither
     numerators = np.zeros_like(support)  # h * x mod modulus, stepped by addition
-    angles = np.empty(len(weights))
-    products = np.empty((2, len(weights)))  # weight * cos, weight * sin
+    products = np.empty((2, len(weights)))  # the phase ratios, then weight * cos, weight * sin
 
     total = 0.0
     for h in range(1, H + 1):
         numerators += support
         numerators %= modulus
         # one rounding either way; object ratios are Python floats, cast exactly
-        np.divide(numerators, modulus, out=angles, casting="unsafe")
-        angles *= math.tau
-        np.cos(angles, out=products[0])
-        np.sin(angles, out=products[1])
+        np.divide(numerators, modulus, out=products[0], casting="unsafe")
+        products[0] *= math.tau
+        np.sin(products[0], out=products[1])
+        np.cos(products[0], out=products[0])
         products *= weights
         real, imag = _exact_row_sums(products, n)  # sum |weight * cos| <= n
         total += abs(complex(real, imag)) / (h * n)

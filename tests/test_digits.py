@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -272,6 +273,39 @@ def test_discrepancy_matches_max_formula_property(gamma, data, rng):
     assert got.hex() == star_discrepancy_by_max_formula(residues, modulus).hex()
 
 
+# N * 3^20 < 2^63 (int64) and N * 3^40 >= 2^63 (Python ints)
+@pytest.mark.parametrize("gamma, X", [(2, 100), (20, 10**5), (40, 10**4)])
+def test_discrepancy_is_free_of_residue_order(gamma, X):
+    # D* reads order statistics, so a record forged past PointSet's sort, in
+    # any order, gives the sorted record's bits
+    walk, modulus = mersenne_residues(3, gamma, X), 3**gamma
+    want = star_discrepancy_by_max_formula(walk, modulus)
+    assert discrepancy(PointSet(3, gamma, walk)).hex() == want.hex()
+    shuffled = random.Random(gamma).sample(walk, len(walk))
+    for residues in (walk, sorted(walk, reverse=True), shuffled):
+        forged = tuple.__new__(PointSet, (3, gamma, tuple(residues)))
+        assert discrepancy(forged).hex() == want.hex()
+
+
+@settings(deadline=None)
+@given(
+    gamma=st.sampled_from(sorted(_MAX_FORMULA_N)),
+    data=st.data(),
+    rng=st.randoms(use_true_random=False),
+)
+def test_discrepancy_is_order_free_property(gamma, data, rng):
+    modulus = 3**gamma
+    n = data.draw(_MAX_FORMULA_N[gamma], label="N")
+    support = data.draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=12))
+    residues = (support * n)[:n]
+    rng.shuffle(residues)
+    want = star_discrepancy_by_max_formula(residues, modulus)
+    # supports forged past the record's sort, int64 and Python-int regimes alike
+    for order in (residues, sorted(residues, reverse=True)):
+        forged = tuple.__new__(PointSet, (3, gamma, tuple(order)))
+        assert discrepancy(forged).hex() == want.hex()
+
+
 @pytest.mark.parametrize(
     "gamma, X, H, frozen",
     [
@@ -472,12 +506,30 @@ def test_exact_row_sums_at_the_bound(bound, length, finer, signed, rng):
         ([0.5, -0.5, 2.0**-1074], 2.0**-1074),
         ([-0.0, -0.0], 0.0),
         ([7.0, -7.0], 0.0),
+        ([1.0, 2.0**-70], 1.0),  # two passes, where the half row beside it takes one
     ],
 )
 def test_exact_row_sums_reference_values(row, want):
-    negated = [-x for x in row]
+    # beside each row and its negation, a row that needs its own number of passes
+    negated, half = [-x for x in row], [0.5] + [0.0] * (len(row) - 1)
     assert [math.fsum(row), math.fsum(negated)] == [want, -want]
-    assert _exact_row_sums(np.array([row, negated]), _abs_sum_ceiling([row])) == [want, -want]
+    rows = np.array([row, negated, half])
+    assert _exact_row_sums(rows, _abs_sum_ceiling([row, half])) == [want, -want, 0.5]
+
+
+def test_erdos_turan_bound_holds_six_rows_of_the_support():
+    # support, weights, numerators, two product rows and one scratch row take
+    # 48 B a distinct residue; a loop that still held the sorted array and the
+    # run starts, or a second angle or scratch row, would pass 56 B
+    points = PointSet(3, 20, mersenne_residues(3, 20, 10**6))
+    n = len(points.points)  # every residue mod 3^20 to 10^6 is distinct
+    tracemalloc.start()
+    try:
+        erdos_turan_bound(points, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * n, peak / n
 
 
 def test_erdos_turan_certifies_discrepancy_spot_checks():
