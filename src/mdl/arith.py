@@ -10,7 +10,7 @@ the Erdos-Turan phase terms and the walks.  The residue engine,
 stepped_powers, turns batches of positive, ascending exponents (the blocks
 of mdl.primes) into the orbit start * base^e.  All of it is exact integer
 arithmetic; floating point enters where a canonical residue over its
-modulus becomes a double: in expsum._phase_sum and digits.erdos_turan_bound.
+modulus becomes a double: in expsum._phase_partials and digits.erdos_turan_bound.
 """
 
 from __future__ import annotations

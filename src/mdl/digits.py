@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from .arith import (
     ENUMERATION_GUARD, _check_int, _check_odd_prime, is_prime, prime_power, stepped_powers)
 from .errors import PreconditionError, ResourceGuardError
-from .primes import PrimeRange, prime_batches
+from .primes import PrimeRange, _in_parts, prime_batches
 
 if TYPE_CHECKING:
     from types import ModuleType
@@ -53,8 +53,10 @@ BIN_GUARD = 10**6  # maximum number of digit-window values q^s
 # ENUMERATION_GUARD: a step and phase took 0.9-1.3 us to 224 bits, 51 us at 64,984 bits.
 RESIDUE_GUARD = 5 * 10**6
 # Phase terms charged per h of erdos_turan_bound on top of one per distinct residue
-# for its fixed numpy calls: 18-25 us, 630-700 terms at 29-36 ns (2-vCPU AVX-512).
-_PER_H_TERMS = 512
+# for its fixed numpy calls: timed over 2 and 9,592 distinct residues (gamma 1 and 20,
+# X = 10^5), 21-24 us an h, a median of 660 terms (quartiles 633 and 718) at 30-34 ns
+# a residue (2-vCPU AVX-512).
+_PER_H_TERMS = 660
 # Python-int numerators (q^gamma >= 2^53) charge _OBJECT_TERMS + bits // 128 terms: a
 # residue cost 310-420 ns from 3^34 to 3^101, 0.85 us mod 3^1000, 2.6 us mod 3^3000 and
 # 9.9 us mod 3^20000, within 350 + bits / 2 ns, against 59 ns below 2^53.
@@ -70,7 +72,8 @@ class DigitCountReport(
 ):
     """Prime counts per digit-window value, with uniformity deviations.
 
-    Built from (q, r, s, X) by one Mersenne walk of 2^p - 1 mod q^(r+1).
+    Built from (q, r, s, X) by the Mersenne walk of 2^p - 1 mod q^(r+1),
+    one walk per run of blocks of _in_parts, whose counts are added.
     counts[v] is the number of primes p <= X whose window equals v, for
     every window value v in [0, q^s), and pi_X their total; deviations[v]
     is the signed gap between that frequency and the uniform 1 / q^s, and
@@ -82,16 +85,24 @@ class DigitCountReport(
     __slots__ = ()
 
     def __new__(cls, q: int, r: int, s: int, X: int) -> DigitCountReport:
-        walk = _mersenne_walk(_window_checks(q, r, s), X)
+        modulus = _window_checks(q, r, s)
+        _check_int("X", X, least=2)
         size = q**s
         if size > BIN_GUARD:
             raise ResourceGuardError(
                 f"q^s = {q}^{s} digit-window values exceed the bin guard {BIN_GUARD}"
             )
-        counts = [0] * size
         divisor = q ** (r - s + 1)
-        for residue in chain.from_iterable(walk):
-            counts[residue // divisor] += 1
+
+        def part(prime_range: PrimeRange, first: int) -> list[int]:
+            counts = [0] * size
+            for residue in chain.from_iterable(_mersenne_walk(modulus, prime_range, 1, first)):
+                counts[residue // divisor] += 1
+            return counts
+
+        counts, *rest = _in_parts(_walk_range(modulus, X), part)
+        for other in rest:
+            counts = list(map(operator.add, counts, other))
         pi_X, uniform = sum(counts), 1.0 / size  # pi_X >= 1: X >= 2 admits p = 2
         deviations = tuple(count / pi_X - uniform for count in counts)
         return super().__new__(
@@ -121,23 +132,28 @@ def _check_work(X: int, modulus: int, items: str, name: str, guard: int) -> None
         raise ResourceGuardError(f"{msg} may exceed the {name} guard {guard}")
 
 
-def _mersenne_walk(modulus: int, X: int, a: int = 1) -> Iterator[list[int]]:
-    """Residue batches: a * (2^p - 1) mod modulus for each prime p <= X.
+def _walk_range(modulus: int, X: int) -> PrimeRange:
+    """The primes p <= X of a walk mod modulus, once the sieve guard, then its charge, admit it.
 
-    One stepped_powers pass from a over the prime batches, in p order: x - a
-    for each x = a * 2^p.  X is checked at once; the sieve guard, then the
-    walk's charge against ENUMERATION_GUARD, when the first batch is drawn,
-    so callers can finish their own checks first.
+    Callers check X itself, and finish their own checks, first.
     """
-    _check_int("X", X, least=2)
+    prime_range = PrimeRange(X)
+    _check_work(X, modulus, "walked primes", "enumeration", ENUMERATION_GUARD)
+    return prime_range
 
-    def walk() -> Iterator[list[int]]:
-        prime_range, powers = PrimeRange(X), stepped_powers(2, modulus, a)
-        _check_work(X, modulus, "walked primes", "enumeration", ENUMERATION_GUARD)
-        for primes in prime_batches(prime_range):
-            yield [(x - a) % modulus for x in powers(primes)]
 
-    return walk()
+def _mersenne_walk(
+    modulus: int, prime_range: PrimeRange, a: int = 1, first: int = 0
+) -> Iterator[list[int]]:
+    """Residue batches: a * (2^p - 1) mod modulus for each prime p of prime_range.
+
+    One stepped_powers pass from a over the prime batches from block first
+    on, in p order: x - a for each x = a * 2^p.  Its first prime costs one
+    full pow.
+    """
+    powers = stepped_powers(2, modulus, a)
+    for primes in prime_batches(prime_range, first):
+        yield [(x - a) % modulus for x in powers(primes)]
 
 
 def digit_block(p: int, q: int, r: int, s: int) -> int:
@@ -159,9 +175,9 @@ def mersenne_residues(q: int, gamma: int, X: int) -> list[int]:
     before the sieve when _check_work charges them above RESIDUE_GUARD.
     """
     modulus = prime_power(q, gamma)
-    walk = _mersenne_walk(modulus, X)
+    _check_int("X", X, least=2)
     _check_work(X, modulus, f"residues mod {q}^{gamma}", "residue", RESIDUE_GUARD)
-    return list(chain.from_iterable(walk))
+    return list(chain.from_iterable(_mersenne_walk(modulus, _walk_range(modulus, X))))
 
 
 class PointSet(namedtuple("PointSet", "q gamma points")):
@@ -268,7 +284,7 @@ def erdos_turan_bound(points: PointSet, H: int) -> float:
     adds the weighted parts exactly, rounding each once; the loop holds support,
     weights, numerators, two product rows and one scratch row.  Raises
     ResourceGuardError, before numpy is imported, when H times the terms charged
-    per h exceeds ENUMERATION_GUARD: 512 for its fixed numpy calls, plus one per
+    per h exceeds ENUMERATION_GUARD: 660 for its fixed numpy calls, plus one per
     distinct residue, or 8 + bits // 128 once q^gamma >= 2^53 has that many bits.
     """
     modulus, xs, n = _modulus(points), points.points, len(points.points)

@@ -10,7 +10,8 @@ to that smaller limit.  Streams come in one list per block of BLOCK_WIDTH
 consecutive integers, ascending.  The block is the one grouping of the
 residue pipeline: it bounds the memory each list takes, and it is the
 summation block of the exponential sums, so their order, and every bit of
-their results, is fixed here.
+their results, is fixed here.  _in_parts runs contiguous runs of blocks,
+each sieved on its own, on the usable CPUs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from itertools import chain, compress
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .arith import _check_int
 from .errors import ResourceGuardError
@@ -76,17 +77,19 @@ def _base_primes(limit: int) -> list[int]:
     return list(primes_up_to(PrimeRange(limit))) if limit >= 2 else []
 
 
-def prime_batches(prime_range: PrimeRange) -> Iterator[list[int]]:
+def prime_batches(prime_range: PrimeRange, first: int = 0) -> Iterator[list[int]]:
     """Every prime <= limit once, as one ascending list per block of BLOCK_WIDTH.
 
     List b holds the primes in [b * BLOCK_WIDTH, (b + 1) * BLOCK_WIDTH), for
-    every block up to the limit's; the last list may be empty.  Each block is
-    read out of its segment's mask one class, 6k + 1 or 6k + 5, at a time,
-    and the mask is released before the next segment is sieved.
+    every block from first up to the limit's; the last list may be empty.
+    Segments are sieved from block first on.  Each block is read out of its
+    segment's mask one class, 6k + 1 or 6k + 5, at a time, and the mask is
+    released before the next segment is sieved.
     """
     limit = prime_range.limit
+    _check_int("first", first, least=0)
     odd_base = _base_primes(math.isqrt(limit))[1:]
-    for low in range(0, limit + 1, SEGMENT_SIZE):
+    for low in range(first * BLOCK_WIDTH, limit + 1, SEGMENT_SIZE):
         high = min(low + SEGMENT_SIZE, limit + 1)
         mask = _odd_mask(low, high, odd_base)
         for start in range(low, high, BLOCK_WIDTH):
@@ -116,16 +119,18 @@ def _higher_powers(limit: int) -> list[tuple[int, float]]:
     return out
 
 
-def mangoldt_batches(prime_range: PrimeRange) -> Iterator[tuple[list[int], list[float]]]:
+def mangoldt_batches(
+    prime_range: PrimeRange, first: int = 0
+) -> Iterator[tuple[list[int], list[float]]]:
     """Every n <= limit with nonzero von Mangoldt weight, as (ns, weights), one per block.
 
-    Batch b holds the n = p**k in block b of prime_batches, ascending, each
-    with weight log p: the block's primes, with its (few) higher powers
-    placed among them by bisect.
+    Batch b holds the n = p**k in block b of prime_batches, from block first
+    on, ascending, each with weight log p: the block's primes, with its (few)
+    higher powers placed among them by bisect.
     """
     powers = _higher_powers(prime_range.limit)
-    i = 0
-    for block, ns in enumerate(prime_batches(prime_range)):
+    i = bisect_left(powers, (first * BLOCK_WIDTH,))
+    for block, ns in enumerate(prime_batches(prime_range, first), first):
         weights = list(map(math.log, ns))
         while i < len(powers) and powers[i][0] < (block + 1) * BLOCK_WIDTH:
             n, weight = powers[i]
@@ -139,3 +144,69 @@ def mangoldt_batches(prime_range: PrimeRange) -> Iterator[tuple[list[int], list[
 def mangoldt_terms(prime_range: PrimeRange) -> Iterator[tuple[int, float]]:
     """Every (n, log p) of mangoldt_batches, flat, by n."""
     return chain.from_iterable(zip(*batch) for batch in mangoldt_batches(prime_range))
+
+
+def _in_parts(prime_range: PrimeRange, part: Callable[[PrimeRange, int], object]) -> list:
+    """part(cut, first) for each contiguous run of the blocks of [0, limit], in block order.
+
+    There is one run per CPU in os.sched_getaffinity(0), never more than there
+    are blocks; first is a run's first block, and cut is prime_range ending at
+    its last.  The caller takes the first run and a forked worker each other:
+    it sends part's result back with marshal, which keeps every bit of a float,
+    and always leaves through os._exit, with 1 on any exception, when the
+    caller takes its run.  On any exception the caller kills and reaps its
+    workers before it re-raises.  Every run stays here without os.fork or
+    os.sched_getaffinity, with one usable CPU or another live Python thread,
+    or when there is one block.
+    """
+    import marshal
+    import os
+    import threading
+
+    limit = prime_range.limit
+    blocks, count = limit // BLOCK_WIDTH + 1, 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        count = min(blocks, len(os.sched_getaffinity(0)))
+    edges = [blocks * k // count for k in range(count + 1)]
+    runs = [
+        (PrimeRange(min(limit, stop * BLOCK_WIDTH - 1)), first)
+        for first, stop in zip(edges, edges[1:])
+    ]
+    workers = []  # (pid, read end of its pipe, run) of each worker not yet reaped
+    try:
+        for run in runs[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the worker
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        marshal.dump(part(*run), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            workers.append((pid, open(read, "rb"), run))
+        results = [part(*runs[0])]
+        while workers:
+            pid, pipe, run = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            results.append(marshal.loads(data) if status == 0 else part(*run))
+        return results
+    except BaseException:
+        import signal
+
+        for pid, pipe, _ in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise

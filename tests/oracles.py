@@ -205,7 +205,7 @@ def unit_circle_value(value: int, modulus: int) -> complex:
     of the exact rational to binary floating point (CPython's int/int
     division), so the phase error is at most one ulp of the ratio even
     when the modulus exceeds 2**53.  The angle tau * ratio is the one
-    expsum._phase_sum forms.
+    expsum._phase_partials forms.
     """
     angle = math.tau * (value / modulus)
     return complex(math.cos(angle), math.sin(angle))

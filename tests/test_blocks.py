@@ -7,7 +7,7 @@ import math
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mdl.expsum import ExpSumResult, _phase_sum, kahan_sum
+from mdl.expsum import ExpSumResult, _phase_join, _phase_partials, kahan_sum
 from mdl.primes import BLOCK_WIDTH
 from oracles import phase_sum_by_blocked_kahan, unit_circle_value
 
@@ -26,6 +26,11 @@ def test_kahan_close_to_fsum(xs: list[float]):
     got = kahan_sum(complex(x, 0.0) for x in xs)
     assert math.isclose(got.real, math.fsum(xs), rel_tol=1e-12, abs_tol=1e-9)
     assert got.imag == 0.0
+
+
+def _phase_sum(batches: list[tuple[list, list]], modulus: int, rho: float) -> ExpSumResult:
+    """Every batch's partial, as one part, joined: the route of a sum in one process."""
+    return _phase_join([_phase_partials(batches, modulus)], rho)
 
 
 def _batches(terms: list[tuple[int, float, int]]) -> list[tuple[list, list]]:

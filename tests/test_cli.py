@@ -197,7 +197,7 @@ codes = [mdl.cli.main(argv.split()) for argv in (
     "discrepancy --q 3 --gamma 20 --X 1000000000 --H 1",
     "discrepancy --q 3 --gamma 20000 --X 70000000 --H 1",
     "discrepancy --q 3 --gamma 20000 --X 100000 --H 1294",
-    "discrepancy --q 3 --gamma 1 --X 100000 --H 194553",
+    "discrepancy --q 3 --gamma 1 --X 100000 --H 151058",
 )]
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
@@ -448,17 +448,17 @@ def test_digit_window_bins_are_guarded(capsys):
 
 def test_erdos_turan_terms_are_guarded(capsys):
     # 25 distinct residues times H = 10^7 phase terms exceed the guard, and so
-    # does H = 10^8 over one residue, since each h is charged 512 terms more;
-    # 194,932 = 10^8 // (1 + 512) + 1 is the smallest H that charge rejects
-    # over one residue, which a charge of 64 admitted (some 7 s of phases).
-    # Mod 3^40 >= 2^53 a residue is charged 8 terms: that rejects H = 192,308
+    # does H = 10^8 over one residue, since each h is charged 660 terms more;
+    # 151,286 = 10^8 // (1 + 660) + 1 is the smallest H that charge rejects
+    # over one residue, which a charge of 64 admitted (about 3.5 s of phases).
+    # Mod 3^40 >= 2^53 a residue is charged 8 terms: that rejects H = 149,701
     # over one residue, and H = 5,000 over 9,592 residues (some 16 s of
     # phases), both of which a charge of one admitted. Mod 3 the 9,592
     # residues to 10^5 take 2 values, counted from the equal neighbours of the
-    # sorted points: H = 194,553 is the smallest H rejected over those two
+    # sorted points: H = 151,058 is the smallest H rejected over those two
     for gamma, X, H in [
-        ("30", "100", "10000000"), ("1", "2", "100000000"), ("1", "2", "194932"),
-        ("40", "2", "192308"), ("40", "100000", "5000"), ("1", "100000", "194553"),
+        ("30", "100", "10000000"), ("1", "2", "100000000"), ("1", "2", "151286"),
+        ("40", "2", "149701"), ("40", "100000", "5000"), ("1", "100000", "151058"),
     ]:
         start = time.perf_counter()
         code, _, err = run_cli(

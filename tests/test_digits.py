@@ -583,12 +583,12 @@ def test_points_must_be_a_point_set(call, points):
 
 def test_erdos_turan_guard_counts_each_run_of_equal_neighbours_once(monkeypatch):
     # mod 3 the 9,592 residues to 10^5 take 2 values, and
-    # 194,553 * (2 + 512) > 10^8 >= 194,552 * (2 + 512); a count of one per
-    # point, or any count above 2, rejects H = 194,552 as well
+    # 151,058 * (2 + 660) > 10^8 >= 151,057 * (2 + 660); a count of one per
+    # point, or any count above 2, rejects H = 151,057 as well
     points = PointSet(3, 1, mersenne_residues(3, 1, 10**5))
     assert len(points.points) == 9592
-    with pytest.raises(ResourceGuardError, match=r"= 194553 \* \(1 \* 2 \+ 512\) exceeds"):
-        erdos_turan_bound(points, 194553)
+    with pytest.raises(ResourceGuardError, match=r"= 151058 \* \(1 \* 2 \+ 660\) exceeds"):
+        erdos_turan_bound(points, 151058)
 
     class Admitted(Exception):
         pass
@@ -598,7 +598,7 @@ def test_erdos_turan_guard_counts_each_run_of_equal_neighbours_once(monkeypatch)
 
     monkeypatch.setattr("mdl.digits._numpy", admitted)
     with pytest.raises(Admitted):
-        erdos_turan_bound(points, 194552)
+        erdos_turan_bound(points, 151057)
 
 
 def test_residues_sequences_agree_with_the_list():

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import errno
+import marshal
+import os
+import threading
 import time
 import tracemalloc
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,7 @@ from mdl.primes import (
     BLOCK_WIDTH,
     SIEVE_GUARD,
     PrimeRange,
+    _in_parts,
     mangoldt_batches,
     mangoldt_terms,
     prime_batches,
@@ -122,7 +128,7 @@ def test_mersenne_walk_matches_reduced_pow(q: int):
     # from any multiplier a the walk gives the phase numerators a * (2^p - 1) mod q^e
     for a in (1, 2, q - 1, q + 1):
         for modulus in (q, q**3):
-            got = [x for xs in _mersenne_walk(modulus, X, a) for x in xs]
+            got = [x for xs in _mersenne_walk(modulus, PrimeRange(X), a) for x in xs]
             assert got == [a * (pow(2, p, modulus) - 1) % modulus for p in primes], a
 
 
@@ -239,3 +245,177 @@ def test_every_walk_is_guarded_before_the_sieve(walk, monkeypatch):
     with pytest.raises(ResourceGuardError, match="enumeration guard"):
         walk()
     assert time.perf_counter() - start < 0.1
+
+
+# [0, 3 * 2^16] is four blocks; the last one holds X alone, and no prime
+SPLIT_X = 3 * BLOCK_WIDTH
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make count CPUs usable where _in_parts reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _no_worker_left() -> None:
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_records() -> tuple:
+    """Each walk's record to SPLIT_X, the sums as their bits."""
+    return (
+        DigitCountReport(3, 40, 2, SPLIT_X),
+        _bits(mersenne_prime_sum(3, 40, 5, SPLIT_X)),
+        _bits(mangoldt_exp_sum(3, 40, 5, 7, SPLIT_X)),
+    )
+
+
+@cache
+def _split_oracles() -> tuple:
+    """Window counts by direct pow over trial-division primes, and both sums' blocked bits."""
+    Q, a, g = 3**40, 5, 7
+    primes = primes_by_trial_division(SPLIT_X)
+    counts = [0] * 9
+    for residue in powers_by_direct_pow(2, primes, 3**41):
+        counts[(residue - 1) % 3**41 // 3**39] += 1
+    mersenne = [(p, 1.0, a * (pow(2, p, Q) - 1) % Q) for p in primes]
+    mangoldt = [(n, w, a * pow(g, n, Q) % Q) for n, w in mangoldt_terms(PrimeRange(SPLIT_X))]
+    sums = []
+    for terms in (mersenne, mangoldt):
+        total, normalizer, count = phase_sum_by_blocked_kahan(terms, Q)
+        sums.append((total.real.hex(), total.imag.hex(), normalizer.hex(), count))
+    return tuple(counts), *sums
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_runs_are_contiguous_block_ranges(cpus: int, monkeypatch):
+    # one run per CPU, never more than the four blocks, cut at block edges
+    _cpus(monkeypatch, cpus)
+    runs = _in_parts(PrimeRange(SPLIT_X), lambda cut, first: (first, cut.limit))
+    edges = {1: [0, 4], 2: [0, 2, 4], 3: [0, 1, 2, 4], 5: [0, 1, 2, 3, 4]}[cpus]
+    want = [(first, min(SPLIT_X, stop * BLOCK_WIDTH - 1)) for first, stop in zip(edges, edges[1:])]
+    assert runs == want
+    assert _in_parts(PrimeRange(BLOCK_WIDTH - 1), lambda cut, first: (first, cut.limit)) == [
+        (0, BLOCK_WIDTH - 1)
+    ]
+    _no_worker_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_split_walks_equal_the_one_part_route_and_the_oracles(cpus: int, monkeypatch):
+    _cpus(monkeypatch, 1)
+    one = _split_records()
+    _cpus(monkeypatch, cpus)
+    split = _split_records()
+    _no_worker_left()
+    assert split == one
+    report, *sums = split
+    assert (report.counts, *sums) == _split_oracles()
+    assert report.pi_X == len(primes_by_trial_division(SPLIT_X))
+
+
+def test_a_failed_worker_run_is_taken_by_the_caller(monkeypatch):
+    _cpus(monkeypatch, 1)
+    one = _split_records()
+    forks = []
+    fork = os.fork
+
+    def counted_fork() -> int:
+        forks.append(1)
+        return fork()
+
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(marshal, "dump", lambda value, file: os._exit(3))  # only workers send
+    assert _split_records() == one
+    assert len(forks) == 6  # two workers for each of the three walks, every one failed
+    _no_worker_left()
+
+
+def test_an_exception_in_the_caller_kills_and_reaps_its_workers(monkeypatch):
+    # the worker's run would take a minute; the caller's own run raises at once
+    class Interrupted(Exception):
+        pass
+
+    def walk(modulus, prime_range, a=1, first=0):
+        if first == 0:
+            raise Interrupted
+        time.sleep(60)
+        return iter(())
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr("mdl.digits._mersenne_walk", walk)
+    start = time.perf_counter()
+    with pytest.raises(Interrupted):
+        DigitCountReport(3, 40, 2, SPLIT_X)
+    assert time.perf_counter() - start < 10
+    _no_worker_left()
+
+
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_workers_started(monkeypatch):
+    fork, forks = os.fork, []
+
+    def second_fails() -> int:
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "no process left")
+        return fork()
+
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", second_fails)
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="no process left"):
+        DigitCountReport(3, 40, 2, SPLIT_X)
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+    _no_worker_left()
+
+
+def _forbid_fork(monkeypatch) -> None:
+    def fork() -> int:
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def test_a_live_thread_keeps_every_run_in_the_caller(monkeypatch):
+    _cpus(monkeypatch, 1)
+    one = _split_records()
+    _cpus(monkeypatch, 2)
+    _forbid_fork(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _split_records() == one
+    finally:
+        release.set()
+        thread.join()
+    _no_worker_left()
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: DigitCountReport(3, 41000, 1, X=SIEVE_GUARD),
+        lambda: mersenne_prime_sum(3, 41000, 1, SIEVE_GUARD),
+        lambda: mangoldt_exp_sum(3, 41000, 1, 2, SIEVE_GUARD),
+        lambda: DigitCountReport(3, 40, 2, X=1),
+        lambda: mersenne_prime_sum(3, 40, 3, 1),
+        lambda: mangoldt_exp_sum(3, 40, 3, 2, SPLIT_X),
+        lambda: DigitCountReport(3, 40, 2, X=SIEVE_GUARD + 1),
+    ],
+    ids=[
+        "count_blocks_walk_guard", "mersenne_walk_guard", "mangoldt_walk_guard",
+        "count_blocks_X", "mersenne_X_before_a", "mangoldt_a", "count_blocks_sieve_guard",
+    ],
+)
+def test_checks_and_guards_run_before_any_fork(walk, monkeypatch):
+    _cpus(monkeypatch, 1)
+    with pytest.raises((PreconditionError, ResourceGuardError)) as one:
+        walk()
+    _cpus(monkeypatch, 2)
+    _forbid_fork(monkeypatch)
+    with pytest.raises((PreconditionError, ResourceGuardError)) as split:
+        walk()
+    assert (type(split.value), str(split.value)) == (type(one.value), str(one.value))
+    _no_worker_left()

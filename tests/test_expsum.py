@@ -7,7 +7,8 @@ import math
 import pytest
 
 from mdl.errors import PreconditionError, SelfCheckError
-from mdl.expsum import ExpSumResult, _phase_sum, log_ratio, mangoldt_exp_sum, mersenne_prime_sum
+from mdl.expsum import (
+    ExpSumResult, _phase_join, _phase_partials, log_ratio, mangoldt_exp_sum, mersenne_prime_sum)
 from oracles import mangoldt_sum_by_direct_powers, mersenne_sum_by_direct_powers
 
 # (q, gamma) of each modulus q^gamma
@@ -83,8 +84,8 @@ def test_expsum_result_rechecks_the_triangle_inequality():
     # weights 2 and -1 on the phases 1 and -1 (numerators 0 and 4/2) sum to
     # 3, above the weight total 1; with weights 2 and 1 the sum is 1 of 3
     with pytest.raises(SelfCheckError, match="exceeds normalizer 1.0$"):
-        _phase_sum([([2.0, -1.0], [0, 2])], 4, 0.5)
-    within = _phase_sum([([2.0, 1.0], [0, 2])], 4, 0.5)
+        _phase_join([_phase_partials([([2.0, -1.0], [0, 2])], 4)], 0.5)
+    within = _phase_join([_phase_partials([([2.0, 1.0], [0, 2])], 4)], 0.5)
     assert (within.magnitude, within.normalizer) == (pytest.approx(1.0), 3.0)
 
 
